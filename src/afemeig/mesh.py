@@ -9,14 +9,22 @@ newly created vertex.  Conformity is maintained by recursively bisecting the
 neighbour across the refinement edge first whenever its own refinement edge
 disagrees (implemented with an explicit stack, so chains of any length are
 fine).
+
+Refinement works on the element-neighbour array: a bisection rewires the
+pointers of its two children and of the parent's two outer neighbours in
+O(1), so the Python work of `refine` is proportional to the bisections it
+makes, and the new mesh's arrays are assembled by numpy indexing.
 """
 
+import itertools
 import json
 import warnings
+from functools import cached_property
 
 import numpy as np
 
 _EDGE_VERTS = ((1, 2), (2, 0), (0, 1))  # local edge i is opposite local vertex i
+_ROTATE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # local vertices i, i + 1, i + 2 (mod 3)
 
 
 class MeshError(ValueError):
@@ -192,13 +200,18 @@ class RefineResult:
 
     refined_set -- ids of old-mesh elements that are no longer present
     parent_map  -- new element id -> old-mesh ancestor id (identity for
-                   elements carried over unchanged)
+                   elements carried over unchanged), built on first access
+                   from the `ancestor` array
     """
 
-    def __init__(self, mesh, refined_set, parent_map):
+    def __init__(self, mesh, refined_set, ancestor):
         self.mesh = mesh
         self.refined_set = frozenset(refined_set)
-        self.parent_map = parent_map
+        self.ancestor = ancestor
+
+    @cached_property
+    def parent_map(self):
+        return dict(enumerate(self.ancestor.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -213,30 +226,20 @@ def _longest_edge_labels(vertices, elements):
     return np.argmax(lens, axis=1)  # argmax takes lowest index on ties
 
 
-def _refedge_pair(elements, refedge, t):
-    a, b = _EDGE_VERTS[refedge[t]]
-    i, j = elements[t, a], elements[t, b]
-    return (i, j) if i < j else (j, i)
-
-
-def _successors(mesh_elements, refedge, adj):
+def _successors(nbr, refedge):
     """Directed completion graph: t -> neighbour across t's refinement edge
     when that neighbour refines a different edge; -1 for terminal."""
-    ne = mesh_elements.shape[0]
-    succ = -np.ones(ne, dtype=np.int64)
-    for t in range(ne):
-        key = _refedge_pair(mesh_elements, refedge, t)
-        owners = adj[key]
-        other = [o for o in owners if o != t]
-        if other and _refedge_pair(mesh_elements, refedge, other[0]) != key:
-            succ[t] = other[0]
+    succ = nbr[np.arange(refedge.size), refedge]
+    t = np.flatnonzero(succ >= 0)
+    succ[t[nbr[succ[t], refedge[succ[t]]] == t]] = -1
     return succ
 
 
 def _find_cycle(succ):
     """Return the elements of one cycle of the successor graph, or None."""
-    state = np.zeros(succ.size, dtype=np.int8)  # 0 new, 1 active, 2 done
-    for start in range(succ.size):
+    succ = succ.tolist()
+    state = [0] * len(succ)  # 0 new, 1 active, 2 done
+    for start in range(len(succ)):
         if state[start]:
             continue
         path = []
@@ -252,27 +255,48 @@ def _find_cycle(succ):
     return None
 
 
-def _shared_local_edge(elements, t, pair):
-    for i, (a, b) in enumerate(_EDGE_VERTS):
-        e = (elements[t, a], elements[t, b])
-        if pair == (min(e), max(e)):
-            return i
-    raise MeshError("elements do not share the given edge")
-
-
-def _repair_labels(elements, refedge, adj, max_sweeps):
+def _repair_labels(nbr, refedge, max_sweeps):
     """Break cycles in the completion graph by re-pointing one member of each
     cycle at its predecessor's refinement edge (compatible pair). Returns True
     on success."""
     for _ in range(max_sweeps):
-        succ = _successors(elements, refedge, adj)
+        succ = _successors(nbr, refedge)
         cycle = _find_cycle(succ)
         if cycle is None:
             return True
         t0 = cycle[0]
         t1 = succ[t0]
-        refedge[t1] = _shared_local_edge(elements, t1, _refedge_pair(elements, refedge, t0))
-    return _find_cycle(_successors(elements, refedge, adj)) is None
+        # the edge t1 shares with t0 is t0's refinement edge
+        refedge[t1] = int(np.flatnonzero(nbr[t1] == t0)[0])
+    return _find_cycle(_successors(nbr, refedge)) is None
+
+
+def _hanging_vertex(vertices, edges):
+    """First ``(vertex, edge id)`` with the vertex strictly inside the edge, or
+    None.  Such a vertex lies within half the edge length of its midpoint, so
+    on large meshes only the vertices a k-d tree finds there are tested."""
+    pa, pb = vertices[edges[:, 0]], vertices[edges[:, 1]]
+    d = pb - pa
+    L2 = np.einsum("ij,ij->i", d, d)
+    if edges.shape[0] * vertices.shape[0] <= 1 << 16:
+        # small meshes: test every pair; importing scipy.spatial costs more
+        eid, vid = np.divmod(np.arange(edges.shape[0] * vertices.shape[0]), vertices.shape[0])
+    else:
+        from scipy.spatial import cKDTree
+        near = cKDTree(vertices).query_ball_point(0.5 * (pa + pb),
+                                                  0.5 * np.sqrt(L2) * (1 + 1e-9) + 1e-12,
+                                                  return_sorted=True)
+        eid = np.repeat(np.arange(edges.shape[0]), [len(c) for c in near])
+        vid = np.fromiter(itertools.chain.from_iterable(near), np.int64, eid.size)
+    rel = vertices[vid] - pa[eid]
+    de = d[eid]
+    t = np.einsum("ij,ij->i", rel, de) / L2[eid]
+    on_line = np.abs(rel[:, 0] * de[:, 1] - rel[:, 1] * de[:, 0]) <= 1e-12 * np.sqrt(L2[eid])
+    hit = on_line & (t > 1e-10) & (t < 1 - 1e-10) & np.all(edges[eid] != vid[:, None], axis=1)
+    if not hit.any():
+        return None
+    k = np.argmax(hit)  # pairs run in (edge, vertex) order
+    return int(vid[k]), int(eid[k])
 
 
 def red_refine(vertices, elements, region):
@@ -324,9 +348,9 @@ def build_initial(vertices, triangles, boundary=None, region=None):
         raise MeshError("triangles must be an (n, 3) array")
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
         raise MeshError("triangle vertex index out of range")
-    for t in triangles:
-        if len(set(t.tolist())) != 3:
-            raise MeshError(f"triangle {t.tolist()} has repeated vertices")
+    repeated = (triangles == np.roll(triangles, 1, axis=1)).any(axis=1)
+    if repeated.any():
+        raise MeshError(f"triangle {triangles[np.argmax(repeated)].tolist()} has repeated vertices")
     uniq = np.unique(vertices, axis=0)
     if uniq.shape[0] != vertices.shape[0]:
         raise MeshError("duplicate vertex coordinates")
@@ -351,19 +375,11 @@ def build_initial(vertices, triangles, boundary=None, region=None):
         raise MeshError(f"non-conforming input: edge {tuple(bad)} has {counts.max()} owners")
     derived_boundary = edges[counts == 1]
 
-    # hanging vertices: a vertex lying strictly inside another element's edge
-    for eid, (a, b) in enumerate(edges):
-        pa, pb = vertices[a], vertices[b]
-        d = pb - pa
-        L2 = d @ d
-        rel = vertices - pa
-        t = (rel @ d) / L2
-        on_line = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) <= 1e-12 * np.sqrt(L2)
-        interior = (t > 1e-10) & (t < 1 - 1e-10) & on_line
-        interior[[a, b]] = False
-        if np.any(interior):
-            raise MeshError(f"hanging vertex {int(np.nonzero(interior)[0][0])} "
-                            f"on edge {(int(a), int(b))}")
+    hanging = _hanging_vertex(vertices, edges)
+    if hanging is not None:
+        vid, eid = hanging
+        a, b = edges[eid]
+        raise MeshError(f"hanging vertex {vid} on edge {(int(a), int(b))}")
 
     if boundary is not None:
         given = {tuple(sorted(map(int, e))) for e in np.asarray(boundary).reshape(-1, 2)}
@@ -372,23 +388,17 @@ def build_initial(vertices, triangles, boundary=None, region=None):
             raise MeshError("open or inconsistent boundary: supplied boundary edges "
                             "do not match the mesh's single-owner edges")
 
-    refedge = _longest_edge_labels(vertices, triangles)
-    adj = {}
-    for t in range(triangles.shape[0]):
-        for a, b in _EDGE_VERTS:
-            i, j = triangles[t, a], triangles[t, b]
-            adj.setdefault((min(i, j), max(i, j)), []).append(t)
-
-    if not _repair_labels(triangles, refedge, adj, max_sweeps=4 * len(triangles) + 8):
+    mesh = Mesh(vertices, triangles, _longest_edge_labels(vertices, triangles),
+                np.zeros(len(triangles), np.int64), region, derived_boundary)
+    if not _repair_labels(mesh.element_neighbors(), mesh.refinement_edge,
+                          max_sweeps=4 * len(triangles) + 8):
         warnings.warn("refinement-edge labeling could not be repaired; applying one "
                       "global red refinement", stacklevel=2)
         vertices, triangles, refedge, region = red_refine(vertices, triangles, region)
         pairs = np.sort(triangles[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
         edges, counts = np.unique(pairs, axis=0, return_counts=True)
-        derived_boundary = edges[counts == 1]
-
-    mesh = Mesh(vertices, triangles, refedge,
-                np.zeros(len(triangles), np.int64), region, derived_boundary)
+        mesh = Mesh(vertices, triangles, refedge, np.zeros(len(triangles), np.int64),
+                    region, edges[counts == 1])
     mesh.validate()
     return mesh
 
@@ -398,122 +408,104 @@ def build_initial(vertices, triangles, boundary=None, region=None):
 
 
 class _RefineWork:
-    """Mutable append-only refinement workspace.
+    """Mutable append-only refinement workspace over the neighbour array.
 
     Element "tokens" are never reused: bisecting a token marks it dead and
-    appends two children, so ancestry can be reconstructed exactly.
-    Tokens < ne_old are the elements of the input mesh.
+    appends two children.  Tokens < ne_old are the elements of the input
+    mesh; ``root`` maps every token to its input-mesh ancestor.  ``nbr[t][i]``
+    is the token across local edge ``i`` of `t` (-1 on the boundary).  The
+    completion stack of a terminating labeling never holds a token twice, so
+    a stack taller than the token count means an incompatible labeling.
     """
 
     def __init__(self, mesh):
+        self.mesh = mesh
         self.ne_old = mesh.n_elements
         self.verts = mesh.vertices.tolist()
-        self.elems = [tuple(map(int, row)) for row in mesh.elements]
+        self.elems = mesh.elements.tolist()
         self.refe = mesh.refinement_edge.tolist()
         self.gen = mesh.generation.tolist()
-        self.reg = mesh.region.tolist()
+        self.nbr = mesh.element_neighbors().tolist()
         self.alive = [True] * self.ne_old
+        self.root = list(range(self.ne_old))
         self.children = {}
-        self.parent = {}
-        self.adj = {}
-        pairs = np.sort(mesh.elements[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-        keys = list(map(tuple, pairs.tolist()))
-        adj = self.adj
-        for k, key in enumerate(keys):
-            adj.setdefault(key, []).append(k // 3)
-
-    def _edge_key(self, tok, local):
-        a, b = _EDGE_VERTS[local]
-        i, j = self.elems[tok][a], self.elems[tok][b]
-        return (i, j) if i < j else (j, i)
-
-    def _drop_edges(self, tok):
-        for local in range(3):
-            owners = self.adj[self._edge_key(tok, local)]
-            owners.remove(tok)
-
-    def _add_edges(self, tok):
-        for local in range(3):
-            self.adj.setdefault(self._edge_key(tok, local), []).append(tok)
 
     def _split(self, tok, mid):
         """Replace `tok` by its two children across its refinement edge,
-        using existing midpoint vertex id `mid`."""
-        v = self.elems[tok]
-        r = self.refe[tok]
-        p, a, b = v[r], v[(r + 1) % 3], v[(r + 2) % 3]
-        self._drop_edges(tok)
-        self.alive[tok] = False
-        g = self.gen[tok] + 1
-        reg = self.reg[tok]
+        using existing midpoint vertex id `mid`.  Each child's local edge 0
+        (its half of the bisected edge) still points at tok's neighbour
+        there; the caller links it to the partner's child."""
+        v, nb = self.elems[tok], self.nbr[tok]
+        i, j, k = _ROTATE[self.refe[tok]]
+        p, a, b = v[i], v[j], v[k]
+        n_ab, n_bp, n_pa = nb[i], nb[j], nb[k]
         c1 = len(self.elems)
-        self.elems.append((p, a, mid))
-        self.refe.append(2)          # edge (p, a), opposite the new vertex
-        self.gen.append(g)
-        self.reg.append(reg)
-        self.alive.append(True)
-        c2 = len(self.elems)
-        self.elems.append((p, mid, b))
-        self.refe.append(1)          # edge (b, p), opposite the new vertex
-        self.gen.append(g)
-        self.reg.append(reg)
-        self.alive.append(True)
+        c2 = c1 + 1
+        self.elems += [(p, a, mid), (p, mid, b)]
+        self.refe += [2, 1]          # edges (p, a) and (b, p), opposite the new vertex
+        self.gen += [self.gen[tok] + 1] * 2
+        self.root += [self.root[tok]] * 2
+        self.nbr += [[n_ab, c2, n_pa], [n_ab, n_bp, c1]]
+        self.alive[tok] = False
+        self.alive += [True, True]
+        for n, c in ((n_pa, c1), (n_bp, c2)):
+            if n >= 0:
+                row = self.nbr[n]
+                row[row.index(tok)] = c
         self.children[tok] = (c1, c2)
-        self.parent[c1] = tok
-        self.parent[c2] = tok
-        self._add_edges(c1)
-        self._add_edges(c2)
         return c1, c2
 
     def bisect_conforming(self, tok):
         """Bisect `tok`, recursively pre-bisecting incompatible neighbours."""
+        nbr, refe, alive = self.nbr, self.refe, self.alive
         stack = [tok]
-        alive_count = sum(self.alive)
         while stack:
             t = stack[-1]
-            if not self.alive[t]:
+            if not alive[t]:
                 stack.pop()
                 continue
-            key = self._edge_key(t, self.refe[t])
-            owners = self.adj[key]
-            partner = None
-            for o in owners:
-                if o != t:
-                    partner = o
-            if partner is not None and self._edge_key(partner, self.refe[partner]) != key:
-                if len(stack) > alive_count + len(self.elems):
+            partner = nbr[t][refe[t]]
+            if partner >= 0 and nbr[partner][refe[partner]] != t:
+                if len(stack) > len(self.elems):
                     raise MeshError("completion does not terminate: incompatible "
                                     "refinement-edge labeling")
                 stack.append(partner)
                 continue
             stack.pop()
+            v, (_, j, k) = self.elems[t], _ROTATE[refe[t]]
+            va, vb = self.verts[v[j]], self.verts[v[k]]
             mid = len(self.verts)
-            va, vb = self.verts[key[0]], self.verts[key[1]]
-            self.verts.append([0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1])])
-            self._split(t, mid)
-            if partner is not None:
-                self._split(partner, mid)
+            self.verts.append((0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1])))
+            c1, c2 = self._split(t, mid)
+            if partner >= 0:
+                d1, d2 = self._split(partner, mid)
+                # the partner runs the shared edge the other way: d2 holds the
+                # half that c1 holds, d1 the half of c2
+                nbr[c1][0], nbr[d2][0] = d2, c1
+                nbr[c2][0], nbr[d1][0] = d1, c2
 
     def freeze(self):
-        """Produce the new Mesh plus (refined_set, parent_map)."""
-        tokens = [t for t in range(len(self.elems)) if self.alive[t]]
-        elements = np.array([self.elems[t] for t in tokens], np.int64)
-        refedge = np.array([self.refe[t] for t in tokens], np.int64)
-        gen = np.array([self.gen[t] for t in tokens], np.int64)
-        reg = np.array([self.reg[t] for t in tokens], np.int64)
-        vertices = np.array(self.verts, float)
-        pairs = np.sort(elements[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-        edges, counts = np.unique(pairs, axis=0, return_counts=True)
-        boundary = edges[counts == 1]
-        mesh = Mesh(vertices, elements, refedge, gen, reg, boundary)
-        refined = {t for t in range(self.ne_old) if not self.alive[t]}
-        parent_map = {}
-        for new_id, tok in enumerate(tokens):
-            anc = tok
-            while anc >= self.ne_old:
-                anc = self.parent[anc]
-            parent_map[new_id] = anc
-        return mesh, refined, parent_map
+        """Produce the new Mesh plus (refined_set, ancestor array)."""
+        mesh, ne_old = self.mesh, self.ne_old
+        alive = np.array(self.alive)
+        tokens = np.flatnonzero(alive)
+
+        def rows(old, new):
+            """The input mesh's rows followed by those of the appended tokens."""
+            return np.concatenate([old, np.array(new, old.dtype).reshape((-1,) + old.shape[1:])])
+
+        elements = rows(mesh.elements, self.elems[ne_old:])[tokens]
+        # a split never changes which slots of a surviving element lie on the
+        # boundary, so the input mesh's neighbour array serves for old tokens
+        t, local = np.nonzero(rows(mesh.element_neighbors(), self.nbr[ne_old:])[tokens] < 0)
+        pairs = np.sort(elements[t[:, None], np.array(_EDGE_VERTS)[local]], axis=1)
+        ancestor = rows(np.arange(ne_old), self.root[ne_old:])[tokens]
+        new_mesh = Mesh(rows(mesh.vertices, self.verts[mesh.n_vertices:]), elements,
+                        rows(mesh.refinement_edge, self.refe[ne_old:])[tokens],
+                        rows(mesh.generation, self.gen[ne_old:])[tokens],
+                        mesh.region[ancestor], np.unique(pairs, axis=0))
+        refined = np.flatnonzero(~alive[:ne_old]).tolist()
+        return new_mesh, refined, ancestor
 
 
 def bisect(mesh, element_id):
@@ -522,8 +514,7 @@ def bisect(mesh, element_id):
         raise MeshError(f"invalid element id {element_id}")
     work = _RefineWork(mesh)
     work.bisect_conforming(element_id)
-    new_mesh, _, _ = work.freeze()
-    return new_mesh
+    return work.freeze()[0]
 
 
 def refine(mesh, marked, b=1):
@@ -539,15 +530,14 @@ def refine(mesh, marked, b=1):
     if targets and (targets[0] < 0 or targets[-1] >= mesh.n_elements):
         raise MeshError("marked element id out of range")
     if not targets:
-        return RefineResult(mesh, set(), {i: i for i in range(mesh.n_elements)})
+        return RefineResult(mesh, set(), np.arange(mesh.n_elements))
     work = _RefineWork(mesh)
     for _ in range(b):
         for tok in targets:
-            if tok not in work.children:
+            if work.alive[tok]:
                 work.bisect_conforming(tok)
         targets = sorted(c for tok in targets for c in work.children[tok])
-    new_mesh, refined, parent_map = work.freeze()
-    return RefineResult(new_mesh, refined, parent_map)
+    return RefineResult(*work.freeze())
 
 
 def uniform_refine(mesh, rounds=1):

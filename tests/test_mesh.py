@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afemeig import MeshError, bisect, build_initial, refine, uniform_refine
-from afemeig.mesh import _EDGE_VERTS, from_json, red_refine
+from afemeig.mesh import _EDGE_VERTS, Mesh, from_json, red_refine
 
 from conftest import lshape_mesh, square_mesh
 
@@ -57,6 +59,38 @@ def test_build_rejects_hanging_vertex():
     verts = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)]
     tris = [(0, 1, 4), (0, 4, 2), (1, 3, 2)]
     with pytest.raises(MeshError, match="hanging"):
+        build_initial(verts, tris)
+
+
+def test_build_accepts_vertex_collinear_outside_edge():
+    # vertex 2 is on the line through edge (0, 1) but beyond its end
+    verts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    tris = [(0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4)]
+    assert build_initial(verts, tris).n_elements == 4
+
+
+def _grid(n):
+    """Vertices and triangles of the unit square cut into n x n squares."""
+    x = np.linspace(0.0, 1.0, n + 1)
+    verts = np.stack(np.meshgrid(x, x), axis=-1).reshape(-1, 2)
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    a, b, c, d = (idx[:-1, :-1].ravel(), idx[:-1, 1:].ravel(),
+                  idx[1:, 1:].ravel(), idx[1:, :-1].ravel())
+    tris = np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+    return verts, tris
+
+
+@pytest.mark.parametrize("n", [2, 16])  # every vertex-edge pair, and the k-d tree
+def test_build_hanging_vertex_on_grid(n):
+    verts, tris = _grid(n)
+    assert build_initial(verts, tris).n_elements == 2 * n * n
+    # put a vertex on the diagonal (0, n + 2) of triangle n * n, off its
+    # midpoint, and cut the other half of square 0 at it
+    new = verts.shape[0]
+    verts = np.vstack([verts, [0.9 / n, 0.9 / n]])
+    a, b, c = tris[0]
+    tris = np.vstack([[(a, b, new), (b, c, new)], tris[1:]])
+    with pytest.raises(MeshError, match=rf"hanging vertex {new} on edge \(0, {n + 2}\)"):
         build_initial(verts, tris)
 
 
@@ -256,12 +290,60 @@ def test_red_refine_labeling_is_compatible():
         bisect(m, tok).validate()
 
 
+# a regular hexagon cut into six triangles around its centre
+_FAN_VERTS = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2), (-0.5, math.sqrt(3) / 2),
+              (-1, 0), (-0.5, -math.sqrt(3) / 2), (0.5, -math.sqrt(3) / 2)]
+_FAN_TRIS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 6, 1)]
+
+
 def test_incompatible_labeling_detected_and_repaired():
     # force a 3-cycle of refinement edges on a symmetric fan, then check that
     # build_initial's repair sweep produces a terminating labeling anyway
-    verts = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2), (-0.5, math.sqrt(3) / 2),
-             (-1, 0), (-0.5, -math.sqrt(3) / 2), (0.5, -math.sqrt(3) / 2)]
-    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 6, 1)]
-    m = build_initial(verts, tris)
+    m = build_initial(_FAN_VERTS, _FAN_TRIS)
     for tok in range(m.n_elements):
         bisect(m, tok).validate()
+
+
+def test_incompatible_labeling_fails_fast():
+    # on the fan above, label each triangle with the spoke it shares with the
+    # next one: completion then cycles, and must stop with an error
+    rim = [(1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)]
+    zeros = np.zeros(6, np.int64)
+    # local edge 1 is (v2, v0), the spoke to the next triangle
+    m = Mesh(_FAN_VERTS, _FAN_TRIS, np.ones(6, np.int64), zeros, zeros, rim)
+    start = time.perf_counter()
+    for tok in range(m.n_elements):
+        with pytest.raises(MeshError, match="does not terminate"):
+            bisect(m, tok)
+    with pytest.raises(MeshError, match="does not terminate"):
+        refine(m, range(m.n_elements), b=2)
+    assert time.perf_counter() - start < 1.0
+
+
+def _mesh_digest(mesh):
+    h = hashlib.sha256()
+    for arr in (mesh.vertices, mesh.elements, mesh.refinement_edge, mesh.generation,
+                mesh.region, mesh.boundary_edges):
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# Dörfler marking breaks ties by element id, so refinement must keep producing
+# the same vertex and element numbering, not only the same triangles.
+@pytest.mark.parametrize("b, rounds, digest", [
+    (1, 12, "d67712873ca550f9762c1c9cabf1b3d32c4e638899ef0b4ca8c68924a6b779cf"),
+    (2, 5, "7dbb853a7b289378440390dfd84ed8123f9cf28bf47cd82089f3896442284f5c"),
+])
+def test_refine_output_is_pinned(b, rounds, digest):
+    mesh = lshape_mesh(1)
+    rng = np.random.default_rng(5)
+    for _ in range(rounds):
+        marked = rng.choice(mesh.n_elements, size=max(1, mesh.n_elements // 5), replace=False)
+        mesh = refine(mesh, marked, b=b).mesh
+    assert _mesh_digest(mesh) == digest
+
+
+def test_uniform_refine_output_is_pinned():
+    assert _mesh_digest(uniform_refine(lshape_mesh(1), 4)) == \
+        "d7070144e009ffe818cfabaae4134e65ff7ade870afbb3b43b78a38d4e55f06c"
