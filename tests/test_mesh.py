@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afemeig import MeshError, bisect, build_initial, refine, uniform_refine
-from afemeig.mesh import _EDGE_VERTS, Mesh, from_json, red_refine
+from afemeig import MeshError, RefineResult, bisect, build_initial, refine, uniform_refine
+from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh, from_json, red_refine
 
 from conftest import lshape_mesh, square_mesh
 
@@ -80,9 +80,11 @@ def _grid(n):
     return verts, tris
 
 
-@pytest.mark.parametrize("n", [2, 16])  # every vertex-edge pair, and the k-d tree
+@pytest.mark.parametrize("n", [2, 21])
 def test_build_hanging_vertex_on_grid(n):
     verts, tris = _grid(n)
+    # n = 2 tests every vertex-edge pair, n = 21 goes through the k-d tree
+    assert ((3 * n + 2) * n * verts.shape[0] > _ALL_PAIRS_MAX) == (n > 2)
     assert build_initial(verts, tris).n_elements == 2 * n * n
     # put a vertex on the diagonal (0, n + 2) of triangle n * n, off its
     # midpoint, and cut the other half of square 0 at it
@@ -126,6 +128,13 @@ def test_refine_empty_marked_is_identity():
     assert res.mesh is m
     assert res.refined_set == frozenset()
     assert res.parent_map == {i: i for i in range(m.n_elements)}
+
+
+def test_refine_result_takes_ancestor_array():
+    m = square_mesh()
+    assert RefineResult(m, set(), [1, 0]).parent_map == {0: 1, 1: 0}
+    with pytest.raises(TypeError):  # the old parent_map dict argument
+        RefineResult(m, set(), {0: 0, 1: 1})
 
 
 def test_refine_completion_on_square():
