@@ -6,8 +6,7 @@ from .driver import (AfemConfig, AfemTrace, ClusterIdentityError, emit_plot,
 from .eigsolve import EigenCluster, detect_cluster, solve_smallest
 from .estimator import IndicatorField, eigen_indicators, source_indicators
 from .fem import Coefficients, FeSpace, assemble_mass, assemble_stiffness, build_space
-from .gap import (ExactEigenspace, ExactFunction, brute_force_distance,
-                  directed_distance, gap_energy)
+from .gap import ExactEigenspace, ExactFunction, directed_distance, gap_energy
 from .marking import MarkResult, dorfler_mark
 from .mesh import Mesh, MeshError, RefineResult, bisect, build_initial, refine, uniform_refine
 from .problems import ProblemSpec, get_problem, harmonic_oscillator, lshape_laplace, square_laplace
@@ -19,7 +18,7 @@ __all__ = [
     "EigenCluster", "ExactEigenspace", "ExactFunction", "FeSpace",
     "IndicatorField", "MarkResult", "Mesh", "MeshError", "ProblemSpec",
     "RefineResult", "assemble_mass", "assemble_stiffness", "bisect",
-    "brute_force_distance", "build_initial", "build_space", "detect_cluster",
+    "build_initial", "build_space", "detect_cluster",
     "directed_distance", "dorfler_mark", "eigen_indicators", "emit_plot",
     "export_trace", "fit_slope", "gap_energy", "get_problem",
     "harmonic_oscillator", "lshape_laplace", "read_trace", "refine",

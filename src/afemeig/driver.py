@@ -1,10 +1,13 @@
 """The adaptive loop: Solve -> Estimate -> Mark -> Refine.
 
-Two eigenvalue modes share the loop body: a single tracked cluster selected by
-its position among ascending distinct eigenvalues, and a first-N mode whose
-indicators sum over all N eigenfunctions.  A source-problem mode drives the
-same machinery for the vector boundary-value problem, which is how the
-estimator plumbing is validated independently of the eigensolver.
+`_adaptive_loop` is written once.  A step function supplies what differs
+between runs: the solve and the indicator field, the tracked eigenvalues, the
+gap column and the detected cluster sizes.  The two eigenvalue modes share one
+step over a window J = {k0, ..., k0+n-1} of ascending discrete eigenvalues
+whose indicators are summed: a tracked cluster is J = {k0, ..., k0+q-1} and
+first-N mode is J = {0, ..., N-1}.  A source-problem step drives the same loop
+for the vector boundary-value problem, which is how the estimator plumbing is
+validated independently of the eigensolver.
 
 Cluster identity is locked at iteration 0 (position k0 and multiplicity q) and
 never re-decided; if a later mesh's spectrum no longer shows a cluster with
@@ -24,12 +27,19 @@ import scipy.sparse.linalg as spla
 
 from . import plotting
 from .eigsolve import EigenCluster, detect_cluster, solve_smallest
-from .estimator import _indicators, eigen_indicators, source_indicators
+from .estimator import _indicators, eigen_indicators
 from .fem import assemble_mass, assemble_stiffness, assemble_load, build_space, energy_error
 from .gap import gap_energy
 from .marking import dorfler_mark
 from .mesh import refine, uniform_refine
 from .problems import get_problem
+
+
+# discrete splitting of a multiple eigenvalue stays a few percent even on
+# the coarsest adaptive meshes, while inter-cluster gaps of the built-in
+# problems are >= 20%; 0.1 sits safely between the two scales
+CLUSTER_REL_GAP_TOL = 0.1
+PRE_REFINEMENTS = 3              # uniform rounds on every initial mesh
 
 
 class ClusterIdentityError(RuntimeError):
@@ -50,13 +60,6 @@ class AfemConfig:
     eig_tol: float = 1e-10
     compute_gap: bool = True
     marking: str = "dorfler"         # "dorfler" | "uniform"
-    # discrete splitting of a multiple eigenvalue stays a few percent even on
-    # the coarsest adaptive meshes, while inter-cluster gaps of the built-in
-    # problems are >= 20%; 0.1 sits safely between the two scales
-    cluster_rel_gap_tol: float = 0.1
-    pre_refinements: int = 3
-    eta2_stop: float = 0.0
-    gap_subdivision: int = 1
     seed: int = 2357
 
     def __post_init__(self):
@@ -66,6 +69,8 @@ class AfemConfig:
             raise ValueError("cluster_index and multiplicity must be >= 1")
         if self.first_n < 0:
             raise ValueError("first_n must be >= 1 when set")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
         if self.degree not in (1, 2):
             raise ValueError("degree must be 1 or 2")
         if self.marking not in ("dorfler", "uniform"):
@@ -219,29 +224,65 @@ def fit_slope(trace, y_field, x_field="n_dofs", window=6):
 
 
 # ---------------------------------------------------------------------------
-# shared loop plumbing
+# the adaptive loop
 
 
 class _Discretization:
     def __init__(self, problem, mesh, degree):
-        self.mesh = mesh
         self.space = build_space(mesh, degree)
         self.coeffs = problem.coefficients
         self.K = assemble_stiffness(self.space, self.coeffs)
         self.M = assemble_mass(self.space)
-        self._full = None
 
-    def full_matrices(self):
-        if self._full is None:
-            self._full = (assemble_stiffness(self.space, self.coeffs, apply_dirichlet=False),
-                          assemble_mass(self.space, apply_dirichlet=False))
-        return self._full
+
+def _mark_elements(config, ind):
+    if config.marking == "uniform":
+        return frozenset(range(ind.eta2.size)), False
+    res = dorfler_mark(ind, config.theta)
+    return res.marked, res.converged
+
+
+def _adaptive_loop(problem, config, mesh, step, meta, t0):
+    """Solve -> Estimate -> Mark -> Refine from `mesh` until the estimator is
+    zero, the space reaches `max_dof` free dofs, or `max_iterations`
+    refinements were made.
+
+    `step(disc)` returns (IndicatorField, tracked eigenvalues, gap2, cluster
+    sizes); row 0's seconds count from `t0`.
+    """
+    trace = AfemTrace()
+    trace.meta = {"problem": problem.name, "degree": config.degree,
+                  "theta": config.theta, "marking": config.marking,
+                  "b": config.bisections, "max_dof": config.max_dof, **meta}
+    for it in range(config.max_iterations + 1):
+        disc = _Discretization(problem, mesh, config.degree)
+        ind, lambdas, gap2, sizes = step(disc)
+        marked, converged = _mark_elements(config, ind)
+        at_max_dof = disc.space.n_free >= config.max_dof
+        stop = converged or at_max_dof or it == config.max_iterations
+        now = time.perf_counter()
+        trace.add_row(iters=it, n_elements=mesh.n_elements, n_dofs=disc.space.n_free,
+                      marked=0 if stop else len(marked), lambdas=lambdas,
+                      eta2=ind.total_eta2, osc2=ind.total_osc2, gap2=gap2,
+                      seconds=now - t0, cluster_sizes=sizes)
+        t0 = now
+        if stop:
+            break
+        mesh = refine(mesh, marked, config.bisections).mesh
+    trace.final_mesh = mesh
+    trace.meta["status"] = ("converged" if converged else
+                            "max_dof" if at_max_dof else "max_iterations")
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue runs
 
 
 def _prepared_mesh(problem, config, nev_needed):
     """Initial mesh with uniform pre-refinements; extra rounds keep the coarse
     eigensolve well posed when the free-dof count is too small."""
-    mesh = uniform_refine(problem.initial_mesh(), config.pre_refinements)
+    mesh = uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS)
     for _ in range(12):
         space = build_space(mesh, config.degree)
         if space.n_free >= nev_needed + 3:
@@ -251,7 +292,7 @@ def _prepared_mesh(problem, config, nev_needed):
 
 
 def _lock_cluster(problem, config):
-    """Establish (k0, nev) for the tracked cluster on the initial mesh.
+    """Initial mesh and window (k0, q) of the tracked cluster.
 
     Retries with extra uniform pre-refinement when the coarse spectrum does
     not yet show a cluster of the configured multiplicity at the configured
@@ -268,7 +309,7 @@ def _lock_cluster(problem, config):
             nev_solve = min(nev, disc.space.n_free)
             vals, _ = solve_smallest(disc.K, disc.M, nev_solve,
                                      tol=config.eig_tol, seed=config.seed)
-            clusters = detect_cluster(vals, config.cluster_rel_gap_tol)
+            clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
             if len(clusters) > config.cluster_index or nev_solve == disc.space.n_free:
                 break
             nev += q + 2
@@ -276,7 +317,7 @@ def _lock_cluster(problem, config):
         if len(clusters) > config.cluster_index:
             chosen = clusters[config.cluster_index - 1]
             if len(chosen) == q:
-                return mesh, chosen[0]
+                return mesh, chosen[0], q
         mesh = uniform_refine(mesh, 1)
     raise ClusterIdentityError(
         f"no cluster of multiplicity {q} at position {config.cluster_index} "
@@ -284,7 +325,7 @@ def _lock_cluster(problem, config):
 
 
 def _lock_first_n(problem, config):
-    """Initial mesh and tracked count for first-N mode.
+    """Initial mesh and window (0, N) for first-N mode.
 
     N must cover whole clusters; when the coarse spectrum shows N cutting a
     multiplet, the mesh is pre-refined until the boundary resolves, and only a
@@ -297,159 +338,89 @@ def _lock_first_n(problem, config):
         nev = min(n + 2, disc.space.n_free)
         vals, _ = solve_smallest(disc.K, disc.M, nev, tol=config.eig_tol,
                                  seed=config.seed)
-        clusters = detect_cluster(vals, config.cluster_rel_gap_tol)
+        clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
         straddle = next((c for c in clusters if c[0] < n <= c[-1]), None)
         if straddle is None:
-            return mesh, n
+            return mesh, 0, n
         mesh = uniform_refine(mesh, 1)
     warnings.warn(f"first_n={n} splits a multiplet; extending to {straddle[-1] + 1}",
-                  stacklevel=3)
-    return mesh, straddle[-1] + 1
+                  stacklevel=4)
+    return mesh, 0, straddle[-1] + 1
 
 
-def _certify_cluster(values, k0, q, tol):
-    clusters = detect_cluster(values, tol)
+def _certify_cluster(clusters, k0, q):
     for c in clusters:
         if c[0] <= k0 <= c[-1]:
             if c[0] == k0 and len(c) == q:
-                return [len(x) for x in clusters]
+                return
             raise ClusterIdentityError(
                 f"tracked cluster changed: expected positions "
                 f"{list(range(k0, k0 + q))}, detected {c}")
     raise ClusterIdentityError("tracked cluster vanished from the spectrum")
 
 
-def _mark_elements(config, ind):
-    if config.marking == "uniform":
-        n = ind.eta2.size
-        return frozenset(range(n)), False
-    res = dorfler_mark(ind, config.theta)
-    return res.marked, res.converged
+def _reference_values(problem):
+    return {idx: val for idx, val, _ in (problem.reference_values or [])}
 
 
-def _trace_gap(problem, config, disc, clusters_members, exact_spaces):
-    """Sum of squared gaps over the tracked exact clusters, or an eigenvalue
-    error proxy when no closed-form eigenspace exists."""
-    if exact_spaces is not None:
-        Kf, Mf = disc.full_matrices()
-        total = 0.0
-        for exact, member in zip(exact_spaces, clusters_members):
-            total += gap_energy(exact, member, disc.space, disc.coeffs,
-                                K_full=Kf, M_full=Mf,
-                                subdivision=config.gap_subdivision) ** 2
-        return total
-    refs = {idx: val for idx, val, _ in (problem.reference_values or [])}
-    proxy = 0.0
-    for member in clusters_members:
-        ref = refs.get(member.cluster_index)
-        if ref is None:
-            return float("nan")
-        proxy += float(np.sum(np.abs(np.asarray(member.values) - ref)))
-    return proxy
+def _eigen_step(problem, config, k0, n, certify):
+    """Step over the window J = {k0, ..., k0+n-1}.
 
+    The recorded cluster sizes are those of every detected cluster that starts
+    before the window ends, so a cluster's 1-based position is its place in
+    that list.  gap2 sums the squared energy gaps of the window's clusters to
+    their exact eigenspaces, or, without closed-form eigenspaces, their
+    eigenvalue errors against the reference values (NaN if one is missing).
+    `certify` aborts unless the window is exactly one detected cluster.
+    """
+    refs = _reference_values(problem)
 
-def _run_eigen_loop(config, first_n_mode):
-    problem = get_problem(config.problem)
-    t0 = time.perf_counter()
+    def step(disc):
+        def columns(idx):
+            return np.column_stack([disc.space.expand(vecs[:, i]) for i in idx])
 
-    if first_n_mode:
-        mesh, n_tracked = _lock_first_n(problem, config)
-        k0 = None
-    else:
-        mesh, k0 = _lock_cluster(problem, config)
-        n_tracked = None
-
-    trace = AfemTrace()
-    trace.meta = {
-        "problem": problem.name, "degree": config.degree, "theta": config.theta,
-        "mode": f"first_{config.first_n}" if first_n_mode else
-                f"cluster_{config.cluster_index}_q{config.multiplicity}",
-        "marking": config.marking, "b": config.bisections,
-        "max_dof": config.max_dof, "eig_tol": config.eig_tol,
-        "label": f"{problem.name} P{config.degree}",
-        "status": "running",
-    }
-
-    status = "max_iterations"
-    for it in range(config.max_iterations + 1):
-        disc = _Discretization(problem, mesh, config.degree)
-
-        if first_n_mode:
-            nev = min(n_tracked + 2, disc.space.n_free)
-        else:
-            nev = min(k0 + config.multiplicity + 2, disc.space.n_free)
+        nev = min(k0 + n + 2, disc.space.n_free)
         vals, vecs = solve_smallest(disc.K, disc.M, nev, tol=config.eig_tol,
                                     seed=config.seed)
-
-        if first_n_mode:
-            clusters = detect_cluster(vals, config.cluster_rel_gap_tol)
-            covered, sizes = [], []
-            for ci, c in enumerate(clusters):
-                if c[0] >= n_tracked:
-                    break
-                covered.append((ci + 1, c))
-                sizes.append(len(c))
-            members = []
-            for ci, c in covered:
-                V = np.column_stack([disc.space.expand(vecs[:, i]) for i in c])
-                members.append(EigenCluster(vals[c[0]:c[-1] + 1], V, ci, len(c)))
-            tracked_vals = tuple(float(v) for v in vals[:n_tracked])
-            exact_spaces = None
-            if config.compute_gap and problem.exact_clusters is not None:
-                exact_spaces = [problem.exact_clusters[ci - 1] for ci, _ in covered]
-            ind_vectors = np.column_stack([disc.space.expand(vecs[:, i])
-                                           for i in range(n_tracked)])
-            ind = _indicators(disc.space, disc.coeffs, ind_vectors,
-                              lams=vals[:n_tracked])
+        clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
+        if certify:
+            _certify_cluster(clusters, k0, n)
+        upto = [c for c in clusters if c[0] < k0 + n]
+        window = [(ci, c) for ci, c in enumerate(upto, start=1) if c[0] >= k0]
+        tracked = vals[k0:k0 + n]
+        ind = eigen_indicators(disc.space, disc.coeffs,
+                               EigenCluster(tracked, columns(range(k0, k0 + n)), 0, n))
+        if not config.compute_gap:
+            gap2 = float("nan")
+        elif problem.exact_clusters is not None:
+            Kf = assemble_stiffness(disc.space, disc.coeffs, apply_dirichlet=False)
+            Mf = assemble_mass(disc.space, apply_dirichlet=False)
+            gap2 = sum(gap_energy(problem.exact_clusters[ci - 1],
+                                  EigenCluster(vals[c[0]:c[-1] + 1], columns(c), ci, len(c)),
+                                  disc.space, disc.coeffs, K_full=Kf, M_full=Mf) ** 2
+                       for ci, c in window)
+        elif all(refs.get(ci) is not None for ci, _ in window):
+            gap2 = sum(float(np.sum(np.abs(vals[c[0]:c[-1] + 1] - refs[ci])))
+                       for ci, c in window)
         else:
-            sizes = _certify_cluster(vals, k0, config.multiplicity,
-                                     config.cluster_rel_gap_tol)
-            c = list(range(k0, k0 + config.multiplicity))
-            V = np.column_stack([disc.space.expand(vecs[:, i]) for i in c])
-            member = EigenCluster(vals[k0:k0 + config.multiplicity], V,
-                                  config.cluster_index, config.multiplicity)
-            members = [member]
-            tracked_vals = tuple(float(v) for v in member.values)
-            exact_spaces = None
-            if config.compute_gap and problem.exact_clusters is not None:
-                exact_spaces = [problem.exact_clusters[config.cluster_index - 1]]
-            ind = eigen_indicators(disc.space, disc.coeffs, member)
+            gap2 = float("nan")
+        return (ind, tuple(float(v) for v in tracked), gap2,
+                tuple(len(c) for c in upto))
+    return step
 
-        gap2 = (_trace_gap(problem, config, disc, members, exact_spaces)
-                if config.compute_gap else float("nan"))
 
-        marked, converged = _mark_elements(config, ind)
-        stop = (disc.space.n_free >= config.max_dof or it >= config.max_iterations
-                or converged
-                or (config.eta2_stop > 0 and ind.total_eta2 <= config.eta2_stop))
-        now = time.perf_counter()
-        trace.add_row(iters=it, n_elements=mesh.n_elements, n_dofs=disc.space.n_free,
-                      marked=0 if stop else len(marked), lambdas=tracked_vals,
-                      eta2=ind.total_eta2, osc2=ind.total_osc2, gap2=gap2,
-                      seconds=now - t0, cluster_sizes=tuple(sizes))
-        t0 = now
-        if stop:
-            status = ("converged" if converged or
-                      (config.eta2_stop > 0 and ind.total_eta2 <= config.eta2_stop)
-                      else ("max_dof" if disc.space.n_free >= config.max_dof
-                            else "max_iterations"))
-            break
-        mesh = refine(mesh, marked, config.bisections).mesh
-
-    trace.final_mesh = mesh
-    trace.meta["status"] = status
-    refs = {idx: val for idx, val, _ in (problem.reference_values or [])}
-    if first_n_mode:
-        lambda_refs = []
-        sizes_final = trace.cluster_sizes[-1] if trace.cluster_sizes else ()
-        for ci, size in enumerate(sizes_final, start=1):
-            lambda_refs += [refs.get(ci)] * size
-        lambda_refs = lambda_refs[:len(trace.lambdas[-1])]
-        while len(lambda_refs) < len(trace.lambdas[-1]):
-            lambda_refs.append(None)
-    else:
-        lambda_refs = [refs.get(config.cluster_index)] * config.multiplicity
-    trace.meta["lambda_refs"] = lambda_refs
+def _run_eigen(config, lock, certify, mode):
+    problem = get_problem(config.problem)
+    t0 = time.perf_counter()
+    mesh, k0, n = lock(problem, config)
+    meta = {"mode": mode, "eig_tol": config.eig_tol,
+            "label": f"{problem.name} P{config.degree}"}
+    trace = _adaptive_loop(problem, config, mesh,
+                           _eigen_step(problem, config, k0, n, certify), meta, t0)
+    refs = _reference_values(problem)
+    per_value = [refs.get(ci) for ci, size in enumerate(trace.cluster_sizes[-1], start=1)
+                 for _ in range(size)]
+    trace.meta["lambda_refs"] = (per_value + [None] * n)[k0:k0 + n]
     return trace
 
 
@@ -457,14 +428,20 @@ def run_afem(config):
     """AFEM for one tracked eigenvalue cluster; returns the iteration trace."""
     if config.first_n:
         raise ValueError("config.first_n is set; use run_afem_first_n")
-    return _run_eigen_loop(config, first_n_mode=False)
+    return _run_eigen(config, _lock_cluster, certify=True,
+                      mode=f"cluster_{config.cluster_index}_q{config.multiplicity}")
 
 
 def run_afem_first_n(config):
     """AFEM tracking the first N eigenpairs with summed indicators."""
     if not config.first_n:
         raise ValueError("config.first_n must be >= 1")
-    return _run_eigen_loop(config, first_n_mode=True)
+    return _run_eigen(config, _lock_first_n, certify=False,
+                      mode=f"first_{config.first_n}")
+
+
+# ---------------------------------------------------------------------------
+# source runs
 
 
 def run_afem_source(config, sources, exact=None):
@@ -475,44 +452,21 @@ def run_afem_source(config, sources, exact=None):
     records the squared energy error sum.
     """
     problem = get_problem(config.problem)
-    mesh = uniform_refine(problem.initial_mesh(), config.pre_refinements)
-    sources = list(sources)
-    trace = AfemTrace()
-    trace.meta = {"problem": problem.name, "degree": config.degree,
-                  "theta": config.theta, "mode": f"source_{len(sources)}",
-                  "marking": config.marking, "b": config.bisections,
-                  "label": f"{problem.name} source P{config.degree}",
-                  "status": "running", "lambda_refs": []}
     t0 = time.perf_counter()
-    status = "max_iterations"
-    for it in range(config.max_iterations + 1):
-        disc = _Discretization(problem, mesh, config.degree)
+    mesh = uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS)
+    sources = list(sources)
+
+    def step(disc):
         lu = spla.splu(disc.K.tocsc())
         vectors = np.column_stack([
             disc.space.expand(lu.solve(assemble_load(disc.space, f)))
             for f in sources])
-        ind = source_indicators(disc.space, disc.coeffs, vectors, sources)
-        if exact is not None:
-            err2 = sum(energy_error(disc.space, disc.coeffs, vectors[:, i],
-                                    value_fn, grad_fn) ** 2
-                       for i, (value_fn, grad_fn) in enumerate(exact))
-        else:
-            err2 = float("nan")
-        marked, converged = _mark_elements(config, ind)
-        stop = (disc.space.n_free >= config.max_dof or it >= config.max_iterations
-                or converged
-                or (config.eta2_stop > 0 and ind.total_eta2 <= config.eta2_stop))
-        now = time.perf_counter()
-        trace.add_row(iters=it, n_elements=mesh.n_elements, n_dofs=disc.space.n_free,
-                      marked=0 if stop else len(marked), lambdas=(),
-                      eta2=ind.total_eta2, osc2=ind.total_osc2, gap2=err2,
-                      seconds=now - t0)
-        t0 = now
-        if stop:
-            status = "converged" if converged else (
-                "max_dof" if disc.space.n_free >= config.max_dof else "max_iterations")
-            break
-        mesh = refine(mesh, marked, config.bisections).mesh
-    trace.final_mesh = mesh
-    trace.meta["status"] = status
-    return trace
+        ind = _indicators(disc.space, disc.coeffs, vectors, sources=sources)
+        err2 = float("nan") if exact is None else sum(
+            energy_error(disc.space, disc.coeffs, vectors[:, i], value_fn, grad_fn) ** 2
+            for i, (value_fn, grad_fn) in enumerate(exact))
+        return ind, (), err2, ()
+
+    meta = {"mode": f"source_{len(sources)}", "lambda_refs": [],
+            "label": f"{problem.name} source P{config.degree}"}
+    return _adaptive_loop(problem, config, mesh, step, meta, t0)

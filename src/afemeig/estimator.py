@@ -212,73 +212,3 @@ def eigen_indicators(space, coeffs, cluster):
 def source_indicators(space, coeffs, solution_vectors, source_fields):
     """Vector source-problem indicator with f_i in place of lambda*u."""
     return _indicators(space, coeffs, solution_vectors, sources=list(source_fields))
-
-
-def edge_jump_total(space, coeffs, vectors):
-    """Independent edge-loop total of h_E ||J_E||^2 (each edge counted once)."""
-    vectors = np.asarray(vectors, float)
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
-    _, _, eta_edge = _edge_terms(space, coeffs, vectors, space.degree + 2)
-    return float(np.sum(eta_edge))
-
-
-# ---------------------------------------------------------------------------
-# oscillation Lipschitz harness
-
-
-def _patch_h1_norms(space, coeffs, diff):
-    """|| . ||_{1, omega_T} of a vector FE function, per element."""
-    pts, wts = triangle_rule(2 * space.degree)
-    _, _, det, Binv = space.geometry()
-    vals = shape_values(space.degree, pts)
-    gref = shape_gradients(space.degree, pts)
-    gphys = np.einsum("eji,bqj->ebqi", Binv, gref)
-    per_elem = np.zeros(space.mesh.n_elements)
-    for m in range(diff.shape[1]):
-        local = diff[:, m][space.element_dofs]
-        uq = np.einsum("eb,bq->eq", local, vals)
-        gq = np.einsum("eb,ebqi->eqi", local, gphys)
-        dens = uq ** 2 + np.einsum("eqi,eqi->eq", gq, gq)
-        per_elem += det * np.einsum("eq,q->e", dens, wts)
-    nbr = space.mesh.element_neighbors()
-    patch = per_elem.copy()
-    for j in range(3):
-        has = nbr[:, j] >= 0
-        patch[has] += per_elem[nbr[has, j]]
-    return np.sqrt(patch)
-
-
-def calibrate_oscillation_constant(space, coeffs, n_fields=100, seed=0, margin=1.05):
-    """Empirical Lipschitz constant: max of osc(V, T) / ||V||_{1, omega_T}
-    over random coefficient fields, inflated by `margin`."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_fields):
-        v = rng.standard_normal((space.ndofs, 1))
-        v[space.dirichlet_dofs, :] = 0.0
-        osc = np.sqrt(source_indicators(space, coeffs, v,
-                                        [lambda p: np.zeros(p.shape[0])]).osc2)
-        nrm = _patch_h1_norms(space, coeffs, v)
-        mask = nrm > 1e-14
-        if np.any(mask):
-            worst = max(worst, float(np.max(osc[mask] / nrm[mask])))
-    return margin * worst
-
-
-def oscillation_lipschitz_check(space, coeffs, V, W, c_est=None):
-    """Per-element slack of osc(V,T) <= osc(W,T) + C ||V - W||_{1, omega_T}.
-
-    Negative or zero slack means the bound holds on that element.  This is a
-    test harness; it never runs in the solve path.
-    """
-    V = np.atleast_2d(np.asarray(V, float).T).T
-    W = np.atleast_2d(np.asarray(W, float).T).T
-    if V.shape != W.shape:
-        raise ValueError("V and W must have the same shape")
-    if c_est is None:
-        c_est = calibrate_oscillation_constant(space, coeffs)
-    zeros = [lambda p: np.zeros(p.shape[0])] * V.shape[1]
-    osc_v = np.sqrt(source_indicators(space, coeffs, V, zeros).osc2)
-    osc_w = np.sqrt(source_indicators(space, coeffs, W, zeros).osc2)
-    return osc_v - osc_w - c_est * _patch_h1_norms(space, coeffs, V - W)

@@ -197,9 +197,6 @@ class FeSpace:
         full[self.free_dofs] = free_vector
         return full
 
-    def restrict(self, full_vector):
-        return np.asarray(full_vector)[self.free_dofs]
-
 
 def build_space(mesh, degree):
     return FeSpace(mesh, degree)
@@ -279,67 +276,8 @@ def assemble_load(space, f, apply_dirichlet=True):
     return rhs[space.free_dofs] if apply_dirichlet else rhs
 
 
-def export_matrixmarket(matrix, path):
-    from scipy.io import mmwrite
-
-    mmwrite(path, sp.coo_matrix(matrix))
-
-
 # ---------------------------------------------------------------------------
-# point evaluation / interpolation
-
-
-def _locate(space, point, start=0, max_steps=None):
-    """Element containing `point` via neighbour walk with brute-force fallback
-    (the walk can stall on non-convex domains)."""
-    mesh = space.mesh
-    v0, _, _, Binv = space.geometry()
-    nbr = mesh.element_neighbors()
-    t = start
-    steps = max_steps or (2 * int(np.sqrt(mesh.n_elements)) + 16)
-    for _ in range(steps):
-        xi = Binv[t] @ (point - v0[t])
-        bary = np.array([1.0 - xi[0] - xi[1], xi[0], xi[1]])
-        worst = int(np.argmin(bary))
-        if bary[worst] >= -1e-12:
-            return t
-        nxt = nbr[t, worst]
-        if nxt < 0:
-            break
-        t = nxt
-    # fallback: vectorized scan
-    xi = np.einsum("eij,ej->ei", Binv, point - v0)
-    bary = np.stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]], axis=1)
-    inside = np.nonzero(np.min(bary, axis=1) >= -1e-10)[0]
-    return int(inside[0]) if inside.size else -1
-
-
-def evaluate(space, coefficient_vector, points):
-    """Values and gradients of a FE function at arbitrary points.
-
-    Returns (values, gradients, inside) where points outside the domain are
-    flagged False and carry NaNs.
-    """
-    points = np.atleast_2d(np.asarray(points, float))
-    coeffs = np.asarray(coefficient_vector, float)
-    v0, _, _, Binv = space.geometry()
-    n = points.shape[0]
-    values = np.full(n, np.nan)
-    grads = np.full((n, 2), np.nan)
-    inside = np.zeros(n, dtype=bool)
-    t_prev = 0
-    for i, p in enumerate(points):
-        t = _locate(space, p, start=t_prev)
-        if t < 0:
-            continue
-        t_prev = t
-        xi = Binv[t] @ (p - v0[t])
-        local = coeffs[space.element_dofs[t]]
-        values[i] = local @ shape_values(space.degree, xi)
-        gref = shape_gradients(space.degree, xi)        # (nb, 2)
-        grads[i] = (local @ gref) @ Binv[t]             # Binv^T applied from the left
-        inside[i] = True
-    return values, grads, inside
+# interpolation and norms
 
 
 def interpolate(space, function, zero_dirichlet=False):
@@ -377,12 +315,13 @@ def b_norm(space, vec):
     return _quadratic_form(space, M, vec)
 
 
-def prolongate(coarse_space, fine_space, parent_map, vec):
+def prolongate(coarse_space, fine_space, ancestor, vec):
     """Carry a coarse coefficient vector to a refined mesh exactly.
 
-    Every fine dof point lies inside the coarse ancestor of one of its
-    elements; evaluating the coarse polynomial there reproduces the same
-    function because refinement nests elements.
+    `ancestor` is `RefineResult.ancestor`, the coarse element id of every
+    fine element.  Every fine dof point lies inside the coarse ancestor of
+    one of its elements; evaluating the coarse polynomial there reproduces
+    the same function because refinement nests elements.
     """
     if coarse_space.degree != fine_space.degree:
         raise ValueError("prolongation requires matching degrees")
@@ -395,7 +334,7 @@ def prolongate(coarse_space, fine_space, parent_map, vec):
         new = ~seen[col]
         host_elem[col[new]] = np.nonzero(new)[0]
         seen[col[new]] = True
-    parents = np.array([parent_map[int(e)] for e in host_elem], dtype=np.int64)
+    parents = np.asarray(ancestor, dtype=np.int64)[host_elem]
     v0, _, _, Binv = coarse_space.geometry()
     rel = fine.dof_coords - v0[parents]
     xi = np.einsum("nij,nj->ni", Binv[parents], rel)

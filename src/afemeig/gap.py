@@ -38,7 +38,6 @@ class ExactEigenspace:
 
     value: float
     basis: list
-    b_orthonormal: bool = True
 
     @property
     def dim(self):
@@ -184,27 +183,6 @@ def gap_energy(exact, discrete, space, coeffs, K_full=None, M_full=None,
         raise GapError("spaces must have equal dimension")
     ws = _GapWorkspace(exact, discrete, space, coeffs, K_full, M_full, subdivision)
     return max(ws.directed(), ws.directed(reverse=True))
-
-
-def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
-                         seed=0, K_full=None, M_full=None, subdivision=1):
-    """Monte-Carlo lower bound on the directed distance.
-
-    Samples b-unit coefficient directions on the exact side and takes the max
-    Gram projection error; approaches directed_distance from below as the
-    sample count grows, and matches it for one-dimensional spaces.
-    """
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    ws = _GapWorkspace(exact, discrete, space, coeffs, K_full, M_full, subdivision)
-    D = ws.G - ws.P @ np.linalg.solve(ws.S, ws.P.T)
-    D = 0.5 * (D + D.T)
-    rng = np.random.default_rng(seed)
-    alpha = rng.standard_normal((n_samples, exact.dim))
-    scale = np.sqrt(np.einsum("si,ij,sj->s", alpha, ws.B, alpha))
-    alpha /= scale[:, None]
-    d2 = np.einsum("si,ij,sj->s", alpha, D, alpha)
-    return float(np.sqrt(max(np.max(d2), 0.0)))
 
 
 def reverse_distance_bound(d_forward):

@@ -95,10 +95,3 @@ def interval_rule(npoints):
     """Gauss-Legendre rule on [0, 1]; exact for degree 2*npoints - 1."""
     x, w = np.polynomial.legendre.leggauss(npoints)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def monomial_integral(a, b):
-    """Exact integral of x^a y^b over the reference triangle."""
-    from math import factorial
-
-    return factorial(a) * factorial(b) / factorial(a + b + 2)

@@ -13,9 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from afemeig import (AfemConfig, assemble_mass, assemble_stiffness,
-                     brute_force_distance, build_space, dorfler_mark,
-                     eigen_indicators, run_afem, run_afem_first_n,
+from afemeig import (AfemConfig, assemble_mass, assemble_stiffness, build_space,
+                     dorfler_mark, eigen_indicators, run_afem, run_afem_first_n,
                      run_afem_source, solve_smallest, square_laplace)
 from afemeig.driver import fit_slope, trace_to_csv_text
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
@@ -23,6 +22,7 @@ from afemeig.gap import _GapWorkspace, reverse_distance_bound
 from afemeig.mesh import refine, uniform_refine
 
 from conftest import lshape_mesh, square_mesh
+from oracles import brute_force_distance
 
 LAM2 = 5 * math.pi ** 2
 

@@ -59,6 +59,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AfemConfig(marking="random")
     with pytest.raises(ValueError):
+        AfemConfig(max_iterations=-1)
+    with pytest.raises(ValueError):
         run_afem(AfemConfig(first_n=2))
     with pytest.raises(ValueError):
         run_afem_first_n(AfemConfig())
@@ -194,6 +196,36 @@ def test_source_two_components():
     tr = run_afem_source(cfg, [source, lambda p: 10 * bump(p)])
     assert tr.n_lambda == 0
     assert np.all(tr.series("eta2") > 0)
+
+
+# -- one stop/status rule for every entry point -----------------------------
+
+
+def _run_entry(entry, **kw):
+    if entry == "cluster":
+        return run_afem(AfemConfig(problem="square", compute_gap=False, **kw))
+    if entry == "first_n":
+        return run_afem_first_n(AfemConfig(problem="square", first_n=3,
+                                           compute_gap=False, **kw))
+    _, _, source = _manufactured()
+    return run_afem_source(AfemConfig(problem="square", **kw), [source])
+
+
+@pytest.mark.parametrize("entry", ["cluster", "first_n", "source"])
+def test_status_max_iterations(entry):
+    tr = _run_entry(entry, max_iterations=0, max_dof=10 ** 6)
+    assert (len(tr), tr.marked, tr.meta["status"]) == (1, [0], "max_iterations")
+    tr = _run_entry(entry, max_iterations=2, max_dof=10 ** 6)
+    assert (len(tr), tr.meta["status"]) == (3, "max_iterations")
+    assert tr.marked[0] > 0 and tr.marked[-1] == 0
+
+
+@pytest.mark.parametrize("entry", ["cluster", "first_n", "source"])
+def test_status_max_dof(entry):
+    tr = _run_entry(entry, max_dof=120)
+    assert tr.meta["status"] == "max_dof"
+    assert tr.n_dofs[-1] >= 120 > max(tr.n_dofs[:-1])
+    assert tr.marked[-1] == 0
 
 
 # -- summed gap over first-N clusters ---------------------------------------

@@ -8,12 +8,13 @@ from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness
                      build_space, dorfler_mark, eigen_indicators, run_afem,
                      solve_smallest, source_indicators)
 from afemeig.eigsolve import EigenCluster
-from afemeig.estimator import (_indicators, calibrate_oscillation_constant,
-                               edge_jump_total, oscillation_lipschitz_check)
+from afemeig.estimator import _indicators
 from afemeig.fem import assemble_load, interpolate, shape_gradients, shape_hessians, shape_values
 from afemeig.quadrature import interval_rule, triangle_rule
 
 from conftest import square_mesh
+from oracles import (calibrate_oscillation_constant, edge_jump_total,
+                     oscillation_lipschitz_check)
 
 
 def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from afemeig import Coefficients, MeshError, assemble_mass, assemble_stiffness, build_space, refine
-from afemeig.fem import (b_norm, energy_error, energy_norm, evaluate,
-                         export_matrixmarket, galerkin_project, interpolate,
-                         prolongate, shape_values)
+from afemeig.fem import (b_norm, energy_error, energy_norm, galerkin_project,
+                         interpolate, prolongate, shape_values)
 from afemeig.mesh import build_initial
-from afemeig.quadrature import (interval_rule, monomial_integral, triangle_rule,
-                                triangle_rule_subdivided)
+from afemeig.quadrature import interval_rule, triangle_rule, triangle_rule_subdivided
 
 from conftest import square_mesh
+from oracles import evaluate, export_matrixmarket, monomial_integral
 
 
 REF_TRIANGLE = build_initial([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -146,7 +145,7 @@ def test_prolongation_exactness(degree, laplace_coeffs):
     res = refine(mesh, set(rng.choice(mesh.n_elements, 10, replace=False).tolist()), b=1)
     fine = build_space(res.mesh, degree)
     vec = rng.standard_normal(coarse.ndofs)
-    pvec = prolongate(coarse, fine, res.parent_map, vec)
+    pvec = prolongate(coarse, fine, res.ancestor, vec)
     pts = rng.uniform(0.02, 0.98, (50, 2))
     va, ga, _ = evaluate(coarse, vec, pts)
     vb, gb, _ = evaluate(fine, pvec, pts)
@@ -172,7 +171,7 @@ def test_galerkin_projection_orthogonality(degree):
     Rh = galerkin_project(fine, co, w, gw)
     eH = energy_error(coarse, co, RH, w, gw)
     eh = energy_error(fine, co, Rh, w, gw)
-    diff = Rh - prolongate(coarse, fine, res.parent_map, RH)
+    diff = Rh - prolongate(coarse, fine, res.ancestor, RH)
     dn = energy_norm(fine, co, diff)
     assert eh ** 2 == pytest.approx(eH ** 2 - dn ** 2, rel=1e-5)
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness,
-                     brute_force_distance, build_space, directed_distance,
-                     gap_energy, run_afem, solve_smallest, square_laplace)
+                     build_space, directed_distance, gap_energy, run_afem,
+                     solve_smallest, square_laplace)
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
 from afemeig.fem import interpolate
 from afemeig.gap import (ExactEigenspace, ExactFunction, GapError, _GapWorkspace,
                          directed_distance_from_grams, reverse_distance_bound)
 
 from conftest import square_mesh
+from oracles import brute_force_distance
 
 
 @pytest.fixture(scope="module")
