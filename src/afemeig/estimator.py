@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import shape_gradients, shape_hessians, shape_values
+from .fem import shape_gradients, shape_hessians
 from .quadrature import interval_rule, triangle_rule
 
 
@@ -75,17 +75,6 @@ def _edge_projector(degree_poly, npoints):
     return proj
 
 
-def _a_apply(coeffs, region, points, grads):
-    """A grad u at edge quadrature points; grads is (nmem, nE, nq, 2)."""
-    amat = coeffs.a_matrix_for(region)
-    if amat is not None:
-        return np.einsum("eij,meqj->meqi", amat, grads)
-    aq = coeffs.a_scalar_at(points)
-    if np.isscalar(aq):
-        return aq * grads
-    return grads * aq[..., None]
-
-
 def _div_a_grad(coeffs, space, xq, ugrad, hess_phys):
     """div(A grad u) at interior quadrature points, (ne, nq).
 
@@ -111,13 +100,9 @@ def _div_a_grad(coeffs, space, xq, ugrad, hess_phys):
 
 def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     mesh = space.mesh
-    pts, wts = triangle_rule(rule_degree)
-    _, _, det, Binv = space.geometry()
-    xq = space.physical_points(pts)
+    rule = space.rule(rule_degree)
+    xq = rule.xq
     h2 = mesh.diameters() ** 2
-    vals = shape_values(space.degree, pts)
-    gref = shape_gradients(space.degree, pts)
-    gphys = np.einsum("eji,bqj->ebqi", Binv, gref)
     href = shape_hessians(space.degree)
     cq = coeffs.c_at(xq)
     proj = _tri_projector(space.degree - 1, rule_degree)
@@ -125,18 +110,18 @@ def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     osc2 = np.zeros(mesh.n_elements)
     for m in range(vectors.shape[1]):
         local = vectors[:, m][space.element_dofs]
-        uq = np.einsum("eb,bq->eq", local, vals)
-        ugrad = np.einsum("eb,ebqi->eqi", local, gphys)
+        uq = np.einsum("eb,bq->eq", local, rule.vals)
+        ugrad = np.einsum("eb,ebqi->eqi", local, rule.grads)
         hess_ref = np.einsum("eb,bij->eij", local, href)
-        hess_phys = np.einsum("eki,ekl,elj->eij", Binv, hess_ref, Binv)
+        hess_phys = np.einsum("eki,ekl,elj->eij", rule.Binv, hess_ref, rule.Binv)
         if sources is not None:
             r0 = np.asarray(sources[m](xq.reshape(-1, 2)), float).reshape(xq.shape[:2])
         else:
             r0 = lams[m] * uq
         R = r0 + _div_a_grad(coeffs, space, xq, ugrad, hess_phys) - cq * uq
         Rbar = R @ proj.T
-        eta2 += h2 * det * np.einsum("eq,q->e", R ** 2, wts)
-        osc2 += h2 * det * np.einsum("eq,q->e", (R - Rbar) ** 2, wts)
+        eta2 += h2 * rule.det * np.einsum("eq,q->e", R ** 2, rule.wts)
+        osc2 += h2 * rule.det * np.einsum("eq,q->e", (R - Rbar) ** 2, rule.wts)
     return eta2, osc2
 
 
@@ -170,7 +155,7 @@ def _edge_terms(space, coeffs, vectors, npoints):
         dofs = space.element_dofs[el]                        # (nE, nb)
         gm = np.einsum("emb,beqi->meqi",
                        vectors[dofs].transpose(0, 2, 1), gphys)  # (nmem, nE, nq, 2)
-        flux.append(_a_apply(coeffs, mesh.region[el], xq, gm))
+        flux.append(coeffs.apply_a(mesh.region[el], xq, gm))
     jump = np.einsum("meqi,ei->meq", flux[0] - flux[1], nu)
 
     wl = w[None, None, :] * lens[None, :, None]

@@ -6,16 +6,20 @@ constrained ones); the assembled matrices are restricted to free dofs when
 the Cholesky-based eigensolver.  Assembly accumulates per-element blocks into
 COO triplets and lets the CSR conversion sum duplicates, which is
 deterministic for a fixed mesh.
+
+Every element quadrature loop takes its points, weights, geometry and physical
+shape gradients from one kernel, `FeSpace.rule`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import MeshError
-from .quadrature import triangle_rule
+from .quadrature import triangle_rule_subdivided
 
 AField = Union[float, Callable, dict]
 CField = Union[float, Callable]
@@ -76,6 +80,16 @@ class Coefficients:
         if self.c < 0:
             raise MeshError("coefficient c is negative")
         return float(self.c)
+
+    def apply_a(self, region, points, grads):
+        """A grad u for grads (m, ne, nq, 2) at points (ne, nq, 2)."""
+        amat = self.a_matrix_for(region)
+        if amat is not None:
+            return np.einsum("eij,meqj->meqi", amat, grads)
+        aq = self.a_scalar_at(points)
+        if np.isscalar(aq):
+            return aq * grads
+        return grads * aq[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +200,42 @@ class FeSpace:
             self._geom = (v[:, 0], B, det, inv)
         return self._geom
 
-    def physical_points(self, ref_pts):
-        """Map reference points to every element: (ne, nq, 2)."""
-        v0, B, _, _ = self.geometry()
-        return v0[:, None, :] + np.einsum("eij,qj->eqi", B, ref_pts)
+    def rule(self, degree, subdivision=0):
+        """Quadrature data of the degree rule, optionally subdivided, on every
+        element.  Not cached: the gradient arrays are as large as the mesh."""
+        return ElementRule(self, *triangle_rule_subdivided(degree, subdivision))
 
     def expand(self, free_vector):
         """Zero-pad a free-dof vector to full length."""
         full = np.zeros(self.ndofs)
         full[self.free_dofs] = free_vector
         return full
+
+
+class ElementRule:
+    """One quadrature rule mapped to every element of a space.
+
+    ``wts`` (nq,), ``det`` (ne,), ``Binv`` (ne, 2, 2) and the reference shape
+    values ``vals`` (nb, nq) are set at once; the physical points ``xq``
+    (ne, nq, 2) and shape gradients ``grads`` (ne, nb, nq, 2) on first use.
+    """
+
+    def __init__(self, space, pts, wts):
+        self.space = space
+        self.pts = pts
+        self.wts = wts
+        _, _, self.det, self.Binv = space.geometry()
+        self.vals = shape_values(space.degree, pts)
+
+    @cached_property
+    def xq(self):
+        v0, B, _, _ = self.space.geometry()
+        return v0[:, None, :] + np.einsum("eij,qj->eqi", B, self.pts)
+
+    @cached_property
+    def grads(self):
+        gref = shape_gradients(self.space.degree, self.pts)   # (nb, nq, 2)
+        return np.einsum("eji,bqj->ebqi", self.Binv, gref)
 
 
 def build_space(mesh, degree):
@@ -210,7 +250,7 @@ def _assembly_rule(space, coeffs):
     # exact to degree 2k for constant data; variable coefficients get 2k+2 so
     # polynomial c (oscillator) is still integrated exactly
     k = space.degree
-    return triangle_rule(2 * k if coeffs.constant else 2 * k + 2)
+    return space.rule(2 * k if coeffs.constant else 2 * k + 2)
 
 
 def _to_csr(space, local, apply_dirichlet):
@@ -227,11 +267,8 @@ def _to_csr(space, local, apply_dirichlet):
 
 def assemble_stiffness(space, coeffs, apply_dirichlet=True):
     """Sparse matrix of a(phi_j, phi_i) = (A grad, grad) + (c .,.)."""
-    pts, wts = _assembly_rule(space, coeffs)
-    _, _, det, Binv = space.geometry()
-    gref = shape_gradients(space.degree, pts)           # (nb, nq, 2)
-    gphys = np.einsum("eji,bqj->ebqi", Binv, gref)      # (ne, nb, nq, 2)
-    xq = space.physical_points(pts)
+    rule = _assembly_rule(space, coeffs)
+    wts, vals, gphys, xq = rule.wts, rule.vals, rule.grads, rule.xq
     amat = coeffs.a_matrix_for(space.mesh.region)
     if amat is None:
         aq = coeffs.a_scalar_at(xq)
@@ -245,39 +282,33 @@ def assemble_stiffness(space, coeffs, apply_dirichlet=True):
     cq = coeffs.c_at(xq)
     if np.isscalar(cq):
         if cq != 0.0:
-            vals = shape_values(space.degree, pts)
             local += cq * np.einsum("bq,dq,q->bd", vals, vals, wts)[None]
     else:
-        vals = shape_values(space.degree, pts)
         local += np.einsum("bq,dq,eq,q->ebd", vals, vals, cq, wts)
-    local *= det[:, None, None]
+    local *= rule.det[:, None, None]
     return _to_csr(space, local, apply_dirichlet)
 
 
 def assemble_mass(space, apply_dirichlet=True):
     """Sparse matrix of b(phi_j, phi_i) = (phi_j, phi_i)."""
-    pts, wts = triangle_rule(2 * space.degree)
-    _, _, det, _ = space.geometry()
-    vals = shape_values(space.degree, pts)
-    local = np.einsum("bq,dq,q->bd", vals, vals, wts)[None] * det[:, None, None]
+    rule = space.rule(2 * space.degree)
+    local = (np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]
+             * rule.det[:, None, None])
     return _to_csr(space, local, apply_dirichlet)
 
 
 def assemble_load(space, f, apply_dirichlet=True):
     """Load vector b(f, phi_i) for a callable source f(points)->(m,)."""
-    pts, wts = triangle_rule(2 * space.degree + 2)
-    _, _, det, _ = space.geometry()
-    vals = shape_values(space.degree, pts)
-    xq = space.physical_points(pts)
-    fq = np.asarray(f(xq.reshape(-1, 2)), float).reshape(xq.shape[:2])
-    local = np.einsum("bq,eq,q->eb", vals, fq, wts) * det[:, None]
+    rule = space.rule(2 * space.degree + 2)
+    fq = np.asarray(f(rule.xq.reshape(-1, 2)), float).reshape(rule.xq.shape[:2])
+    local = np.einsum("bq,eq,q->eb", rule.vals, fq, rule.wts) * rule.det[:, None]
     rhs = np.zeros(space.ndofs)
     np.add.at(rhs, space.element_dofs.ravel(), local.ravel())
     return rhs[space.free_dofs] if apply_dirichlet else rhs
 
 
 # ---------------------------------------------------------------------------
-# interpolation and norms
+# interpolation
 
 
 def interpolate(space, function, zero_dirichlet=False):
@@ -292,27 +323,7 @@ def interpolate(space, function, zero_dirichlet=False):
 
 
 # ---------------------------------------------------------------------------
-# norms and projections
-
-
-def _quadratic_form(space, matrix_full, vec):
-    vec = np.asarray(vec, float)
-    if vec.shape != (space.ndofs,):
-        raise ValueError("expected a full-length coefficient vector")
-    val = float(vec @ (matrix_full @ vec))
-    if val < -1e-10 * max(1.0, float(vec @ vec)):
-        raise ArithmeticError("quadratic form is negative: matrix is not SPD")
-    return np.sqrt(max(val, 0.0))
-
-
-def energy_norm(space, coeffs, vec):
-    K = assemble_stiffness(space, coeffs, apply_dirichlet=False)
-    return _quadratic_form(space, K, vec)
-
-
-def b_norm(space, vec):
-    M = assemble_mass(space, apply_dirichlet=False)
-    return _quadratic_form(space, M, vec)
+# prolongation and energy error
 
 
 def prolongate(coarse_space, fine_space, ancestor, vec):
@@ -343,65 +354,21 @@ def prolongate(coarse_space, fine_space, ancestor, vec):
     return np.einsum("nb,bn->n", local, vals)
 
 
-def galerkin_project(space, coeffs, value_fn, grad_fn):
-    """Energy projection of an analytic function onto the space (R_h w).
-
-    The right-hand side a(w, phi_i) is integrated with the degree 2k+2 rule.
-    """
-    from scipy.sparse.linalg import spsolve
-
-    pts, wts = triangle_rule(2 * space.degree + 2)
-    _, _, det, Binv = space.geometry()
-    xq = space.physical_points(pts)
-    flat = xq.reshape(-1, 2)
-    wgrad = np.asarray(grad_fn(flat), float).reshape(xq.shape[0], xq.shape[1], 2)
-    wval = np.asarray(value_fn(flat), float).reshape(xq.shape[:2])
-    gref = shape_gradients(space.degree, pts)
-    gphys = np.einsum("eji,bqj->ebqi", Binv, gref)
-    amat = coeffs.a_matrix_for(space.mesh.region)
-    if amat is None:
-        aq = coeffs.a_scalar_at(xq)
-        aw = wgrad * (aq if np.isscalar(aq) else aq[..., None])
-    else:
-        aw = np.einsum("eij,eqj->eqi", amat, wgrad)
-    local = np.einsum("ebqi,eqi,q->eb", gphys, aw, wts)
-    cq = coeffs.c_at(xq)
-    if not (np.isscalar(cq) and cq == 0.0):
-        vals = shape_values(space.degree, pts)
-        cw = wval * cq
-        local += np.einsum("bq,eq,q->eb", vals, cw, wts)
-    local *= det[:, None]
-    rhs = np.zeros(space.ndofs)
-    np.add.at(rhs, space.element_dofs.ravel(), local.ravel())
-    K = assemble_stiffness(space, coeffs)
-    return space.expand(spsolve(K, rhs[space.free_dofs]))
-
-
-def energy_error(space, coeffs, vec, value_fn, grad_fn, subdivision=0):
+def energy_error(space, coeffs, vec, value_fn, grad_fn):
     """|| w - u_h ||_a by quadrature against an analytic w."""
-    from .quadrature import triangle_rule_subdivided
-
-    deg = 2 * space.degree + 2
-    pts, wts = (triangle_rule_subdivided(deg, subdivision) if subdivision
-                else triangle_rule(deg))
-    _, _, det, Binv = space.geometry()
-    xq = space.physical_points(pts)
+    rule = space.rule(2 * space.degree + 2)
+    xq = rule.xq
     flat = xq.reshape(-1, 2)
     dval = np.asarray(value_fn(flat), float).reshape(xq.shape[:2])
     dgrad = np.asarray(grad_fn(flat), float).reshape(xq.shape[0], xq.shape[1], 2)
-    vals = shape_values(space.degree, pts)
-    gref = shape_gradients(space.degree, pts)
     local = np.asarray(vec, float)[space.element_dofs]
-    dval -= np.einsum("eb,bq->eq", local, vals)
-    gphys = np.einsum("eji,bqj->ebqi", Binv, gref)
-    dgrad -= np.einsum("eb,ebqi->eqi", local, gphys)
+    dval -= np.einsum("eb,bq->eq", local, rule.vals)
+    dgrad -= np.einsum("eb,ebqi->eqi", local, rule.grads)
     amat = coeffs.a_matrix_for(space.mesh.region)
     if amat is None:
-        aq = coeffs.a_scalar_at(xq)
-        agrad2 = np.einsum("eqi,eqi->eq", dgrad, dgrad)
-        agrad2 = agrad2 * (aq if np.isscalar(aq) else aq)
+        agrad2 = np.einsum("eqi,eqi->eq", dgrad, dgrad) * coeffs.a_scalar_at(xq)
     else:
         agrad2 = np.einsum("eqi,eij,eqj->eq", dgrad, amat, dgrad)
     cq = coeffs.c_at(xq)
     dens = agrad2 + cq * dval ** 2
-    return float(np.sqrt(np.einsum("eq,q,e->", dens, wts, det)))
+    return float(np.sqrt(np.einsum("eq,q,e->", dens, rule.wts, rule.det)))

@@ -12,16 +12,18 @@ distance re-integrates the residual of the maximizing direction pointwise,
 which sidesteps the Gram cancellation that would otherwise floor tiny
 distances at sqrt(machine eps).  The gap is the max of the two directed
 distances, each computed by the same formula with the roles swapped.
+
+Every Gram comes from one subdivided element rule of degree 2k+2, which for
+constant A and quadratic c (every built-in problem) makes the discrete Grams
+S and SM equal V^T K V and V^T M V up to rounding.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-
-from .fem import assemble_mass, assemble_stiffness, shape_gradients, shape_values
-from .quadrature import triangle_rule_subdivided
 
 
 @dataclass(frozen=True)
@@ -48,86 +50,44 @@ class GapError(RuntimeError):
     pass
 
 
-def directed_distance_from_grams(from_a, cross, to_a, from_b):
-    """sup-inf distance from Gram data alone (kernel of the sampling oracle)."""
-    from_a = np.asarray(from_a, float)
-    cross = np.atleast_2d(np.asarray(cross, float))
-    to_a = np.atleast_2d(np.asarray(to_a, float))
-    from_b = np.asarray(from_b, float)
-    try:
-        proj = cross @ np.linalg.solve(to_a, cross.T)
-    except np.linalg.LinAlgError as exc:
-        raise GapError(f"degenerate target space: {exc}") from exc
-    D = from_a - proj
-    D = 0.5 * (D + D.T)
-    mu = sla.eigh(D, 0.5 * (from_b + from_b.T), eigvals_only=True)
-    return float(np.sqrt(max(mu[-1], 0.0)))
-
-
-class _SideData:
-    """Point values, gradients and A-weighted gradients of one basis."""
-
-    def __init__(self, vals, grads, agrads):
-        self.vals = vals        # (q, ne, nq)
-        self.grads = grads      # (q, ne, nq, 2)
-        self.agrads = agrads
-
-    @property
-    def dim(self):
-        return self.vals.shape[0]
+# point values (q, ne, nq), gradients and A-weighted gradients (q, ne, nq, 2)
+# of one basis
+_SideData = namedtuple("_SideData", "vals grads agrads")
 
 
 class _GapWorkspace:
     """Shared quadrature data for every distance between two fixed spaces."""
 
-    def __init__(self, exact, cluster, space, coeffs, K_full=None, M_full=None,
-                 subdivision=1):
-        if K_full is None:
-            K_full = assemble_stiffness(space, coeffs, apply_dirichlet=False)
-        if M_full is None:
-            M_full = assemble_mass(space, apply_dirichlet=False)
+    def __init__(self, exact, cluster, space, coeffs, subdivision=1):
         V = cluster.vectors
         if V.shape[0] != space.ndofs:
             raise GapError("cluster vectors do not live on the given space")
 
-        pts, wts = triangle_rule_subdivided(2 * space.degree + 2, subdivision)
-        _, _, det, Binv = space.geometry()
-        xq = space.physical_points(pts)
+        rule = space.rule(2 * space.degree + 2, subdivision)
+        xq = rule.xq
         flat = xq.reshape(-1, 2)
         ne, nq = xq.shape[:2]
-        self.wdet = wts[None, :] * det[:, None]
-
-        amat = coeffs.a_matrix_for(space.mesh.region)
-        self._ascalar = coeffs.a_scalar_at(xq) if amat is None else None
-        self._amat = amat
+        self.wdet = rule.wts[None, :] * rule.det[:, None]
         self.cq = coeffs.c_at(xq)
+        region = space.mesh.region
 
         uvals = np.empty((exact.dim, ne, nq))
         ugrads = np.empty((exact.dim, ne, nq, 2))
         for i, fn in enumerate(exact.basis):
             uvals[i] = np.asarray(fn.value(flat), float).reshape(ne, nq)
             ugrads[i] = np.asarray(fn.grad(flat), float).reshape(ne, nq, 2)
-        self.exact = _SideData(uvals, ugrads, self._apply_a(ugrads))
+        self.exact = _SideData(uvals, ugrads, coeffs.apply_a(region, xq, ugrads))
 
-        vals = shape_values(space.degree, pts)
-        gref = shape_gradients(space.degree, pts)
-        gphys = np.einsum("eji,bqj->ebqi", Binv, gref)
         local = V[space.element_dofs]                       # (ne, nb, qd)
-        vvals = np.einsum("ebl,bq->leq", local, vals)
-        vgrads = np.einsum("ebl,ebqi->leqi", local, gphys)
-        self.discrete = _SideData(vvals, vgrads, self._apply_a(vgrads))
+        vvals = np.einsum("ebl,bq->leq", local, rule.vals)
+        vgrads = np.einsum("ebl,ebqi->leqi", local, rule.grads)
+        self.discrete = _SideData(vvals, vgrads, coeffs.apply_a(region, xq, vgrads))
 
         self.G = self._a_gram(self.exact, self.exact)
         self.B = self._b_gram(self.exact, self.exact)
         self.P = self._a_gram(self.exact, self.discrete)
-        self.S = V.T @ (K_full @ V)
-        self.SM = V.T @ (M_full @ V)
-
-    def _apply_a(self, grads):
-        if self._amat is not None:
-            return np.einsum("eij,meqj->meqi", self._amat, grads)
-        a = self._ascalar
-        return grads * a if np.isscalar(a) else grads * a[None, :, :, None]
+        self.S = self._a_gram(self.discrete, self.discrete)
+        self.SM = self._b_gram(self.discrete, self.discrete)
 
     def _a_gram(self, left, right):
         g = np.einsum("meqi,neqi,eq->mn", left.agrads, right.grads, self.wdet)
@@ -167,26 +127,18 @@ class _GapWorkspace:
         return self._residual_norm(side_from, alpha, side_to, c)
 
 
-def directed_distance(exact, discrete, space, coeffs, K_full=None, M_full=None,
-                      subdivision=1):
+def directed_distance(exact, discrete, space, coeffs, subdivision=1):
     """d(M(lambda), M_h(lambda)): sup over the exact b-unit sphere."""
     if exact.dim != discrete.q:
         raise GapError("spaces must have equal dimension")
-    ws = _GapWorkspace(exact, discrete, space, coeffs, K_full, M_full, subdivision)
+    ws = _GapWorkspace(exact, discrete, space, coeffs, subdivision)
     return ws.directed()
 
 
-def gap_energy(exact, discrete, space, coeffs, K_full=None, M_full=None,
-               subdivision=1):
+def gap_energy(exact, discrete, space, coeffs, subdivision=1):
     """max of the two directed distances (the energy gap delta)."""
     if exact.dim != discrete.q:
         raise GapError("spaces must have equal dimension")
-    ws = _GapWorkspace(exact, discrete, space, coeffs, K_full, M_full, subdivision)
+    ws = _GapWorkspace(exact, discrete, space, coeffs, subdivision)
     return max(ws.directed(), ws.directed(reverse=True))
 
-
-def reverse_distance_bound(d_forward):
-    """Upper bound d(Y, X) <= d(X, Y) / (1 - d(X, Y)) for equal dimensions."""
-    if d_forward >= 1.0:
-        return np.inf
-    return d_forward / (1.0 - d_forward)

@@ -9,6 +9,10 @@
   counted once;
 - `brute_force_distance`: a Monte-Carlo lower bound on the directed
   eigenspace distance;
+- `directed_distance_from_grams`: the directed distance from Gram data
+  alone, and `reverse_distance_bound`: d(Y, X) <= d(X, Y) / (1 - d(X, Y));
+- `energy_norm` and `b_norm`: norms through the assembled matrices;
+- `galerkin_project`: the energy projection R_h w of an analytic function;
 - the oscillation-Lipschitz harness (`calibrate_oscillation_constant`,
   `oscillation_lipschitz_check`, `_patch_h1_norms`).
 """
@@ -16,12 +20,13 @@
 from math import factorial
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from afemeig.estimator import _edge_terms, source_indicators
-from afemeig.fem import shape_gradients, shape_values
-from afemeig.gap import _GapWorkspace
-from afemeig.quadrature import triangle_rule
+from afemeig.fem import assemble_mass, assemble_stiffness, shape_gradients, shape_values
+from afemeig.gap import GapError, _GapWorkspace
 
 
 def monomial_integral(a, b):
@@ -93,6 +98,57 @@ def export_matrixmarket(matrix, path):
 
 
 # ---------------------------------------------------------------------------
+# norms and projections
+
+
+def _quadratic_form(space, matrix_full, vec):
+    vec = np.asarray(vec, float)
+    if vec.shape != (space.ndofs,):
+        raise ValueError("expected a full-length coefficient vector")
+    val = float(vec @ (matrix_full @ vec))
+    if val < -1e-10 * max(1.0, float(vec @ vec)):
+        raise ArithmeticError("quadratic form is negative: matrix is not SPD")
+    return np.sqrt(max(val, 0.0))
+
+
+def energy_norm(space, coeffs, vec):
+    K = assemble_stiffness(space, coeffs, apply_dirichlet=False)
+    return _quadratic_form(space, K, vec)
+
+
+def b_norm(space, vec):
+    M = assemble_mass(space, apply_dirichlet=False)
+    return _quadratic_form(space, M, vec)
+
+
+def galerkin_project(space, coeffs, value_fn, grad_fn):
+    """Energy projection of an analytic function onto the space (R_h w).
+
+    The right-hand side a(w, phi_i) is integrated with the degree 2k+2 rule.
+    """
+    rule = space.rule(2 * space.degree + 2)
+    xq = rule.xq
+    flat = xq.reshape(-1, 2)
+    wgrad = np.asarray(grad_fn(flat), float).reshape(xq.shape[0], xq.shape[1], 2)
+    wval = np.asarray(value_fn(flat), float).reshape(xq.shape[:2])
+    amat = coeffs.a_matrix_for(space.mesh.region)
+    if amat is None:
+        aq = coeffs.a_scalar_at(xq)
+        aw = wgrad * (aq if np.isscalar(aq) else aq[..., None])
+    else:
+        aw = np.einsum("eij,eqj->eqi", amat, wgrad)
+    local = np.einsum("ebqi,eqi,q->eb", rule.grads, aw, rule.wts)
+    cq = coeffs.c_at(xq)
+    if not (np.isscalar(cq) and cq == 0.0):
+        local += np.einsum("bq,eq,q->eb", rule.vals, wval * cq, rule.wts)
+    local *= rule.det[:, None]
+    rhs = np.zeros(space.ndofs)
+    np.add.at(rhs, space.element_dofs.ravel(), local.ravel())
+    K = assemble_stiffness(space, coeffs)
+    return space.expand(spsolve(K, rhs[space.free_dofs]))
+
+
+# ---------------------------------------------------------------------------
 # estimator and gap oracles
 
 
@@ -106,7 +162,7 @@ def edge_jump_total(space, coeffs, vectors):
 
 
 def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
-                         seed=0, K_full=None, M_full=None, subdivision=1):
+                         seed=0, subdivision=1):
     """Monte-Carlo lower bound on the directed distance.
 
     Samples b-unit coefficient directions on the exact side and takes the max
@@ -115,7 +171,7 @@ def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
-    ws = _GapWorkspace(exact, discrete, space, coeffs, K_full, M_full, subdivision)
+    ws = _GapWorkspace(exact, discrete, space, coeffs, subdivision)
     D = ws.G - ws.P @ np.linalg.solve(ws.S, ws.P.T)
     D = 0.5 * (D + D.T)
     rng = np.random.default_rng(seed)
@@ -126,24 +182,43 @@ def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
     return float(np.sqrt(max(np.max(d2), 0.0)))
 
 
+def directed_distance_from_grams(from_a, cross, to_a, from_b):
+    """sup-inf distance from Gram data alone."""
+    from_a = np.asarray(from_a, float)
+    cross = np.atleast_2d(np.asarray(cross, float))
+    to_a = np.atleast_2d(np.asarray(to_a, float))
+    from_b = np.asarray(from_b, float)
+    try:
+        proj = cross @ np.linalg.solve(to_a, cross.T)
+    except np.linalg.LinAlgError as exc:
+        raise GapError(f"degenerate target space: {exc}") from exc
+    D = from_a - proj
+    D = 0.5 * (D + D.T)
+    mu = sla.eigh(D, 0.5 * (from_b + from_b.T), eigvals_only=True)
+    return float(np.sqrt(max(mu[-1], 0.0)))
+
+
+def reverse_distance_bound(d_forward):
+    """Upper bound d(Y, X) <= d(X, Y) / (1 - d(X, Y)) for equal dimensions."""
+    if d_forward >= 1.0:
+        return np.inf
+    return d_forward / (1.0 - d_forward)
+
+
 # ---------------------------------------------------------------------------
 # oscillation Lipschitz harness
 
 
 def _patch_h1_norms(space, coeffs, diff):
     """|| . ||_{1, omega_T} of a vector FE function, per element."""
-    pts, wts = triangle_rule(2 * space.degree)
-    _, _, det, Binv = space.geometry()
-    vals = shape_values(space.degree, pts)
-    gref = shape_gradients(space.degree, pts)
-    gphys = np.einsum("eji,bqj->ebqi", Binv, gref)
+    rule = space.rule(2 * space.degree)
     per_elem = np.zeros(space.mesh.n_elements)
     for m in range(diff.shape[1]):
         local = diff[:, m][space.element_dofs]
-        uq = np.einsum("eb,bq->eq", local, vals)
-        gq = np.einsum("eb,ebqi->eqi", local, gphys)
+        uq = np.einsum("eb,bq->eq", local, rule.vals)
+        gq = np.einsum("eb,ebqi->eqi", local, rule.grads)
         dens = uq ** 2 + np.einsum("eqi,eqi->eq", gq, gq)
-        per_elem += det * np.einsum("eq,q->e", dens, wts)
+        per_elem += rule.det * np.einsum("eq,q->e", dens, rule.wts)
     nbr = space.mesh.element_neighbors()
     patch = per_elem.copy()
     for j in range(3):

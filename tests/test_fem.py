@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from afemeig import Coefficients, MeshError, assemble_mass, assemble_stiffness, build_space, refine
-from afemeig.fem import (b_norm, energy_error, energy_norm, galerkin_project,
-                         interpolate, prolongate, shape_values)
+from afemeig.fem import energy_error, interpolate, prolongate, shape_values
 from afemeig.mesh import build_initial
 from afemeig.quadrature import interval_rule, triangle_rule, triangle_rule_subdivided
 
-from conftest import square_mesh
-from oracles import evaluate, export_matrixmarket, monomial_integral
+from conftest import lshape_mesh, square_mesh
+from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket,
+                     galerkin_project, monomial_integral)
 
 
 REF_TRIANGLE = build_initial([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -36,6 +36,30 @@ def test_interval_rule_exactness():
     t, w = interval_rule(3)
     for p in range(6):
         assert np.sum(w * t ** p) == pytest.approx(1.0 / (p + 1), abs=1e-14)
+
+
+def test_rule_p1_gradients_are_barycentric():
+    # grad lambda_i = rot90(v_k - v_j) / (2 |T|) for (i, j, k) cyclic, with
+    # the signed area; the mesh mixes element sizes and orientations
+    mesh = refine(lshape_mesh(1), {0, 5, 9}).mesh
+    rule = build_space(mesh, 1).rule(2)
+    v = mesh.vertices[mesh.elements]                             # (ne, 3, 2)
+    area2 = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+             - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1]))
+    for i in range(3):
+        edge = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
+        expected = np.stack([-edge[:, 1], edge[:, 0]], axis=1) / area2[:, None]
+        got = rule.grads[:, i]                                   # (ne, nq, 2)
+        assert np.abs(got - expected[:, None, :]).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("mesh, area", [(square_mesh(3), 1.0), (lshape_mesh(2), 3.0)])
+def test_rule_weights_sum_to_domain_area(mesh, area):
+    for degree in (1, 2):
+        rule = build_space(mesh, degree).rule(4, 1)
+        assert np.sum(rule.wts) * rule.det.sum() == pytest.approx(area, rel=1e-14)
+        # one subdivision: the base rule on each of four sub-triangles
+        assert rule.xq.shape == (mesh.n_elements, 4 * triangle_rule(4)[1].size, 2)
 
 
 def test_p1_local_stiffness_reference_triangle(laplace_coeffs):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness,
-                     build_space, directed_distance, gap_energy, run_afem,
-                     solve_smallest, square_laplace)
+                     build_space, directed_distance, gap_energy, get_problem, run_afem,
+                     solve_smallest, square_laplace, uniform_refine)
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
 from afemeig.fem import interpolate
-from afemeig.gap import (ExactEigenspace, ExactFunction, GapError, _GapWorkspace,
-                         directed_distance_from_grams, reverse_distance_bound)
+from afemeig.gap import ExactEigenspace, ExactFunction, GapError, _GapWorkspace
 
 from conftest import square_mesh
-from oracles import brute_force_distance
+from oracles import (brute_force_distance, directed_distance_from_grams,
+                     reverse_distance_bound)
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +28,7 @@ def cluster2_setup():
     vals, vecs = solve_smallest(K, M, 4)
     V = np.column_stack([space.expand(vecs[:, 1]), space.expand(vecs[:, 2])])
     cluster = EigenCluster(vals[1:3], V, 2, 2)
-    Kf = assemble_stiffness(space, co, apply_dirichlet=False)
-    Mf = assemble_mass(space, apply_dirichlet=False)
-    return prob, space, co, cluster, Kf, Mf
+    return prob, space, co, cluster
 
 
 def test_planar_toy_distance():
@@ -57,25 +55,46 @@ def test_distance_zero_when_exact_in_space():
     assert gap_energy(exact, cluster, space, co) <= 1e-10
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", ["square", "oscillator"])
+def test_gap_grams_equal_matrix_grams(name, degree):
+    # the gap's subdivided 2k+2 rule integrates the discrete Grams exactly:
+    # A constant, c = 0 on the square and c = |x|^2 on the oscillator
+    prob = get_problem(name)
+    space = build_space(uniform_refine(prob.initial_mesh(), 2), degree)
+    co = prob.coefficients
+    rng = np.random.default_rng(degree)
+    V = np.column_stack([
+        interpolate(space, lambda p: p[:, 0] + 0.2),    # nonzero Dirichlet entries
+        rng.standard_normal(space.ndofs),
+        space.expand(rng.standard_normal(space.n_free)),
+    ])
+    ws = _GapWorkspace(prob.exact_clusters[0], EigenCluster(np.ones(3), V, 1, 3),
+                       space, co)
+    S = V.T @ (assemble_stiffness(space, co, apply_dirichlet=False) @ V)
+    SM = V.T @ (assemble_mass(space, apply_dirichlet=False) @ V)
+    assert np.abs(ws.S - S).max() <= 1e-13 * np.abs(S).max()
+    assert np.abs(ws.SM - SM).max() <= 1e-13 * np.abs(SM).max()
+
+
 def test_brute_force_bounds_directed(cluster2_setup):
-    prob, space, co, cluster, Kf, Mf = cluster2_setup
+    prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    d = directed_distance(exact, cluster, space, co, Kf, Mf)
-    bf = brute_force_distance(exact, cluster, space, co, 100_000,
-                              K_full=Kf, M_full=Mf)
+    d = directed_distance(exact, cluster, space, co)
+    bf = brute_force_distance(exact, cluster, space, co, 100_000)
     assert bf <= d + 1e-12
     assert bf == pytest.approx(d, rel=1e-3)
 
 
 def test_brute_force_exact_for_q1(cluster2_setup):
-    prob, space, co, _, Kf, Mf = cluster2_setup
+    prob, space, co, _ = cluster2_setup
     K = assemble_stiffness(space, co)
     M = assemble_mass(space)
     vals, vecs = solve_smallest(K, M, 1)
     cl1 = EigenCluster(vals[:1], space.expand(vecs[:, 0])[:, None], 1, 1)
     exact = prob.exact_clusters[0]
-    d = directed_distance(exact, cl1, space, co, Kf, Mf)
-    bf = brute_force_distance(exact, cl1, space, co, 1000, K_full=Kf, M_full=Mf)
+    d = directed_distance(exact, cl1, space, co)
+    bf = brute_force_distance(exact, cl1, space, co, 1000)
     assert bf == pytest.approx(d, rel=1e-12)
 
 
@@ -85,11 +104,11 @@ def test_brute_force_sample_floor():
 
 
 def test_gap_is_max_of_directions(cluster2_setup):
-    prob, space, co, cluster, Kf, Mf = cluster2_setup
+    prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    ws = _GapWorkspace(exact, cluster, space, co, Kf, Mf)
+    ws = _GapWorkspace(exact, cluster, space, co)
     fwd, rev = ws.directed(), ws.directed(reverse=True)
-    delta = gap_energy(exact, cluster, space, co, Kf, Mf)
+    delta = gap_energy(exact, cluster, space, co)
     assert delta == max(fwd, rev)
     # d(Y, X) <= d(X, Y) / (1 - d(X, Y)) for equal dimensions and d < 1
     assert fwd < 1.0
@@ -97,29 +116,29 @@ def test_gap_is_max_of_directions(cluster2_setup):
 
 
 def test_gap_invariant_under_recombination(cluster2_setup):
-    prob, space, co, cluster, Kf, Mf = cluster2_setup
+    prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    delta = gap_energy(exact, cluster, space, co, Kf, Mf)
+    delta = gap_energy(exact, cluster, space, co)
     rng = np.random.default_rng(5)
     for _ in range(5):
         th = rng.uniform(0, 2 * math.pi)
         Q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        delta2 = gap_energy(exact, cluster.recombine(Q), space, co, Kf, Mf)
+        delta2 = gap_energy(exact, cluster.recombine(Q), space, co)
         assert delta2 == pytest.approx(delta, abs=1e-10)
 
 
 def test_dimension_mismatch_rejected(cluster2_setup):
-    prob, space, co, cluster, Kf, Mf = cluster2_setup
+    prob, space, co, cluster = cluster2_setup
     with pytest.raises(GapError):
-        directed_distance(prob.exact_clusters[0], cluster, space, co, Kf, Mf)
+        directed_distance(prob.exact_clusters[0], cluster, space, co)
 
 
 def test_quadrature_subdivision_converged(cluster2_setup):
     # doubling the subdivision must not move the measured gap by > 1%
-    prob, space, co, cluster, Kf, Mf = cluster2_setup
+    prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    d1 = gap_energy(exact, cluster, space, co, Kf, Mf, subdivision=1)
-    d2 = gap_energy(exact, cluster, space, co, Kf, Mf, subdivision=2)
+    d1 = gap_energy(exact, cluster, space, co, subdivision=1)
+    d2 = gap_energy(exact, cluster, space, co, subdivision=2)
     assert d2 == pytest.approx(d1, rel=1e-2)
 
 
@@ -132,8 +151,6 @@ def test_random_perturbed_instances_agree_with_oracle():
     co = prob.coefficients
     K = assemble_stiffness(space, co)
     M = assemble_mass(space)
-    Kf = assemble_stiffness(space, co, apply_dirichlet=False)
-    Mf = assemble_mass(space, apply_dirichlet=False)
     vals, vecs = solve_smallest(K, M, 3)
     exact = prob.exact_clusters[1]
     rng = np.random.default_rng(77)
@@ -142,10 +159,9 @@ def test_random_perturbed_instances_agree_with_oracle():
         W = m_orthonormalize(W, M)
         V = np.column_stack([space.expand(W[:, 0]), space.expand(W[:, 1])])
         cl = EigenCluster(vals[1:3], V, 2, 2)
-        ws = _GapWorkspace(exact, cl, space, co, Kf, Mf)
+        ws = _GapWorkspace(exact, cl, space, co)
         d = ws.directed()
-        bf = brute_force_distance(exact, cl, space, co, 100_000,
-                                  K_full=Kf, M_full=Mf, seed=trial)
+        bf = brute_force_distance(exact, cl, space, co, 100_000, seed=trial)
         assert bf == pytest.approx(d, rel=1e-3)
         if d < 1.0:
             assert ws.directed(reverse=True) <= reverse_distance_bound(d) + 1e-8

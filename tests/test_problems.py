@@ -6,18 +6,16 @@ import pytest
 
 from afemeig import build_space, get_problem, harmonic_oscillator, lshape_laplace, square_laplace
 from afemeig.mesh import uniform_refine
-from afemeig.quadrature import triangle_rule_subdivided
 
 
 def _exact_grams(prob, rounds=10):
     """Quadrature b- and a-Grams of every exact cluster basis."""
     mesh = uniform_refine(prob.initial_mesh(), rounds)
     space = build_space(mesh, 1)
-    pts, wts = triangle_rule_subdivided(6, 1)
-    xq = space.physical_points(pts)
+    rule = space.rule(6, 1)
+    xq = rule.xq
     flat = xq.reshape(-1, 2)
-    _, _, det, _ = space.geometry()
-    wdet = wts[None, :] * det[:, None]
+    wdet = rule.wts[None, :] * rule.det[:, None]
     co = prob.coefficients
     cq = co.c_at(xq)
     out = []
