@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import shape_gradients, shape_hessians
+from .fem import _matvec2, shape_gradients, shape_hessians
 from .quadrature import interval_rule, triangle_rule
 
 
@@ -75,13 +75,16 @@ def _edge_projector(degree_poly, npoints):
     return proj
 
 
-def _div_a_grad(coeffs, space, xq, ugrad, hess_phys):
-    """div(A grad u) at interior quadrature points, (ne, nq).
+def _div_a_grad(coeffs, space, rule, local, hess_phys):
+    """div(A grad u) at the rule's quadrature points, (ne, nq).
 
-    hess_phys is the per-element constant physical Hessian (ne, 2, 2): exact
-    for P1 (zero) and P2.  Piecewise-constant A contributes A:H; a variable
-    scalar field adds grad(a) . grad(u) with a central-difference gradient.
+    `local` holds u's element coefficients (ne, nb) and hess_phys its
+    per-element constant physical Hessian (ne, 2, 2): exact for P1 (zero) and
+    P2.  Piecewise-constant A contributes A:H; a variable scalar field adds
+    grad(a) . grad(u) with a central-difference gradient, the only term that
+    needs u's gradient.
     """
+    xq = rule.xq
     amat = coeffs.a_matrix_for(space.mesh.region)
     if amat is not None:
         return np.einsum("eij,eij->e", amat, hess_phys)[:, None] * np.ones(xq.shape[1])
@@ -95,6 +98,7 @@ def _div_a_grad(coeffs, space, xq, ugrad, hess_phys):
     gax = (np.asarray(a(flat + [h, 0.0]), float) - np.asarray(a(flat - [h, 0.0]), float)) / (2 * h)
     gay = (np.asarray(a(flat + [0.0, h]), float) - np.asarray(a(flat - [0.0, h]), float)) / (2 * h)
     ga = np.stack([gax, gay], axis=-1).reshape(xq.shape)
+    ugrad = np.einsum("eb,ebqi->eqi", local, rule.grads)
     return aq * lap[:, None] + np.einsum("eqi,eqi->eq", ga, ugrad)
 
 
@@ -111,14 +115,13 @@ def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     for m in range(vectors.shape[1]):
         local = vectors[:, m][space.element_dofs]
         uq = np.einsum("eb,bq->eq", local, rule.vals)
-        ugrad = np.einsum("eb,ebqi->eqi", local, rule.grads)
         hess_ref = np.einsum("eb,bij->eij", local, href)
         hess_phys = np.einsum("eki,ekl,elj->eij", rule.Binv, hess_ref, rule.Binv)
         if sources is not None:
             r0 = np.asarray(sources[m](xq.reshape(-1, 2)), float).reshape(xq.shape[:2])
         else:
             r0 = lams[m] * uq
-        R = r0 + _div_a_grad(coeffs, space, xq, ugrad, hess_phys) - cq * uq
+        R = r0 + _div_a_grad(coeffs, space, rule, local, hess_phys) - cq * uq
         Rbar = R @ proj.T
         eta2 += h2 * rule.det * np.einsum("eq,q->e", R ** 2, rule.wts)
         osc2 += h2 * rule.det * np.einsum("eq,q->e", (R - Rbar) ** 2, rule.wts)
@@ -149,9 +152,9 @@ def _edge_terms(space, coeffs, vectors, npoints):
     for side in (0, 1):
         el = own[:, side]
         rel = xq - v0[el][:, None, :]
-        xi = np.einsum("eij,eqj->eqi", Binv[el], rel)
+        xi = _matvec2(Binv[el][:, None], rel)
         gref = shape_gradients(space.degree, xi)            # (nb, nE, nq, 2)
-        gphys = np.einsum("eji,beqj->beqi", Binv[el], gref)
+        gphys = _matvec2(Binv[el].transpose(0, 2, 1)[:, None], gref)
         dofs = space.element_dofs[el]                        # (nE, nb)
         gm = np.einsum("emb,beqi->meqi",
                        vectors[dofs].transpose(0, 2, 1), gphys)  # (nmem, nE, nq, 2)

@@ -85,11 +85,25 @@ class Coefficients:
         """A grad u for grads (m, ne, nq, 2) at points (ne, nq, 2)."""
         amat = self.a_matrix_for(region)
         if amat is not None:
-            return np.einsum("eij,meqj->meqi", amat, grads)
+            return _matvec2(amat[:, None], grads)
         aq = self.a_scalar_at(points)
         if np.isscalar(aq):
             return aq * grads
         return grads * aq[..., None]
+
+
+def _matvec2(M, v):
+    """2x2 matrix times 2-vector, broadcast over the leading axes:
+    ``out[..., i] = M[..., i, 0] * v[..., 0] + M[..., i, 1] * v[..., 1]``.
+
+    A sum of two products has one rounding order, so this equals the
+    matching ``np.einsum`` bit for bit, at a fraction of its cost.
+    """
+    out = np.empty(np.broadcast_shapes(M.shape[:-2], v.shape[:-1]) + (2,))
+    for i in range(2):
+        np.multiply(M[..., i, 0], v[..., 0], out=out[..., i])
+        out[..., i] += M[..., i, 1] * v[..., 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +244,12 @@ class ElementRule:
     @cached_property
     def xq(self):
         v0, B, _, _ = self.space.geometry()
-        return v0[:, None, :] + np.einsum("eij,qj->eqi", B, self.pts)
+        return v0[:, None, :] + _matvec2(B[:, None], self.pts)
 
     @cached_property
     def grads(self):
         gref = shape_gradients(self.space.degree, self.pts)   # (nb, nq, 2)
-        return np.einsum("eji,bqj->ebqi", self.Binv, gref)
+        return _matvec2(self.Binv.transpose(0, 2, 1)[:, None, None], gref)
 
 
 def build_space(mesh, degree):
@@ -277,7 +291,7 @@ def assemble_stiffness(space, coeffs, apply_dirichlet=True):
         else:
             local = np.einsum("ebqi,edqi,eq,q->ebd", gphys, gphys, aq, wts)
     else:
-        flux = np.einsum("eij,ebqj->ebqi", amat, gphys)
+        flux = _matvec2(amat[:, None, None], gphys)
         local = np.einsum("ebqi,edqi,q->ebd", flux, gphys, wts)
     cq = coeffs.c_at(xq)
     if np.isscalar(cq):
@@ -348,7 +362,7 @@ def prolongate(coarse_space, fine_space, ancestor, vec):
     parents = np.asarray(ancestor, dtype=np.int64)[host_elem]
     v0, _, _, Binv = coarse_space.geometry()
     rel = fine.dof_coords - v0[parents]
-    xi = np.einsum("nij,nj->ni", Binv[parents], rel)
+    xi = _matvec2(Binv[parents], rel)
     vals = shape_values(coarse_space.degree, xi)        # (nb, ndofs_fine)
     local = vec[coarse_space.element_dofs[parents]]     # (ndofs_fine, nb)
     return np.einsum("nb,bn->n", local, vals)

@@ -32,6 +32,17 @@ class MeshError(ValueError):
     """Invalid mesh input or an operation on a broken mesh."""
 
 
+def _unique_edges(pairs, nv):
+    """What ``np.unique(pairs, axis=0, return_inverse=True, return_counts=True)``
+    returns for (n, 2) int pairs sorted within each row, with every entry below
+    `nv`.  It sorts the 1-D keys ``a*nv + b``, whose order is the rows'
+    lexicographic order, which is far cheaper than a row-wise unique."""
+    nv = np.int64(nv)
+    keys, inverse, counts = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                                      return_inverse=True, return_counts=True)
+    return np.stack(np.divmod(keys, nv), axis=1), inverse, counts
+
+
 class Mesh:
     """Immutable conforming triangulation.
 
@@ -96,10 +107,8 @@ class Mesh:
         ne = self.n_elements
         pairs = self.elements[:, _EDGE_VERTS].reshape(-1, 2)
         pairs = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
+        edges, inverse, counts = _unique_edges(pairs, self.n_vertices)
         elem_edges = inverse.reshape(ne, 3)
-        counts = np.bincount(inverse, minlength=edges.shape[0])
         if counts.max(initial=0) > 2:
             bad = int(np.argmax(counts))
             raise MeshError(f"edge {tuple(edges[bad])} shared by more than 2 elements")
@@ -313,10 +322,10 @@ def red_refine(vertices, elements, region):
     vertices = np.asarray(vertices, float)
     elements = np.asarray(elements, np.int64)
     pairs = np.sort(elements[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    nv = vertices.shape[0]
+    edges, inverse, _ = _unique_edges(pairs, nv)
     elem_edges = inverse.reshape(-1, 3)
     mids = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
-    nv = vertices.shape[0]
     new_vertices = np.vstack([vertices, mids])
     new_elements = []
     new_refedge = []
@@ -376,7 +385,7 @@ def build_initial(vertices, triangles, boundary=None, region=None):
         np.asarray(region, np.int64)
 
     pairs = np.sort(triangles[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-    edges, counts = np.unique(pairs, axis=0, return_counts=True)
+    edges, _, counts = _unique_edges(pairs, len(vertices))
     if np.any(counts > 2):
         bad = edges[counts > 2][0]
         raise MeshError(f"non-conforming input: edge {tuple(bad)} has {counts.max()} owners")
@@ -403,7 +412,7 @@ def build_initial(vertices, triangles, boundary=None, region=None):
                       "global red refinement", stacklevel=2)
         vertices, triangles, refedge, region = red_refine(vertices, triangles, region)
         pairs = np.sort(triangles[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-        edges, counts = np.unique(pairs, axis=0, return_counts=True)
+        edges, _, counts = _unique_edges(pairs, len(vertices))
         mesh = Mesh(vertices, triangles, refedge, np.zeros(len(triangles), np.int64),
                     region, edges[counts == 1])
     mesh.validate()
@@ -510,7 +519,7 @@ class _RefineWork:
         new_mesh = Mesh(rows(mesh.vertices, self.verts[mesh.n_vertices:]), elements,
                         rows(mesh.refinement_edge, self.refe[ne_old:])[tokens],
                         rows(mesh.generation, self.gen[ne_old:])[tokens],
-                        mesh.region[ancestor], np.unique(pairs, axis=0))
+                        mesh.region[ancestor], _unique_edges(pairs, len(self.verts))[0])
         refined = np.flatnonzero(~alive[:ne_old]).tolist()
         return new_mesh, refined, ancestor
 

@@ -10,6 +10,7 @@ from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness
 from afemeig.eigsolve import EigenCluster
 from afemeig.estimator import _indicators
 from afemeig.fem import assemble_load, interpolate, shape_gradients, shape_hessians, shape_values
+from afemeig.mesh import Mesh
 from afemeig.quadrature import interval_rule, triangle_rule
 
 from conftest import square_mesh
@@ -17,8 +18,18 @@ from oracles import (calibrate_oscillation_constant, edge_jump_total,
                      oscillation_lipschitz_check)
 
 
-def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
-    """Straightforward per-element / per-edge re-implementation."""
+def _a_times(coeffs, region, xq, g):
+    """A grad u at the points xq (nq, 2) of an element with region tag `region`."""
+    if isinstance(coeffs.a, dict):
+        return g @ np.asarray(coeffs.a[region], float).T
+    if callable(coeffs.a):
+        return coeffs.a(xq)[:, None] * g
+    return coeffs.a * g
+
+
+def _loop_oracle(space, coeffs, vectors, lams=None, sources=None, a_grad=None):
+    """Straightforward per-element / per-edge re-implementation.  A callable
+    `coeffs.a` needs its analytic gradient `a_grad(points) -> (m, 2)`."""
     mesh = space.mesh
     k = space.degree
     pts, wts = triangle_rule(2 * k + 2)
@@ -35,8 +46,13 @@ def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
             uq = local @ shape_values(k, pts)
             hess = np.einsum("b,bij->ij", local, shape_hessians(k))
             hess = Binv[e].T @ hess @ Binv[e]
-            a = coeffs.a if not callable(coeffs.a) else None
-            div_term = a * np.trace(hess)
+            if isinstance(coeffs.a, dict):      # A:H
+                div_term = np.sum(np.asarray(coeffs.a[mesh.region[e]], float) * hess)
+            elif callable(coeffs.a):            # a lap(u) + grad(a) . grad(u)
+                g = np.einsum("b,bqi->qi", local, shape_gradients(k, pts)) @ Binv[e]
+                div_term = coeffs.a(xq) * np.trace(hess) + np.sum(a_grad(xq) * g, axis=1)
+            else:
+                div_term = coeffs.a * np.trace(hess)
             cq = coeffs.c_at(xq) if callable(coeffs.c) else coeffs.c
             r0 = lams[m] * uq if sources is None else sources[m](xq)
             R = r0 + div_term - cq * uq
@@ -59,7 +75,7 @@ def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
                 local = coef[space.element_dofs[t]]
                 xi = (xq - v0[t]) @ Binv[t].T
                 g = np.einsum("b,bqi->qi", local, shape_gradients(k, xi))
-                grads.append(coeffs.a * (g @ Binv[t]))
+                grads.append(_a_times(coeffs, mesh.region[t], xq, g @ Binv[t]))
             J = (grads[0] - grads[1]) @ nu
             jump2 += length * np.sum(w1d * J ** 2)
         eta2[ta] += length * jump2
@@ -95,6 +111,41 @@ def test_p2_indicators_match_loop_oracle():
     ind = _indicators(space, co, V, lams=[vals[0]])
     oracle = _loop_oracle(space, co, V, lams=[vals[0]])
     assert np.allclose(ind.eta2, oracle, rtol=1e-12, atol=1e-14)
+
+
+def _two_region_square(rounds):
+    m = square_mesh(rounds)
+    centroids = m.vertices[m.elements].mean(axis=1)
+    return Mesh(m.vertices, m.elements, m.refinement_edge, m.generation,
+                (centroids[:, 0] > 0.5).astype(int), m.boundary_edges)
+
+
+def _c_sq(p):
+    return p[:, 0] ** 2 + p[:, 1] ** 2
+
+
+# (coefficients, analytic grad a, rtol): the callable-a branch differentiates
+# a by central differences with step 1e-6, whose rounding moves eta2 by ~3e-12
+_COEFF_CASES = {
+    "A-table": (Coefficients(a={0: [[2.0, 0.5], [0.5, 1.0]], 1: [[1.0, -0.3], [-0.3, 3.0]]},
+                             c=_c_sq), None, 1e-12),
+    "callable-a": (Coefficients(a=lambda p: 1.0 + 0.5 * p[:, 0], c=_c_sq),
+                   lambda p: np.tile([0.5, 0.0], (p.shape[0], 1)), 1e-10),
+}
+
+
+@pytest.mark.parametrize("case", list(_COEFF_CASES))
+@pytest.mark.parametrize("degree", [1, 2])
+def test_indicators_match_loop_oracle_with_coefficients(degree, case):
+    co, a_grad, rtol = _COEFF_CASES[case]
+    space = build_space(_two_region_square(4 if degree == 1 else 3), degree)
+    rng = np.random.default_rng(3)
+    V = rng.standard_normal((space.ndofs, 2))
+    V[space.dirichlet_dofs] = 0.0
+    lams = [20.0, 50.0]
+    ind = _indicators(space, co, V, lams=lams)
+    oracle = _loop_oracle(space, co, V, lams=lams, a_grad=a_grad)
+    np.testing.assert_allclose(ind.eta2, oracle, rtol=rtol, atol=1e-14)
 
 
 def test_linear_interpolant_has_zero_indicator():

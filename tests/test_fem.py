@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from afemeig import Coefficients, MeshError, assemble_mass, assemble_stiffness, build_space, refine
-from afemeig.fem import energy_error, interpolate, prolongate, shape_values
+from afemeig.fem import (_matvec2, energy_error, interpolate, prolongate, shape_gradients,
+                         shape_values)
 from afemeig.mesh import build_initial
 from afemeig.quadrature import interval_rule, triangle_rule, triangle_rule_subdivided
 
@@ -60,6 +61,47 @@ def test_rule_weights_sum_to_domain_area(mesh, area):
         assert np.sum(rule.wts) * rule.det.sum() == pytest.approx(area, rel=1e-14)
         # one subdivision: the base rule on each of four sub-triangles
         assert rule.xq.shape == (mesh.n_elements, 4 * triangle_rule(4)[1].size, 2)
+
+
+# The seven 2x2 maps of the package, as the einsum each replaced.  Each case
+# gives the operands at the shapes of its call site and the broadcast form of
+# the matrix that _matvec2 takes.
+_MATVEC2_CASES = {
+    "eij,qj->eqi": lambda d: (d["B"], d["pts"], d["B"][:, None]),               # rule.xq
+    "eji,bqj->ebqi": lambda d: (d["Binv"], d["gref"], d["BinvT"][:, None, None]),  # rule.grads
+    "eij,meqj->meqi": lambda d: (d["A"], d["gm"], d["A"][:, None]),             # apply_a
+    "eij,ebqj->ebqi": lambda d: (d["A"], d["grads"], d["A"][:, None, None]),    # region flux
+    "nij,nj->ni": lambda d: (d["Binv"], d["rel"], d["Binv"]),                   # prolongate
+    "eij,eqj->eqi": lambda d: (d["Binv"], d["rel_edge"], d["Binv"][:, None]),   # edge back-map
+    "eji,beqj->beqi": lambda d: (d["Binv"], d["gref_edge"], d["BinvT"][:, None]),  # edge gradients
+}
+
+
+@pytest.mark.parametrize("subscripts", list(_MATVEC2_CASES))
+def test_matvec2_equals_einsum(subscripts):
+    # the trace digests rely on _matvec2 reproducing the einsum bit for bit
+    mesh = lshape_mesh(8)
+    mesh = refine(mesh, range(0, mesh.n_elements, 3)).mesh
+    rng = np.random.default_rng(8)
+    ne = mesh.n_elements
+    A = rng.standard_normal((ne, 2, 2))
+    A = A @ A.transpose(0, 2, 1) + np.eye(2)
+    for degree in (1, 2):
+        space = build_space(mesh, degree)
+        _, B, _, Binv = space.geometry()
+        t, _ = interval_rule(degree + 2)
+        xi_edge = np.stack([t, 1 - t], axis=-1) * rng.random((ne, 1, 1))
+        for rule in ((4, 0), (6, 0), (4, 1)):   # 6, 12 and 24 points
+            pts, _ = triangle_rule_subdivided(*rule)
+            gref = shape_gradients(degree, pts)
+            grads = np.einsum("eji,bqj->ebqi", Binv, gref)
+            data = dict(B=B, Binv=Binv, BinvT=Binv.transpose(0, 2, 1), A=A, pts=pts,
+                        gref=gref, grads=grads, gm=rng.standard_normal((2,) + grads[:, 0].shape),
+                        rel=rng.standard_normal((ne, 2)),
+                        rel_edge=np.einsum("eij,eqj->eqi", B, xi_edge),
+                        gref_edge=shape_gradients(degree, xi_edge))
+            M, v, M_bcast = _MATVEC2_CASES[subscripts](data)
+            np.testing.assert_array_equal(_matvec2(M_bcast, v), np.einsum(subscripts, M, v))
 
 
 def test_p1_local_stiffness_reference_triangle(laplace_coeffs):

@@ -42,16 +42,30 @@ def test_build_lshape_conforming():
     m.validate()
 
 
+# three triangles on the edge (0, 1), all counter-clockwise
+_FIN_VERTS = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.6, 2)]
+_FIN_TRIS = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+
+
 @pytest.mark.parametrize("bad, kind", [
     (dict(vertices=[(0, 0), (1, 0), (0, 1)], triangles=[(0, 2, 1)]), "inverted"),
     (dict(vertices=[(0, 0), (1, 0), (0, 1), (5, 5)], triangles=[(0, 1, 2)]), "unused"),
     (dict(vertices=[(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)],
           triangles=[(0, 1, 2), (1, 3, 2), (1, 4, 3)],
           boundary=[(0, 1)]), "boundary"),
+    (dict(vertices=_FIN_VERTS, triangles=_FIN_TRIS), "fin"),
 ])
 def test_build_rejects_bad_input(bad, kind):
-    with pytest.raises(MeshError):
+    message = {"inverted": "inverted", "unused": "not used", "boundary": "boundary",
+               "fin": "non-conforming input"}[kind]
+    with pytest.raises(MeshError, match=message):
         build_initial(**bad)
+
+
+def test_edge_table_rejects_edge_with_three_owners():
+    mesh = Mesh(_FIN_VERTS, _FIN_TRIS, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((0, 2)))
+    with pytest.raises(MeshError, match="shared by more than 2 elements"):
+        mesh.edge_table()
 
 
 def test_build_rejects_hanging_vertex():
@@ -329,13 +343,26 @@ def test_incompatible_labeling_fails_fast():
     assert time.perf_counter() - start < 1.0
 
 
-def _mesh_digest(mesh):
+def _digest(arrays):
     h = hashlib.sha256()
-    for arr in (mesh.vertices, mesh.elements, mesh.refinement_edge, mesh.generation,
-                mesh.region, mesh.boundary_edges):
+    for arr in arrays:
         h.update(repr(arr.shape).encode())
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def _mesh_digest(mesh):
+    return _digest((mesh.vertices, mesh.elements, mesh.refinement_edge, mesh.generation,
+                    mesh.region, mesh.boundary_edges))
+
+
+def _randomly_refined_lshape(b, rounds):
+    mesh = lshape_mesh(1)
+    rng = np.random.default_rng(5)
+    for _ in range(rounds):
+        marked = rng.choice(mesh.n_elements, size=max(1, mesh.n_elements // 5), replace=False)
+        mesh = refine(mesh, marked, b=b).mesh
+    return mesh
 
 
 # Dörfler marking breaks ties by element id, so refinement must keep producing
@@ -345,12 +372,17 @@ def _mesh_digest(mesh):
     (2, 5, "7dbb853a7b289378440390dfd84ed8123f9cf28bf47cd82089f3896442284f5c"),
 ])
 def test_refine_output_is_pinned(b, rounds, digest):
-    mesh = lshape_mesh(1)
-    rng = np.random.default_rng(5)
-    for _ in range(rounds):
-        marked = rng.choice(mesh.n_elements, size=max(1, mesh.n_elements // 5), replace=False)
-        mesh = refine(mesh, marked, b=b).mesh
-    assert _mesh_digest(mesh) == digest
+    assert _mesh_digest(_randomly_refined_lshape(b, rounds)) == digest
+
+
+# P2 dof numbering, the estimator's edge loop and the neighbour array all
+# follow the edge table's order
+@pytest.mark.parametrize("b, rounds, digest", [
+    (1, 12, "2e838d191b95a597cbddc879e45501faf65b7fcc0f2dedeaf637afcca801a50d"),
+    (2, 5, "631524b4a710b0f8ae929251f4aa990368276c58727eff4011c8eec657fda7ad"),
+])
+def test_edge_table_is_pinned(b, rounds, digest):
+    assert _digest(_randomly_refined_lshape(b, rounds).edge_table()) == digest
 
 
 def test_uniform_refine_output_is_pinned():
