@@ -389,12 +389,12 @@ def _eigen_step(problem, config, k0, n, certify):
         window = [(ci, c) for ci, c in enumerate(upto, start=1) if c[0] >= k0]
         tracked = vals[k0:k0 + n]
         ind = eigen_indicators(disc.space, disc.coeffs,
-                               EigenCluster(tracked, columns(range(k0, k0 + n)), 0, n))
+                               EigenCluster(tracked, columns(range(k0, k0 + n))))
         if not config.compute_gap:
             gap2 = float("nan")
         elif problem.exact_clusters is not None:
             gap2 = sum(gap_energy(problem.exact_clusters[ci - 1],
-                                  EigenCluster(vals[c[0]:c[-1] + 1], columns(c), ci, len(c)),
+                                  EigenCluster(vals[c[0]:c[-1] + 1], columns(c)),
                                   disc.space, disc.coeffs) ** 2
                        for ci, c in window)
         elif all(refs.get(ci) is not None for ci, _ in window):

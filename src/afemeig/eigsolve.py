@@ -7,7 +7,6 @@ direct solve, which keeps coarse meshes robust.  A deterministic start vector
 makes repeated runs bit-identical.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,22 +24,15 @@ class EigensolverError(RuntimeError):
 class EigenCluster:
     """A group of discrete eigenpairs approximating one exact eigenvalue.
 
-    vectors hold one b-orthonormal column per member; cluster_index is the
-    1-based position of this cluster among ascending distinct eigenvalues.
+    vectors hold one b-orthonormal column per member, in the order of values.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    cluster_index: int
-    q: int
 
-    def recombine(self, Q):
-        """Replace the basis by vectors @ Q (Q orthogonal keeps b-orthonormality)."""
-        Q = np.asarray(Q, float)
-        if Q.shape != (self.q, self.q):
-            raise ValueError("recombination matrix has wrong shape")
-        return EigenCluster(self.values.copy(), self.vectors @ Q,
-                            self.cluster_index, self.q)
+    @property
+    def q(self):
+        return len(self.values)
 
 
 def _fix_signs(vectors):
@@ -65,7 +57,7 @@ def m_orthonormalize(vectors, M):
     return V
 
 
-def solve_smallest(K, M, nev, tol=1e-10, seed=2357, history_path=None):
+def solve_smallest(K, M, nev, tol=1e-10, seed=2357):
     """Return the `nev` smallest eigenpairs as (values, vectors).
 
     values are ascending; vectors are M-orthonormal columns with a
@@ -106,13 +98,6 @@ def solve_smallest(K, M, nev, tol=1e-10, seed=2357, history_path=None):
     if np.any(resid > 100 * bound):
         raise EigensolverError(
             f"eigenpair residual {resid.max():.3e} exceeds tolerance budget")
-
-    if history_path:
-        with open(history_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "value", "residual"])
-            for i, (v, r) in enumerate(zip(vals, resid)):
-                w.writerow([i, repr(float(v)), repr(float(r))])
     return vals, vecs
 
 

@@ -14,7 +14,6 @@ and a cluster's indicator is the plain sum over its members.  Oscillations
 subtract the L2 projection of R_T onto P_{k-1}(T) and of J_E onto P_k(E).
 """
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,13 +37,6 @@ class IndicatorField:
     @property
     def total_osc2(self):
         return float(np.sum(self.osc2))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["element_id", "eta2", "osc2"])
-            for i, (e, o) in enumerate(zip(self.eta2, self.osc2)):
-                w.writerow([i, repr(float(e)), repr(float(o))])
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +129,7 @@ def _edge_terms(space, coeffs, vectors, npoints):
     own = owners[interior]
     if e_int.shape[0] == 0:
         z = np.zeros(mesh.n_elements)
-        return z, z.copy(), np.zeros(0)
+        return z, z.copy()
     t, w = interval_rule(npoints)
     va = mesh.vertices[e_int[:, 0]]
     vb = mesh.vertices[e_int[:, 1]]
@@ -173,7 +165,7 @@ def _edge_terms(space, coeffs, vectors, npoints):
     for side in (0, 1):   # each interior edge contributes fully to both owners
         np.add.at(eta2, own[:, side], eta_edge)
         np.add.at(osc2, own[:, side], osc_edge)
-    return eta2, osc2, eta_edge
+    return eta2, osc2
 
 
 def _indicators(space, coeffs, vectors, lams=None, sources=None):
@@ -188,15 +180,10 @@ def _indicators(space, coeffs, vectors, lams=None, sources=None):
         raise ValueError("one source field per solution vector required")
     rule_degree = 2 * space.degree + 2
     eta_i, osc_i = _interior_terms(space, coeffs, vectors, lams, sources, rule_degree)
-    eta_e, osc_e, _ = _edge_terms(space, coeffs, vectors, space.degree + 2)
+    eta_e, osc_e = _edge_terms(space, coeffs, vectors, space.degree + 2)
     return IndicatorField(eta2=eta_i + eta_e, osc2=osc_i + osc_e)
 
 
 def eigen_indicators(space, coeffs, cluster):
     """Cluster indicator: sum of member indicators with their own lambdas."""
     return _indicators(space, coeffs, cluster.vectors, lams=np.asarray(cluster.values))
-
-
-def source_indicators(space, coeffs, solution_vectors, source_fields):
-    """Vector source-problem indicator with f_i in place of lambda*u."""
-    return _indicators(space, coeffs, solution_vectors, sources=list(source_fields))

@@ -29,9 +29,9 @@ CField = Union[float, Callable]
 class Coefficients:
     """Operator data for a(u, v) = (A grad u, grad v) + (c u, v).
 
-    ``a`` is a positive scalar (A = a*I), a callable a(points)->(m,) scalar
-    field, or a dict mapping region tags to symmetric 2x2 arrays (piecewise
-    constant per region).  ``c`` is a nonnegative scalar or callable.
+    ``a`` is a positive scalar (A = a*I), a callable a(points)->(m,) positive
+    scalar field, or a dict mapping region tags to symmetric positive definite
+    2x2 arrays (piecewise constant per region).  ``c`` is a nonnegative scalar or callable.
     """
 
     a: AField = 1.0
@@ -49,7 +49,11 @@ class Coefficients:
             vals = np.asarray(self.a(points.reshape(-1, 2)), float).reshape(points.shape[:-1])
             if not np.all(np.isfinite(vals)):
                 raise MeshError("coefficient a evaluated to a non-finite value")
+            if np.any(vals <= 0):
+                raise MeshError("coefficient a is not positive")
             return vals
+        if not self.a > 0:
+            raise MeshError("coefficient a is not positive")
         return float(self.a)
 
     def a_matrix_for(self, region):
@@ -319,21 +323,6 @@ def assemble_load(space, f, apply_dirichlet=True):
     rhs = np.zeros(space.ndofs)
     np.add.at(rhs, space.element_dofs.ravel(), local.ravel())
     return rhs[space.free_dofs] if apply_dirichlet else rhs
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-
-
-def interpolate(space, function, zero_dirichlet=False):
-    """Nodal interpolant; optionally zero the Dirichlet dofs."""
-    vals = np.asarray(function(space.dof_coords), float)
-    if vals.shape != (space.ndofs,):
-        raise ValueError("function must return one value per dof coordinate")
-    out = vals.copy()
-    if zero_dirichlet:
-        out[space.dirichlet_dofs] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,6 @@ class _GapWorkspace:
         return self._residual_norm(side_from, alpha, side_to, c)
 
 
-def directed_distance(exact, discrete, space, coeffs, subdivision=1):
-    """d(M(lambda), M_h(lambda)): sup over the exact b-unit sphere."""
-    if exact.dim != discrete.q:
-        raise GapError("spaces must have equal dimension")
-    ws = _GapWorkspace(exact, discrete, space, coeffs, subdivision)
-    return ws.directed()
-
-
 def gap_energy(exact, discrete, space, coeffs, subdivision=1):
     """max of the two directed distances (the energy gap delta)."""
     if exact.dim != discrete.q:

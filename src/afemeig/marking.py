@@ -16,7 +16,6 @@ class MarkResult:
     marked: frozenset = field(default_factory=frozenset)
     achieved_fraction: float = 0.0
     converged: bool = False
-    order: tuple = ()  # marked ids, largest indicator first
 
 
 def dorfler_mark(indicators, theta):
@@ -39,7 +38,5 @@ def dorfler_mark(indicators, theta):
         return MarkResult(converged=True)
     k = int(np.searchsorted(csum, theta * total, side="left"))
     k = min(k, eta2.size - 1)
-    chosen = order[:k + 1]
-    return MarkResult(marked=frozenset(int(i) for i in chosen),
-                      achieved_fraction=float(csum[k] / total),
-                      order=tuple(int(i) for i in chosen))
+    return MarkResult(marked=frozenset(order[:k + 1].tolist()),
+                      achieved_fraction=float(csum[k] / total))

@@ -20,7 +20,6 @@ mesh's arrays by numpy indexing.
 import itertools
 import json
 import warnings
-from functools import cached_property
 
 import numpy as np
 
@@ -140,13 +139,6 @@ class Mesh:
         self._cache["neighbors"] = nbr
         return nbr
 
-    def element_patch(self, element_id):
-        """The element itself plus all edge neighbours (at most 4 ids)."""
-        if not 0 <= element_id < self.n_elements:
-            raise MeshError(f"invalid element id {element_id}")
-        nbr = self.element_neighbors()[element_id]
-        return {element_id} | {int(t) for t in nbr if t >= 0}
-
     def shape_regularity(self):
         """max over elements of diameter / inscribed-ball diameter."""
         lens = self.edge_lengths()
@@ -209,19 +201,14 @@ class RefineResult:
     """Outcome of a refine() call.
 
     refined_set -- ids of old-mesh elements that are no longer present
-    parent_map  -- new element id -> old-mesh ancestor id (identity for
-                   elements carried over unchanged), built on first access
-                   from the `ancestor` array
+    ancestor    -- (ne_new,) old-mesh ancestor id of every new element
+                   (itself for elements carried over unchanged)
     """
 
     def __init__(self, mesh, refined_set, ancestor):
         self.mesh = mesh
         self.refined_set = frozenset(refined_set)
         self.ancestor = np.asarray(ancestor, dtype=np.int64)
-
-    @cached_property
-    def parent_map(self):
-        return dict(enumerate(self.ancestor.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +509,6 @@ class _RefineWork:
                         mesh.region[ancestor], _unique_edges(pairs, len(self.verts))[0])
         refined = np.flatnonzero(~alive[:ne_old]).tolist()
         return new_mesh, refined, ancestor
-
-
-def bisect(mesh, element_id):
-    """Bisect one element (with conforming completion); returns the new Mesh."""
-    if not 0 <= element_id < mesh.n_elements:
-        raise MeshError(f"invalid element id {element_id}")
-    work = _RefineWork(mesh)
-    work.bisect_conforming(element_id)
-    return work.freeze()[0]
 
 
 def refine(mesh, marked, b=1):

@@ -32,9 +32,10 @@ class ProblemSpec:
     coefficients: Coefficients
     exact_clusters: list = None
     reference_values: list = None  # (cluster_index, lambda_ref, provenance)
+    boundary: list = None          # vertex pairs checked against the mesh's own
 
     def initial_mesh(self):
-        return build_initial(self.vertices, self.triangles)
+        return build_initial(self.vertices, self.triangles, boundary=self.boundary)
 
 
 def square_laplace():
@@ -205,6 +206,7 @@ def from_json(path):
         exact_clusters=None,
         reference_values=[tuple(rv) for rv in obj["reference_values"]]
         if "reference_values" in obj else None,
+        boundary=mesh_obj.get("boundary"),
     )
 
 

@@ -5,8 +5,8 @@
 - `evaluate` (with the element search `_locate`): point values and gradients
   of a finite element function;
 - `export_matrixmarket`: MatrixMarket dump of an assembled matrix;
-- `edge_jump_total`: the edge-jump estimator total with every interior edge
-  counted once;
+- `edge_jump_total`: the edge-jump estimator total of a P1 function with
+  every interior edge counted once, by a plain loop over edges;
 - `brute_force_distance`: a Monte-Carlo lower bound on the directed
   eigenspace distance;
 - `directed_distance_from_grams`: the directed distance from Gram data
@@ -24,7 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from afemeig.estimator import _edge_terms, source_indicators
+from afemeig.estimator import _indicators
 from afemeig.fem import assemble_mass, assemble_stiffness, shape_gradients, shape_values
 from afemeig.gap import GapError, _GapWorkspace
 
@@ -153,12 +153,35 @@ def galerkin_project(space, coeffs, value_fn, grad_fn):
 
 
 def edge_jump_total(space, coeffs, vectors):
-    """Independent edge-loop total of h_E ||J_E||^2 (each edge counted once)."""
-    vectors = np.asarray(vectors, float)
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
-    _, _, eta_edge = _edge_terms(space, coeffs, vectors, space.degree + 2)
-    return float(np.sum(eta_edge))
+    """sum over interior edges E of h_E ||J_E||^2_{0,E}, each edge once.
+
+    P1 with piecewise-constant A only: the gradient on each owner is constant,
+    solved from [1, x, y] (c0, g) = u on its three vertices, so the jump
+    J_E = (A g0 - A g1) . nu is constant and ||J_E||^2_{0,E} = |E| J_E^2,
+    with h_E = |E|.
+    """
+    if space.degree != 1 or callable(coeffs.a):
+        raise ValueError("edge_jump_total needs P1 and a piecewise-constant A")
+    mesh = space.mesh
+    vectors = np.asarray(vectors, float).reshape(space.ndofs, -1)
+    amat = coeffs.a_matrix_for(mesh.region)
+    edges, _, owners, _ = mesh.edge_table()
+    total = 0.0
+    for (a, b), (t0, t1) in zip(edges, owners):
+        if t1 < 0:
+            continue
+        tang = mesh.vertices[b] - mesh.vertices[a]
+        length = float(np.hypot(*tang))
+        nu = np.array([tang[1], -tang[0]]) / length
+        for u in vectors.T:
+            flux = []
+            for t in (t0, t1):
+                dofs = space.element_dofs[t]
+                system = np.column_stack([np.ones(3), space.dof_coords[dofs]])
+                g = np.linalg.solve(system, u[dofs])[1:]
+                flux.append((amat[t] if amat is not None else coeffs.a * np.eye(2)) @ g)
+            total += length * length * float((flux[0] - flux[1]) @ nu) ** 2
+    return total
 
 
 def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
@@ -166,8 +189,8 @@ def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
     """Monte-Carlo lower bound on the directed distance.
 
     Samples b-unit coefficient directions on the exact side and takes the max
-    Gram projection error; approaches directed_distance from below as the
-    sample count grows, and matches it for one-dimensional spaces.
+    Gram projection error; approaches `_GapWorkspace.directed()` from below
+    as the sample count grows, and matches it for one-dimensional spaces.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -235,8 +258,8 @@ def calibrate_oscillation_constant(space, coeffs, n_fields=100, seed=0, margin=1
     for _ in range(n_fields):
         v = rng.standard_normal((space.ndofs, 1))
         v[space.dirichlet_dofs, :] = 0.0
-        osc = np.sqrt(source_indicators(space, coeffs, v,
-                                        [lambda p: np.zeros(p.shape[0])]).osc2)
+        osc = np.sqrt(_indicators(space, coeffs, v,
+                                  sources=[lambda p: np.zeros(p.shape[0])]).osc2)
         nrm = _patch_h1_norms(space, coeffs, v)
         mask = nrm > 1e-14
         if np.any(mask):
@@ -256,6 +279,6 @@ def oscillation_lipschitz_check(space, coeffs, V, W, c_est=None):
     if c_est is None:
         c_est = calibrate_oscillation_constant(space, coeffs)
     zeros = [lambda p: np.zeros(p.shape[0])] * V.shape[1]
-    osc_v = np.sqrt(source_indicators(space, coeffs, V, zeros).osc2)
-    osc_w = np.sqrt(source_indicators(space, coeffs, W, zeros).osc2)
+    osc_v = np.sqrt(_indicators(space, coeffs, V, sources=zeros).osc2)
+    osc_w = np.sqrt(_indicators(space, coeffs, W, sources=zeros).osc2)
     return osc_v - osc_w - c_est * _patch_h1_norms(space, coeffs, V - W)

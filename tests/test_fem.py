@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from afemeig import Coefficients, MeshError, assemble_mass, assemble_stiffness, build_space, refine
-from afemeig.fem import (_matvec2, energy_error, interpolate, prolongate, shape_gradients,
-                         shape_values)
+from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, shape_values
 from afemeig.mesh import build_initial
 from afemeig.quadrature import interval_rule, triangle_rule, triangle_rule_subdivided
 
@@ -158,12 +157,12 @@ def test_dirichlet_dofs_lie_on_boundary():
 
 def test_interpolate_reproduces_linears():
     space = build_space(square_mesh(3), 1)
-    vec = interpolate(space, lambda p: p[:, 0])
+    vec = space.dof_coords[:, 0]
     pts = np.random.default_rng(0).uniform(0.05, 0.95, (30, 2))
     vals, grads, inside = evaluate(space, vec, pts)
     assert inside.all()
     assert np.abs(vals - pts[:, 0]).max() < 1e-14
-    vec2 = interpolate(space, lambda p: p[:, 0] + 2 * p[:, 1])
+    vec2 = space.dof_coords @ [1.0, 2.0]
     _, grads2, _ = evaluate(space, vec2, pts)
     assert np.abs(grads2 - [1.0, 2.0]).max() < 1e-12
 
@@ -172,16 +171,16 @@ def test_interpolation_degree_reproduction():
     f = lambda p: p[:, 0] ** 2
     pts = np.random.default_rng(1).uniform(0.1, 0.9, (25, 2))
     s2 = build_space(square_mesh(2), 2)
-    vals2, _, _ = evaluate(s2, interpolate(s2, f), pts)
+    vals2, _, _ = evaluate(s2, f(s2.dof_coords), pts)
     assert np.abs(vals2 - f(pts)).max() < 1e-13
     s1 = build_space(square_mesh(2), 1)
-    vals1, _, _ = evaluate(s1, interpolate(s1, f), pts)
+    vals1, _, _ = evaluate(s1, f(s1.dof_coords), pts)
     assert np.abs(vals1 - f(pts)).max() > 1e-4  # P1 cannot represent x^2
 
 
 def test_evaluate_flags_outside_points():
     space = build_space(square_mesh(2), 1)
-    vec = interpolate(space, lambda p: p[:, 0])
+    vec = space.dof_coords[:, 0]
     vals, _, inside = evaluate(space, vec, [(2.0, 2.0), (0.5, 0.5)])
     assert not inside[0] and inside[1]
     assert np.isnan(vals[0])
@@ -249,6 +248,14 @@ def test_coefficient_validation():
         Coefficients(a={0: [[1.0, 2.0], [2.0, 1.0]]}).a_matrix_for(np.zeros(1, np.int64))
     mat = Coefficients(a={0: [[2.0, 0.5], [0.5, 1.0]]}).a_matrix_for(np.zeros(3, np.int64))
     assert mat.shape == (3, 2, 2)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, lambda p: p[:, 0] - 0.5],
+                         ids=["zero", "negative", "callable-sign-change"])
+def test_nonpositive_diffusion_rejected_at_assembly(a):
+    space = build_space(square_mesh(2), 1)
+    with pytest.raises(MeshError, match="coefficient a is not positive"):
+        assemble_stiffness(space, Coefficients(a=a))
 
 
 def test_region_matrix_assembly_matches_scalar(laplace_coeffs):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness,
-                     build_space, directed_distance, gap_energy, get_problem, run_afem,
+                     build_space, gap_energy, get_problem, run_afem,
                      solve_smallest, square_laplace, uniform_refine)
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
-from afemeig.fem import interpolate
 from afemeig.gap import ExactEigenspace, ExactFunction, GapError, _GapWorkspace
 
 from conftest import square_mesh
@@ -27,7 +26,7 @@ def cluster2_setup():
     M = assemble_mass(space)
     vals, vecs = solve_smallest(K, M, 4)
     V = np.column_stack([space.expand(vecs[:, 1]), space.expand(vecs[:, 2])])
-    cluster = EigenCluster(vals[1:3], V, 2, 2)
+    cluster = EigenCluster(vals[1:3], V)
     return prob, space, co, cluster
 
 
@@ -48,9 +47,9 @@ def test_distance_zero_when_exact_in_space():
     fn = ExactFunction(lambda p: (p[:, 0] + 0.2) / nrm,
                        lambda p: np.tile([1.0 / nrm, 0.0], (p.shape[0], 1)))
     exact = ExactEigenspace(1.0, [fn])
-    v = interpolate(space, lambda p: (p[:, 0] + 0.2) / nrm)
-    cluster = EigenCluster(np.array([1.0]), v[:, None], 1, 1)
-    assert directed_distance(exact, cluster, space, co) <= 1e-10
+    v = fn.value(space.dof_coords)
+    cluster = EigenCluster(np.array([1.0]), v[:, None])
+    assert _GapWorkspace(exact, cluster, space, co).directed() <= 1e-10
     # identical spans make the full gap vanish as well
     assert gap_energy(exact, cluster, space, co) <= 1e-10
 
@@ -65,11 +64,11 @@ def test_gap_grams_equal_matrix_grams(name, degree):
     co = prob.coefficients
     rng = np.random.default_rng(degree)
     V = np.column_stack([
-        interpolate(space, lambda p: p[:, 0] + 0.2),    # nonzero Dirichlet entries
+        space.dof_coords[:, 0] + 0.2,                   # nonzero Dirichlet entries
         rng.standard_normal(space.ndofs),
         space.expand(rng.standard_normal(space.n_free)),
     ])
-    ws = _GapWorkspace(prob.exact_clusters[0], EigenCluster(np.ones(3), V, 1, 3),
+    ws = _GapWorkspace(prob.exact_clusters[0], EigenCluster(np.ones(3), V),
                        space, co)
     S = V.T @ (assemble_stiffness(space, co, apply_dirichlet=False) @ V)
     SM = V.T @ (assemble_mass(space, apply_dirichlet=False) @ V)
@@ -80,7 +79,7 @@ def test_gap_grams_equal_matrix_grams(name, degree):
 def test_brute_force_bounds_directed(cluster2_setup):
     prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    d = directed_distance(exact, cluster, space, co)
+    d = _GapWorkspace(exact, cluster, space, co).directed()
     bf = brute_force_distance(exact, cluster, space, co, 100_000)
     assert bf <= d + 1e-12
     assert bf == pytest.approx(d, rel=1e-3)
@@ -91,9 +90,9 @@ def test_brute_force_exact_for_q1(cluster2_setup):
     K = assemble_stiffness(space, co)
     M = assemble_mass(space)
     vals, vecs = solve_smallest(K, M, 1)
-    cl1 = EigenCluster(vals[:1], space.expand(vecs[:, 0])[:, None], 1, 1)
+    cl1 = EigenCluster(vals[:1], space.expand(vecs[:, 0])[:, None])
     exact = prob.exact_clusters[0]
-    d = directed_distance(exact, cl1, space, co)
+    d = _GapWorkspace(exact, cl1, space, co).directed()
     bf = brute_force_distance(exact, cl1, space, co, 1000)
     assert bf == pytest.approx(d, rel=1e-12)
 
@@ -123,14 +122,15 @@ def test_gap_invariant_under_recombination(cluster2_setup):
     for _ in range(5):
         th = rng.uniform(0, 2 * math.pi)
         Q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        delta2 = gap_energy(exact, cluster.recombine(Q), space, co)
+        delta2 = gap_energy(exact, EigenCluster(cluster.values, cluster.vectors @ Q),
+                            space, co)
         assert delta2 == pytest.approx(delta, abs=1e-10)
 
 
 def test_dimension_mismatch_rejected(cluster2_setup):
     prob, space, co, cluster = cluster2_setup
     with pytest.raises(GapError):
-        directed_distance(prob.exact_clusters[0], cluster, space, co)
+        gap_energy(prob.exact_clusters[0], cluster, space, co)
 
 
 def test_quadrature_subdivision_converged(cluster2_setup):
@@ -158,7 +158,7 @@ def test_random_perturbed_instances_agree_with_oracle():
         W = vecs[:, 1:3] + 0.1 * rng.standard_normal(vecs[:, 1:3].shape)
         W = m_orthonormalize(W, M)
         V = np.column_stack([space.expand(W[:, 0]), space.expand(W[:, 1])])
-        cl = EigenCluster(vals[1:3], V, 2, 2)
+        cl = EigenCluster(vals[1:3], V)
         ws = _GapWorkspace(exact, cl, space, co)
         d = ws.directed()
         bf = brute_force_distance(exact, cl, space, co, 100_000, seed=trial)

@@ -79,7 +79,7 @@ def test_determinism_for_fixed_input():
     eta = rng.exponential(size=500)
     a = dorfler_mark(eta, 0.37)
     b = dorfler_mark(eta.copy(), 0.37)
-    assert a.marked == b.marked and a.order == b.order
+    assert a == b
 
 
 def test_thousand_trial_suite():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afemeig import MeshError, RefineResult, bisect, build_initial, refine, uniform_refine
+from afemeig import MeshError, RefineResult, build_initial, refine, uniform_refine
 from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh, from_json, red_refine
 
 from conftest import lshape_mesh, square_mesh
@@ -112,17 +112,17 @@ def test_build_hanging_vertex_on_grid(n):
 
 def test_bisect_boundary_triangle():
     m = build_initial([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    m2 = bisect(m, 0)
+    m2 = refine(m, [0]).mesh
     assert m2.n_elements == 2
     assert m2.n_vertices == 4
     assert np.allclose(m2.signed_areas(), 0.25)
-    with pytest.raises(MeshError):
-        bisect(m, 99)
+    with pytest.raises(MeshError, match="out of range"):
+        refine(m, [99])
 
 
 def test_bisect_compatible_pair():
     m = square_mesh()
-    m2 = bisect(m, 0)
+    m2 = refine(m, [0]).mesh
     assert m2.n_elements == 4
     assert m2.n_vertices == 5
     m2.validate()
@@ -131,7 +131,7 @@ def test_bisect_compatible_pair():
 def test_bisect_children_halve_area():
     m = lshape_mesh()
     areas = m.signed_areas()
-    m2 = bisect(m, 2)
+    m2 = refine(m, [2]).mesh
     # children of every bisected parent have half its area
     assert np.isclose(sorted(m2.signed_areas())[0], areas[2] / 2)
 
@@ -141,13 +141,13 @@ def test_refine_empty_marked_is_identity():
     res = refine(m, set())
     assert res.mesh is m
     assert res.refined_set == frozenset()
-    assert res.parent_map == {i: i for i in range(m.n_elements)}
+    assert np.array_equal(res.ancestor, np.arange(m.n_elements))
 
 
 def test_refine_result_takes_ancestor_array():
     m = square_mesh()
-    assert RefineResult(m, set(), [1, 0]).parent_map == {0: 1, 1: 0}
-    with pytest.raises(TypeError):  # the old parent_map dict argument
+    assert RefineResult(m, set(), [1, 0]).ancestor.tolist() == [1, 0]
+    with pytest.raises(TypeError):  # a child -> parent dict is not an ancestor array
         RefineResult(m, set(), {0: 0, 1: 1})
 
 
@@ -157,7 +157,7 @@ def test_refine_completion_on_square():
     # the neighbour shares the marked element's refinement edge: both split
     assert res.refined_set == {0, 1}
     assert res.mesh.n_elements == 4
-    assert set(res.parent_map.values()) == {0, 1}
+    assert set(res.ancestor.tolist()) == {0, 1}
 
 
 def test_refined_set_is_old_minus_survivors():
@@ -166,8 +166,7 @@ def test_refined_set_is_old_minus_survivors():
     marked = set(rng.choice(m.n_elements, size=4, replace=False).tolist())
     res = refine(m, marked, b=1)
     assert marked <= res.refined_set
-    survivors = {res.parent_map[i] for i in range(res.mesh.n_elements)
-                 if res.parent_map[i] not in res.refined_set}
+    survivors = set(res.ancestor.tolist()) - res.refined_set
     assert survivors == set(range(m.n_elements)) - res.refined_set
 
 
@@ -185,7 +184,7 @@ def test_nested_children_inside_parent():
     res = refine(m, {3, 5}, b=1)
     verts = res.mesh.vertices
     old = m.vertices[m.elements]
-    for child, parent in res.parent_map.items():
+    for child, parent in enumerate(res.ancestor):
         tri = old[parent]
         b = np.stack([tri[1] - tri[0], tri[2] - tri[0]], axis=1)
         for v in verts[res.mesh.elements[child]]:
@@ -197,15 +196,15 @@ def test_element_patch():
     m = square_mesh(4)
     nbr = m.element_neighbors()
     interior = int(np.nonzero((nbr >= 0).all(axis=1))[0][0])
-    assert len(m.element_patch(interior)) == 4
+    assert len(set(nbr[interior].tolist())) == 3
     # corner element of the initial L-shape has two boundary edges
     ml = lshape_mesh()
     corner = 0
-    assert len(ml.element_patch(corner)) == 2
-    # symmetry of the patch relation
+    assert (ml.element_neighbors()[corner] >= 0).sum() == 1
+    # symmetry of the neighbour relation
     for t in range(m.n_elements):
-        for s in m.element_patch(t) - {t}:
-            assert t in m.element_patch(s)
+        for s in nbr[t][nbr[t] >= 0]:
+            assert t in nbr[s]
 
 
 def test_shape_regularity_closed_forms():
@@ -310,7 +309,7 @@ def test_red_refine_labeling_is_compatible():
              np.array([(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)]))
     # bisecting any child terminates immediately (compatible pairs only)
     for tok in range(4):
-        bisect(m, tok).validate()
+        refine(m, [tok]).mesh.validate()
 
 
 # a regular hexagon cut into six triangles around its centre
@@ -324,7 +323,7 @@ def test_incompatible_labeling_detected_and_repaired():
     # build_initial's repair sweep produces a terminating labeling anyway
     m = build_initial(_FAN_VERTS, _FAN_TRIS)
     for tok in range(m.n_elements):
-        bisect(m, tok).validate()
+        refine(m, [tok]).mesh.validate()
 
 
 def test_incompatible_labeling_fails_fast():
@@ -337,7 +336,7 @@ def test_incompatible_labeling_fails_fast():
     start = time.perf_counter()
     for tok in range(m.n_elements):
         with pytest.raises(MeshError, match="does not terminate"):
-            bisect(m, tok)
+            refine(m, [tok])
     with pytest.raises(MeshError, match="does not terminate"):
         refine(m, range(m.n_elements), b=2)
     assert time.perf_counter() - start < 1.0

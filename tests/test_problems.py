@@ -1,11 +1,17 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from afemeig import build_space, get_problem, harmonic_oscillator, lshape_laplace, square_laplace
+from afemeig import (AfemConfig, MeshError, build_space, get_problem, harmonic_oscillator,
+                     lshape_laplace, run_afem, square_laplace)
 from afemeig.mesh import uniform_refine
+
+_SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+           "elements": [[0, 1, 2], [0, 2, 3]],
+           "boundary": [[0, 1], [1, 2], [2, 3], [0, 3]]}
 
 
 def _exact_grams(prob, rounds=10):
@@ -90,9 +96,7 @@ def test_registry_and_errors():
 def test_problem_from_json(tmp_path):
     spec = {
         "name": "weighted-box",
-        "mesh": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
-                 "elements": [[0, 1, 2], [0, 2, 3]],
-                 "boundary": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+        "mesh": _SQUARE,
         "coefficients": {"A": 2.0,
                          "c": {"type": "radial", "scale": 0.5, "power": 2}},
         "reference_values": [[1, 40.0, "made up"]],
@@ -118,3 +122,23 @@ def test_polynomial_coefficient_descriptor(tmp_path):
     prob = get_problem(f"file:{path}")
     pts = np.array([[2.0, 1.0]])
     assert prob.coefficients.c_at(pts)[0] == pytest.approx(4.0 + 3.0)
+
+
+def test_problem_from_json_checks_boundary(tmp_path):
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({"mesh": dict(_SQUARE, boundary=[[0, 1], [1, 2]])}))
+    with pytest.raises(MeshError, match="open or inconsistent boundary"):
+        get_problem(f"file:{path}").initial_mesh()
+
+
+@pytest.mark.parametrize("A", [-1.0, 0.0])
+def test_nonpositive_diffusion_fails_fast(tmp_path, A):
+    # a negative A gives a negative spectrum that cluster detection merges
+    # into one cluster, and A = 0 a singular stiffness matrix: both used to
+    # run for tens of seconds before they failed or were stopped
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"mesh": _SQUARE, "coefficients": {"A": A}}))
+    start = time.perf_counter()
+    with pytest.raises(MeshError, match="coefficient a is not positive"):
+        run_afem(AfemConfig(problem=f"file:{path}", max_dof=300))
+    assert time.perf_counter() - start < 1.0
