@@ -107,8 +107,11 @@ def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     for m in range(vectors.shape[1]):
         local = vectors[:, m][space.element_dofs]
         uq = np.einsum("eb,bq->eq", local, rule.vals)
-        hess_ref = np.einsum("eb,bij->eij", local, href)
-        hess_phys = np.einsum("eki,ekl,elj->eij", rule.Binv, hess_ref, rule.Binv)
+        if href.any():
+            hess_phys = np.einsum("eki,ekl,elj->eij", rule.Binv,
+                                  np.einsum("eb,bij->eij", local, href), rule.Binv)
+        else:  # P1: every reference Hessian is zero
+            hess_phys = np.zeros((mesh.n_elements, 2, 2))
         if sources is not None:
             r0 = np.asarray(sources[m](xq.reshape(-1, 2)), float).reshape(xq.shape[:2])
         else:

@@ -10,6 +10,11 @@ neighbour across the refinement edge first whenever its own refinement edge
 disagrees (implemented with an explicit stack, so chains of any length are
 fine).
 
+The initial labeling is the largest edge of each element under one strict
+order on edges: length first, then the sorted vertex pair.  It makes every
+completion chain terminate, because along a chain the refinement edges
+strictly increase in that order.
+
 Refinement works on the element-neighbour array: a bisection rewires the
 pointers of its two children and of the parent's two outer neighbours in
 O(1).  Each `refine` call still has an O(elements) cost on top: it converts
@@ -19,7 +24,6 @@ mesh's arrays by numpy indexing.
 
 import itertools
 import json
-import warnings
 
 import numpy as np
 
@@ -172,6 +176,7 @@ class Mesh:
             "vertices": self.vertices.tolist(),
             "elements": self.elements.tolist(),
             "boundary": self.boundary_edges.tolist(),
+            "region": self.region.tolist(),
         }
         if path is None:
             return json.dumps(obj)
@@ -211,63 +216,6 @@ class RefineResult:
         self.ancestor = np.asarray(ancestor, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# initial labeling
-
-
-def _longest_edge_labels(vertices, elements):
-    v = vertices[elements]
-    lens = np.empty((elements.shape[0], 3))
-    for i, (a, b) in enumerate(_EDGE_VERTS):
-        lens[:, i] = np.linalg.norm(v[:, b] - v[:, a], axis=1)
-    return np.argmax(lens, axis=1)  # argmax takes lowest index on ties
-
-
-def _successors(nbr, refedge):
-    """Directed completion graph: t -> neighbour across t's refinement edge
-    when that neighbour refines a different edge; -1 for terminal."""
-    succ = nbr[np.arange(refedge.size), refedge]
-    t = np.flatnonzero(succ >= 0)
-    succ[t[nbr[succ[t], refedge[succ[t]]] == t]] = -1
-    return succ
-
-
-def _find_cycle(succ):
-    """Return the elements of one cycle of the successor graph, or None."""
-    succ = succ.tolist()
-    state = [0] * len(succ)  # 0 new, 1 active, 2 done
-    for start in range(len(succ)):
-        if state[start]:
-            continue
-        path = []
-        t = start
-        while t >= 0 and state[t] == 0:
-            state[t] = 1
-            path.append(t)
-            t = succ[t]
-        if t >= 0 and state[t] == 1:
-            return path[path.index(t):]
-        for p in path:
-            state[p] = 2
-    return None
-
-
-def _repair_labels(nbr, refedge, max_sweeps):
-    """Break cycles in the completion graph by re-pointing one member of each
-    cycle at its predecessor's refinement edge (compatible pair). Returns True
-    on success."""
-    for _ in range(max_sweeps):
-        succ = _successors(nbr, refedge)
-        cycle = _find_cycle(succ)
-        if cycle is None:
-            return True
-        t0 = cycle[0]
-        t1 = succ[t0]
-        # the edge t1 shares with t0 is t0's refinement edge
-        refedge[t1] = int(np.flatnonzero(nbr[t1] == t0)[0])
-    return _find_cycle(_successors(nbr, refedge)) is None
-
-
 # Up to this many vertex-edge pairs, testing every pair is faster than
 # importing scipy.spatial (~0.1 s) and querying a k-d tree: in fresh
 # processes the two cost the same, 0.1-0.13 s, at 0.45-0.66 million pairs
@@ -302,44 +250,16 @@ def _hanging_vertex(vertices, edges):
     return int(vid[k]), int(eid[k])
 
 
-def red_refine(vertices, elements, region):
-    """Uniform 4-way (red) split with a labeling that is always compatible:
-    every child refines an edge of the inner medial triangle, so completion
-    chains never leave a parent."""
-    vertices = np.asarray(vertices, float)
-    elements = np.asarray(elements, np.int64)
-    pairs = np.sort(elements[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-    nv = vertices.shape[0]
-    edges, inverse, _ = _unique_edges(pairs, nv)
-    elem_edges = inverse.reshape(-1, 3)
-    mids = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
-    new_vertices = np.vstack([vertices, mids])
-    new_elements = []
-    new_refedge = []
-    new_region = []
-    for t in range(elements.shape[0]):
-        v0, v1, v2 = elements[t]
-        m0, m1, m2 = nv + elem_edges[t]  # m_i on edge opposite vertex i
-        # corners keep the parent's orientation; each refines its medial edge
-        new_elements += [
-            (v0, m2, m1),   # medial edge (m2, m1) is local edge 0
-            (v1, m0, m2),
-            (v2, m1, m0),
-            (m0, m1, m2),   # central child, refines (m1, m2) = local edge 0
-        ]
-        new_refedge += [0, 0, 0, 0]
-        new_region += [region[t]] * 4
-    return new_vertices, np.array(new_elements, np.int64), \
-        np.array(new_refedge, np.int64), np.array(new_region, np.int64)
-
-
 def build_initial(vertices, triangles, boundary=None, region=None):
-    """Construct a mesh from raw arrays, assigning a compatible labeling.
+    """Construct a mesh from raw arrays, labeling each element's largest edge.
 
-    Refinement edges start as longest edges (ties broken by lowest local edge
-    index); if the induced completion graph has cycles, a repair sweep
-    re-labels cycle members, and as a last resort one global red refinement
-    is applied, after which a compatible labeling always exists.
+    Edges are ordered strictly by length, then by their sorted vertex pair,
+    and every element refines its largest edge in that order.  Completion
+    then terminates: along a chain t -> n (n across t's refinement edge,
+    refining another edge) n's refinement edge is larger than t's, so the
+    refinement edges strictly increase and no chain can close on itself.
+
+    `region` gives one integer material tag per triangle (default all 0).
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -368,11 +288,15 @@ def build_initial(vertices, triangles, boundary=None, region=None):
         bad = int(np.argmin(areas))
         raise MeshError(f"element {bad} is inverted or degenerate (signed area {areas[bad]:g})")
 
-    region = np.zeros(len(triangles), np.int64) if region is None else \
-        np.asarray(region, np.int64)
+    region = np.zeros(len(triangles), np.int64) if region is None else np.asarray(region)
+    if region.shape != (len(triangles),):
+        raise MeshError(f"region must list one tag per triangle: got {region.size} "
+                        f"for {len(triangles)} triangles")
+    if region.dtype.kind not in "iu":
+        raise MeshError("region tags must be integers")
 
     pairs = np.sort(triangles[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-    edges, _, counts = _unique_edges(pairs, len(vertices))
+    edges, inverse, counts = _unique_edges(pairs, len(vertices))
     if np.any(counts > 2):
         bad = edges[counts > 2][0]
         raise MeshError(f"non-conforming input: edge {tuple(bad)} has {counts.max()} owners")
@@ -391,17 +315,12 @@ def build_initial(vertices, triangles, boundary=None, region=None):
             raise MeshError("open or inconsistent boundary: supplied boundary edges "
                             "do not match the mesh's single-owner edges")
 
-    mesh = Mesh(vertices, triangles, _longest_edge_labels(vertices, triangles),
+    # a stable sort by length keeps ties in vertex-pair order
+    lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
+    rank = np.empty(edges.shape[0], np.int64)
+    rank[np.argsort(lengths, kind="stable")] = np.arange(edges.shape[0])
+    mesh = Mesh(vertices, triangles, np.argmax(rank[inverse.reshape(-1, 3)], axis=1),
                 np.zeros(len(triangles), np.int64), region, derived_boundary)
-    if not _repair_labels(mesh.element_neighbors(), mesh.refinement_edge,
-                          max_sweeps=4 * len(triangles) + 8):
-        warnings.warn("refinement-edge labeling could not be repaired; applying one "
-                      "global red refinement", stacklevel=2)
-        vertices, triangles, refedge, region = red_refine(vertices, triangles, region)
-        pairs = np.sort(triangles[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-        edges, _, counts = _unique_edges(pairs, len(vertices))
-        mesh = Mesh(vertices, triangles, refedge, np.zeros(len(triangles), np.int64),
-                    region, edges[counts == 1])
     mesh.validate()
     return mesh
 
@@ -551,4 +470,4 @@ def from_json(source):
             obj = json.load(fh)
     return build_initial(np.array(obj["vertices"], float),
                          np.array(obj["elements"], np.int64),
-                         boundary=obj.get("boundary"))
+                         boundary=obj.get("boundary"), region=obj.get("region"))

@@ -33,9 +33,11 @@ class ProblemSpec:
     exact_clusters: list = None
     reference_values: list = None  # (cluster_index, lambda_ref, provenance)
     boundary: list = None          # vertex pairs checked against the mesh's own
+    region: list = None            # one material tag per triangle, default all 0
 
     def initial_mesh(self):
-        return build_initial(self.vertices, self.triangles, boundary=self.boundary)
+        return build_initial(self.vertices, self.triangles, boundary=self.boundary,
+                             region=self.region)
 
 
 def square_laplace():
@@ -207,6 +209,7 @@ def from_json(path):
         reference_values=[tuple(rv) for rv in obj["reference_values"]]
         if "reference_values" in obj else None,
         boundary=mesh_obj.get("boundary"),
+        region=mesh_obj.get("region"),
     )
 
 

@@ -128,6 +128,14 @@ def test_first_n_one_matches_cluster_one(tmp_path):
         _strip_seconds(trace_to_csv_text(tr_b))
 
 
+def test_first_n_splitting_a_multiplet_extends_the_window():
+    # the square's lambda_2 = lambda_3 = 5 pi^2 stays a pair under refinement,
+    # so first_n = 2 cannot cut it and is widened to 3
+    with pytest.warns(UserWarning, match="splits a multiplet; extending to 3"):
+        tr = run_afem_first_n(AfemConfig(problem="square", first_n=2, max_dof=1500))
+    assert tr.n_lambda == 3
+
+
 def test_cluster_identity_mismatch_aborts():
     # the square's second cluster has multiplicity 2, not 3
     cfg = AfemConfig(problem="square", degree=1, cluster_index=2,

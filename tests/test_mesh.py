@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afemeig import MeshError, RefineResult, build_initial, refine, uniform_refine
-from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh, from_json, red_refine
+from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh, from_json
 
 from conftest import lshape_mesh, square_mesh
 
@@ -286,7 +287,20 @@ def test_json_round_trip(tmp_path):
     assert np.allclose(m.vertices, m2.vertices)
     assert np.array_equal(m.elements, m2.elements)
     obj = json.loads(m.to_json())
-    assert set(obj) == {"vertices", "elements", "boundary"}
+    assert set(obj) == {"vertices", "elements", "boundary", "region"}
+    two = build_initial(m.vertices, m.elements, region=np.arange(m.n_elements) % 2)
+    assert np.array_equal(from_json(two.to_json()).region, two.region)
+
+
+@pytest.mark.parametrize("region, message", [
+    ([0, 1, 0], "one tag per triangle: got 3 for 2 triangles"),
+    ([0, 1.5], "must be integers"),
+    (["0", "1"], "must be integers"),
+])
+def test_build_rejects_bad_region(region, message):
+    with pytest.raises(MeshError, match=message):
+        build_initial([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)],
+                      region=region)
 
 
 def test_vtk_export(tmp_path):
@@ -299,19 +313,6 @@ def test_vtk_export(tmp_path):
     assert f"CELLS {m.n_elements} {4 * m.n_elements}" in text
 
 
-def test_red_refine_labeling_is_compatible():
-    verts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)])
-    tris = np.array([(0, 1, 2)])
-    v, t, r, reg = red_refine(verts, tris, np.zeros(1, np.int64))
-    assert t.shape == (4, 3)
-    from afemeig.mesh import Mesh
-    m = Mesh(v, t, r, np.zeros(4, np.int64), reg,
-             np.array([(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)]))
-    # bisecting any child terminates immediately (compatible pairs only)
-    for tok in range(4):
-        refine(m, [tok]).mesh.validate()
-
-
 # a regular hexagon cut into six triangles around its centre
 _FAN_VERTS = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2), (-0.5, math.sqrt(3) / 2),
               (-1, 0), (-0.5, -math.sqrt(3) / 2), (0.5, -math.sqrt(3) / 2)]
@@ -319,8 +320,8 @@ _FAN_TRIS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 6, 1)]
 
 
 def test_incompatible_labeling_detected_and_repaired():
-    # force a 3-cycle of refinement edges on a symmetric fan, then check that
-    # build_initial's repair sweep produces a terminating labeling anyway
+    # every edge of the regular hexagon fan has length 1 up to rounding, so a
+    # labeling by length alone could cycle; the strict edge order cannot
     m = build_initial(_FAN_VERTS, _FAN_TRIS)
     for tok in range(m.n_elements):
         refine(m, [tok]).mesh.validate()
@@ -340,6 +341,40 @@ def test_incompatible_labeling_fails_fast():
     with pytest.raises(MeshError, match="does not terminate"):
         refine(m, range(m.n_elements), b=2)
     assert time.perf_counter() - start < 1.0
+
+
+# twelve integer points on the circle of radius 5: every spoke has length
+# exactly 5, longer than every rim edge, so each fan triangle ties its two
+# spokes, and "lowest local index" would label a 12-cycle around the hub
+_RIM5 = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0), (-4, -3),
+         (-3, -4), (0, -5), (3, -4), (4, -3)]
+
+
+def _tied_fans(m):
+    """`m` disjoint 12-triangle fans side by side."""
+    one = np.array([(0, 0)] + _RIM5, float)
+    verts = np.concatenate([one + (11.0 * k, 0.0) for k in range(m)])
+    tris = np.array([(0, 1 + i, 1 + (i + 1) % 12) for i in range(12)])
+    return verts, np.concatenate([tris + 13 * k for k in range(m)])
+
+
+def test_tied_spoke_fan_labeling_terminates():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = build_initial(*_tied_fans(1))
+    for tok in range(m.n_elements):
+        refine(m, [tok]).mesh.validate()
+    refine(m, range(m.n_elements), b=2).mesh.validate()
+
+
+def test_tied_spoke_fans_build_in_linear_time():
+    # longest-edge labels plus cycle-repair sweeps took about 7 s for these 24k
+    # elements, quadratic in their number; the strict edge order takes 0.4 s
+    # (2-vCPU host)
+    verts, tris = _tied_fans(2000)
+    start = time.perf_counter()
+    build_initial(verts, tris)
+    assert time.perf_counter() - start < 1.25
 
 
 def _digest(arrays):

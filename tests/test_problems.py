@@ -142,3 +142,15 @@ def test_nonpositive_diffusion_fails_fast(tmp_path, A):
     with pytest.raises(MeshError, match="coefficient a is not positive"):
         run_afem(AfemConfig(problem=f"file:{path}", max_dof=300))
     assert time.perf_counter() - start < 1.0
+
+
+def test_problem_from_json_reads_region_tags(tmp_path):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    path = tmp_path / "regions.json"
+    path.write_text(json.dumps({"mesh": dict(_SQUARE, region=[0, 1]),
+                                "coefficients": {"A": {"regions": {"0": eye, "1": eye}}}}))
+    assert get_problem(f"file:{path}").initial_mesh().region.tolist() == [0, 1]
+    path.write_text(json.dumps({"mesh": dict(_SQUARE, region=[0, 1]),
+                                "coefficients": {"A": {"regions": {"0": eye}}}}))
+    with pytest.raises(MeshError, match=r"no coefficient matrix for region tags \[1\]"):
+        run_afem(AfemConfig(problem=f"file:{path}", max_dof=300))
