@@ -28,7 +28,8 @@ import scipy.sparse.linalg as spla
 from . import plotting
 from .eigsolve import EigenCluster, detect_cluster, solve_smallest
 from .estimator import _indicators, eigen_indicators
-from .fem import assemble_mass, assemble_stiffness, assemble_load, build_space, energy_error
+from .fem import (assemble_mass, assemble_stiffness, assemble_load, build_space,
+                  energy_error, prolongate)
 from .gap import gap_energy
 from .marking import dorfler_mark
 from .mesh import refine, uniform_refine
@@ -60,6 +61,8 @@ class AfemConfig:
     eig_tol: float = 1e-10
     compute_gap: bool = True
     marking: str = "dorfler"         # "dorfler" | "uniform"
+    # the Lanczos start vector of cold solves (the cluster lock and row 0) and
+    # the 1e-6 random part of the warm start of every later row
     seed: int = 2357
 
     def __post_init__(self):
@@ -247,16 +250,18 @@ def _adaptive_loop(problem, config, mesh, step, meta, t0):
     zero, the space reaches `max_dof` free dofs, or `max_iterations`
     refinements were made.
 
-    `step(disc)` returns (IndicatorField, tracked eigenvalues, gap2, cluster
-    sizes); row 0's seconds count from `t0`.
+    `step(disc, ancestor)` returns (IndicatorField, tracked eigenvalues, gap2,
+    cluster sizes); `ancestor` maps each element to its element on the row
+    before, and is None on row 0.  Row 0's seconds count from `t0`.
     """
     trace = AfemTrace()
     trace.meta = {"problem": problem.name, "degree": config.degree,
                   "theta": config.theta, "marking": config.marking,
                   "b": config.bisections, "max_dof": config.max_dof, **meta}
+    ancestor = None
     for it in range(config.max_iterations + 1):
         disc = _Discretization(problem, mesh, config.degree)
-        ind, lambdas, gap2, sizes = step(disc)
+        ind, lambdas, gap2, sizes = step(disc, ancestor)
         marked, converged = _mark_elements(config, ind)
         at_max_dof = disc.space.n_free >= config.max_dof
         stop = converged or at_max_dof or it == config.max_iterations
@@ -268,7 +273,8 @@ def _adaptive_loop(problem, config, mesh, step, meta, t0):
         t0 = now
         if stop:
             break
-        mesh = refine(mesh, marked, config.bisections).mesh
+        refined = refine(mesh, marked, config.bisections)
+        mesh, ancestor = refined.mesh, refined.ancestor
     trace.final_mesh = mesh
     trace.meta["status"] = ("converged" if converged else
                             "max_dof" if at_max_dof else "max_iterations")
@@ -374,14 +380,24 @@ def _eigen_step(problem, config, k0, n, certify):
     `certify` aborts unless the window is exactly one detected cluster.
     """
     refs = _reference_values(problem)
+    carried = None     # the row before's space and the sum of its eigenvectors
 
-    def step(disc):
+    def step(disc, ancestor):
+        nonlocal carried
+
         def columns(idx):
             return np.column_stack([disc.space.expand(vecs[:, i]) for i in idx])
 
+        start = None
+        if carried is not None:
+            # the meshes are nested, so the coarse eigenvectors prolongate exactly
+            start = prolongate(carried[0], disc.space, ancestor,
+                               carried[1])[disc.space.free_dofs]
+            carried = None     # frees the coarse space before the solve
         nev = min(k0 + n + 2, disc.space.n_free)
         vals, vecs = solve_smallest(disc.K, disc.M, nev, tol=config.eig_tol,
-                                    seed=config.seed)
+                                    seed=config.seed, start=start)
+        carried = (disc.space, disc.space.expand(vecs.sum(axis=1)))
         clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
         if certify:
             _certify_cluster(clusters, k0, n)
@@ -454,7 +470,7 @@ def run_afem_source(config, sources, exact=None):
     mesh = uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS)
     sources = list(sources)
 
-    def step(disc):
+    def step(disc, ancestor):
         lu = spla.splu(disc.K.tocsc())
         vectors = np.column_stack([
             disc.space.expand(lu.solve(assemble_load(disc.space, f)))

@@ -152,6 +152,25 @@ def test_determinism_small_run(small_cluster2_trace):
         _strip_seconds(trace_to_csv_text(tr2))
 
 
+def test_loop_solves_after_row_0_are_warm_started(monkeypatch):
+    from afemeig import driver
+    calls = []
+    real = driver.solve_smallest
+
+    def spy(K, M, nev, **kw):
+        calls.append((K.shape[0], kw.get("start")))
+        return real(K, M, nev, **kw)
+
+    monkeypatch.setattr(driver, "solve_smallest", spy)
+    tr = run_afem(AfemConfig(problem="lshape", degree=1, max_dof=1500))
+    loop = calls[-len(tr):]         # the lock's solves come first
+    assert [n for n, _ in loop] == tr.n_dofs
+    assert loop[0][1] is None
+    sparse = [(n, start) for n, start in loop[1:] if n > 260]
+    assert len(sparse) >= 3
+    assert all(start is not None and start.shape == (n,) for n, start in sparse)
+
+
 def test_lshape_gap_column_is_reference_proxy():
     cfg = AfemConfig(problem="lshape", degree=1, cluster_index=1,
                      multiplicity=1, max_dof=1500)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from afemeig import assemble_mass, assemble_stiffness, build_space, detect_cluster, solve_smallest
-from afemeig.eigsolve import EigenCluster, m_orthonormalize, residual_norms
-from afemeig.mesh import uniform_refine
+from afemeig.eigsolve import EigenCluster, EigensolverError, m_orthonormalize, residual_norms
+from afemeig.fem import prolongate
+from afemeig.mesh import refine, uniform_refine
 
 from conftest import square_mesh
 
@@ -134,6 +136,8 @@ def test_solver_input_validation():
         solve_smallest(K, K, 5)
     with pytest.raises(ValueError):
         solve_smallest(K, sp.identity(3, format="csr"), 1)
+    with pytest.raises(ValueError):
+        solve_smallest(K, K, 1, start=np.ones(3))
 
 
 def test_determinism_of_eigensolve():
@@ -144,3 +148,59 @@ def test_determinism_of_eigensolve():
     assert np.array_equal(v1, v2)
     assert np.array_equal(x1, x2)
 
+
+
+def _tridiagonal(n, diag, off):
+    return sp.diags([np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off)],
+                    [-1, 0, 1])
+
+
+def test_start_in_one_block_still_finds_the_smallest():
+    # two uncoupled blocks whose spectra interleave; a start vector inside the
+    # first block spans a Krylov space that never reaches the second one
+    a, b = 150, 140
+    K = sp.block_diag([_tridiagonal(a, 2.0, -1.0),
+                       _tridiagonal(b, 2.6, -1.3)]).tocsr()
+    M = sp.block_diag([_tridiagonal(a, 4 / 6, 1 / 6),
+                       _tridiagonal(b, 4 / 6, 1 / 6)]).tocsr()
+    assert K.shape[0] > 260
+    nev = 4
+    exact = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                     subset_by_index=[0, nev - 1])
+    start = np.zeros(a + b)
+    start[:a] = np.sin(np.pi * np.arange(1, a + 1) / (a + 1))
+    vals, _ = solve_smallest(K, M, nev, start=start)
+    np.testing.assert_allclose(vals, exact, rtol=1e-9)
+
+
+def test_singular_stiffness_raises_on_the_sparse_path():
+    _, K, M = _laplace_system(9)
+    assert K.shape[0] > 260
+    K = K.tolil()
+    K[50, :] = 0.0
+    K[:, 50] = 0.0
+    with pytest.raises(EigensolverError, match="factorization failed"):
+        solve_smallest(K.tocsr(), M, 3)
+
+
+def test_warm_start_on_a_refined_mesh_matches_cold_and_dense():
+    from afemeig import Coefficients
+    coarse_mesh = square_mesh(8)
+    coarse = build_space(coarse_mesh, 1)
+    co = Coefficients()
+    nev = 5
+    _, coarse_vecs = solve_smallest(assemble_stiffness(coarse, co),
+                                    assemble_mass(coarse), nev)
+    centroids = coarse_mesh.vertices[coarse_mesh.elements].mean(axis=1)
+    result = refine(coarse_mesh, np.nonzero(centroids.sum(axis=1) < 0.8)[0])
+    fine = build_space(result.mesh, 1)
+    K, M = assemble_stiffness(fine, co), assemble_mass(fine)
+    assert 260 < K.shape[0] < 2000
+    start = prolongate(coarse, fine, result.ancestor,
+                       coarse.expand(coarse_vecs.sum(axis=1)))[fine.free_dofs]
+    warm, _ = solve_smallest(K, M, nev, start=start)
+    cold, _ = solve_smallest(K, M, nev)
+    dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                     subset_by_index=[0, nev - 1])
+    np.testing.assert_allclose(warm, cold, rtol=1e-12)
+    np.testing.assert_allclose(warm, dense, rtol=1e-12)
