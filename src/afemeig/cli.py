@@ -48,20 +48,20 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    config = AfemConfig(
-        problem=args.problem,
-        degree=args.degree,
-        theta=args.theta,
-        bisections=args.bisections,
-        cluster_index=args.cluster,
-        multiplicity=args.multiplicity,
-        first_n=args.first_n,
-        max_dof=int(args.max_dof),
-        eig_tol=args.eig_tol,
-        compute_gap=not args.no_gap,
-        marking="uniform" if args.uniform else "dorfler",
-    )
     try:
+        config = AfemConfig(
+            problem=args.problem,
+            degree=args.degree,
+            theta=args.theta,
+            bisections=args.bisections,
+            cluster_index=args.cluster,
+            multiplicity=args.multiplicity,
+            first_n=args.first_n,
+            max_dof=int(args.max_dof),
+            eig_tol=args.eig_tol,
+            compute_gap=not args.no_gap,
+            marking="uniform" if args.uniform else "dorfler",
+        )
         trace = run_afem_first_n(config) if args.first_n else run_afem(config)
     except ClusterIdentityError as exc:
         print(f"afem: cluster identity lost: {exc}", file=sys.stderr)

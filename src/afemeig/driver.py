@@ -9,10 +9,11 @@ first-N mode is J = {0, ..., N-1}.  A source-problem step drives the same loop
 for the vector boundary-value problem, which is how the estimator plumbing is
 validated independently of the eigensolver.
 
-Cluster identity is locked at iteration 0 (position k0 and multiplicity q) and
-never re-decided; if a later mesh's spectrum no longer shows a cluster with
-exactly that extent, the run aborts rather than silently tracking something
-else.
+The window is locked once, on the initial mesh (position k0 and extent n),
+and never re-decided; the lock's last solve is row 0's solve whenever it asked
+for the loop's number of eigenpairs.  If a later mesh's spectrum no longer
+shows the tracked cluster with exactly that extent, the run aborts rather than
+silently tracking something else.
 """
 
 import csv
@@ -61,7 +62,7 @@ class AfemConfig:
     eig_tol: float = 1e-10
     compute_gap: bool = True
     marking: str = "dorfler"         # "dorfler" | "uniform"
-    # the Lanczos start vector of cold solves (the cluster lock and row 0) and
+    # the Lanczos start vector of cold solves (the window lock and row 0) and
     # the 1e-6 random part of the warm start of every later row
     seed: int = 2357
 
@@ -72,6 +73,10 @@ class AfemConfig:
             raise ValueError("cluster_index and multiplicity must be >= 1")
         if self.first_n < 0:
             raise ValueError("first_n must be >= 1 when set")
+        if self.bisections < 1:
+            raise ValueError("bisections must be >= 1")
+        if not self.eig_tol >= 0.0:
+            raise ValueError("eig_tol must be >= 0")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.degree not in (1, 2):
@@ -231,8 +236,8 @@ def fit_slope(trace, y_field, x_field="n_dofs", window=6):
 
 
 class _Discretization:
-    def __init__(self, problem, mesh, degree):
-        self.space = build_space(mesh, degree)
+    def __init__(self, problem, space):
+        self.space = space
         self.coeffs = problem.coefficients
         self.K = assemble_stiffness(self.space, self.coeffs)
         self.M = assemble_mass(self.space)
@@ -245,10 +250,10 @@ def _mark_elements(config, ind):
     return res.marked, res.converged
 
 
-def _adaptive_loop(problem, config, mesh, step, meta, t0):
-    """Solve -> Estimate -> Mark -> Refine from `mesh` until the estimator is
-    zero, the space reaches `max_dof` free dofs, or `max_iterations`
-    refinements were made.
+def _adaptive_loop(problem, config, disc, step, meta, t0):
+    """Solve -> Estimate -> Mark -> Refine from row 0's discretization `disc`
+    until the estimator is zero, the space reaches `max_dof` free dofs, or
+    `max_iterations` refinements were made.
 
     `step(disc, ancestor)` returns (IndicatorField, tracked eigenvalues, gap2,
     cluster sizes); `ancestor` maps each element to its element on the row
@@ -260,22 +265,22 @@ def _adaptive_loop(problem, config, mesh, step, meta, t0):
                   "b": config.bisections, "max_dof": config.max_dof, **meta}
     ancestor = None
     for it in range(config.max_iterations + 1):
-        disc = _Discretization(problem, mesh, config.degree)
         ind, lambdas, gap2, sizes = step(disc, ancestor)
         marked, converged = _mark_elements(config, ind)
         at_max_dof = disc.space.n_free >= config.max_dof
         stop = converged or at_max_dof or it == config.max_iterations
         now = time.perf_counter()
-        trace.add_row(iters=it, n_elements=mesh.n_elements, n_dofs=disc.space.n_free,
-                      marked=0 if stop else len(marked), lambdas=lambdas,
-                      eta2=ind.total_eta2, osc2=ind.total_osc2, gap2=gap2,
-                      seconds=now - t0, cluster_sizes=sizes)
+        trace.add_row(iters=it, n_elements=disc.space.mesh.n_elements,
+                      n_dofs=disc.space.n_free, marked=0 if stop else len(marked),
+                      lambdas=lambdas, eta2=ind.total_eta2, osc2=ind.total_osc2,
+                      gap2=gap2, seconds=now - t0, cluster_sizes=sizes)
         t0 = now
         if stop:
             break
-        refined = refine(mesh, marked, config.bisections)
-        mesh, ancestor = refined.mesh, refined.ancestor
-    trace.final_mesh = mesh
+        refined = refine(disc.space.mesh, marked, config.bisections)
+        disc = _Discretization(problem, build_space(refined.mesh, config.degree))
+        ancestor = refined.ancestor
+    trace.final_mesh = disc.space.mesh
     trace.meta["status"] = ("converged" if converged else
                             "max_dof" if at_max_dof else "max_iterations")
     return trace
@@ -285,73 +290,51 @@ def _adaptive_loop(problem, config, mesh, step, meta, t0):
 # eigenvalue runs
 
 
-def _prepared_mesh(problem, config, nev_needed):
-    """Initial mesh with uniform pre-refinements; extra rounds keep the coarse
-    eigensolve well posed when the free-dof count is too small."""
+def _lock_window(problem, config):
+    """Row 0's discretization, its solve `(vals, vecs)` and the window (k0, n).
+
+    The initial mesh gets `PRE_REFINEMENTS` uniform rounds, and more while the
+    coarse eigensolve would be ill posed.  A cluster run then needs a cluster
+    of the configured multiplicity at the configured position, solving for
+    more eigenpairs until the cluster after it shows; a first-N run needs N
+    not to cut a multiplet.  Each failed check refines the mesh uniformly
+    once more, and only a persistent split extends N (with a warning).
+    """
+    n, q, k = config.first_n, config.multiplicity, config.cluster_index
+    nev = n + 2 if n else k - 1 + q + 2
     mesh = uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS)
     for _ in range(12):
         space = build_space(mesh, config.degree)
-        if space.n_free >= nev_needed + 3:
-            return mesh
+        if space.n_free >= nev + 3:
+            break
         mesh = uniform_refine(mesh, 1)
-    raise RuntimeError("could not reach a solvable initial mesh")
-
-
-def _lock_cluster(problem, config):
-    """Initial mesh and window (k0, q) of the tracked cluster.
-
-    Retries with extra uniform pre-refinement when the coarse spectrum does
-    not yet show a cluster of the configured multiplicity at the configured
-    position.
-    """
-    q = config.multiplicity
-    nev_guess = config.cluster_index - 1 + q + 2
-    mesh = _prepared_mesh(problem, config, nev_guess)
-    sizes = []
-    for _ in range(7):
-        disc = _Discretization(problem, mesh, config.degree)
-        nev = nev_guess
+    else:
+        raise RuntimeError("could not reach a solvable initial mesh")
+    for attempt in range(7):
+        if attempt:
+            space = build_space(uniform_refine(space.mesh, 1), config.degree)
+        disc = _Discretization(problem, space)
+        wanted = nev
         while True:
-            nev_solve = min(nev, disc.space.n_free)
-            vals, _ = solve_smallest(disc.K, disc.M, nev_solve,
-                                     tol=config.eig_tol, seed=config.seed)
+            vals, vecs = solve_smallest(disc.K, disc.M, min(wanted, space.n_free),
+                                        tol=config.eig_tol, seed=config.seed)
             clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
-            if len(clusters) > config.cluster_index or nev_solve == disc.space.n_free:
+            if n or len(clusters) > k or vals.size == space.n_free:
                 break
-            nev += q + 2
-        sizes = [len(c) for c in clusters]
-        if len(clusters) > config.cluster_index:
-            chosen = clusters[config.cluster_index - 1]
-            if len(chosen) == q:
-                return mesh, chosen[0], q
-        mesh = uniform_refine(mesh, 1)
+            wanted += q + 2
+        if n:
+            straddle = next((c for c in clusters if c[0] < n <= c[-1]), None)
+            if straddle is None:
+                return disc, (vals, vecs), (0, n)
+        elif len(clusters) > k and len(clusters[k - 1]) == q:
+            return disc, (vals, vecs), (clusters[k - 1][0], q)
+    if n:
+        warnings.warn(f"first_n={n} splits a multiplet; extending to {straddle[-1] + 1}",
+                      stacklevel=4)
+        return disc, (vals, vecs), (0, straddle[-1] + 1)
     raise ClusterIdentityError(
-        f"no cluster of multiplicity {q} at position {config.cluster_index} "
-        f"resolved on the initial mesh (detected sizes {sizes})")
-
-
-def _lock_first_n(problem, config):
-    """Initial mesh and window (0, N) for first-N mode.
-
-    N must cover whole clusters; when the coarse spectrum shows N cutting a
-    multiplet, the mesh is pre-refined until the boundary resolves, and only a
-    persistent split extends N (with a warning).
-    """
-    n = config.first_n
-    mesh = _prepared_mesh(problem, config, n + 2)
-    for _ in range(7):
-        disc = _Discretization(problem, mesh, config.degree)
-        nev = min(n + 2, disc.space.n_free)
-        vals, _ = solve_smallest(disc.K, disc.M, nev, tol=config.eig_tol,
-                                 seed=config.seed)
-        clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
-        straddle = next((c for c in clusters if c[0] < n <= c[-1]), None)
-        if straddle is None:
-            return mesh, 0, n
-        mesh = uniform_refine(mesh, 1)
-    warnings.warn(f"first_n={n} splits a multiplet; extending to {straddle[-1] + 1}",
-                  stacklevel=4)
-    return mesh, 0, straddle[-1] + 1
+        f"no cluster of multiplicity {q} at position {k} resolved on the "
+        f"initial mesh (detected sizes {[len(c) for c in clusters]})")
 
 
 def _certify_cluster(clusters, k0, q):
@@ -369,7 +352,7 @@ def _reference_values(problem):
     return {idx: val for idx, val, _ in (problem.reference_values or [])}
 
 
-def _eigen_step(problem, config, k0, n, certify):
+def _eigen_step(problem, config, k0, n, row0):
     """Step over the window J = {k0, ..., k0+n-1}.
 
     The recorded cluster sizes are those of every detected cluster that starts
@@ -377,13 +360,15 @@ def _eigen_step(problem, config, k0, n, certify):
     that list.  gap2 sums the squared energy gaps of the window's clusters to
     their exact eigenspaces, or, without closed-form eigenspaces, their
     eigenvalue errors against the reference values (NaN if one is missing).
-    `certify` aborts unless the window is exactly one detected cluster.
+    A cluster run aborts unless the window is exactly one detected cluster.
+    `row0` is the lock's solve on row 0's mesh; row 0 uses it when it holds
+    the loop's number of eigenpairs.
     """
     refs = _reference_values(problem)
     carried = None     # the row before's space and the sum of its eigenvectors
 
     def step(disc, ancestor):
-        nonlocal carried
+        nonlocal carried, row0
 
         def columns(idx):
             return np.column_stack([disc.space.expand(vecs[:, i]) for i in idx])
@@ -395,11 +380,15 @@ def _eigen_step(problem, config, k0, n, certify):
                                carried[1])[disc.space.free_dofs]
             carried = None     # frees the coarse space before the solve
         nev = min(k0 + n + 2, disc.space.n_free)
-        vals, vecs = solve_smallest(disc.K, disc.M, nev, tol=config.eig_tol,
-                                    seed=config.seed, start=start)
+        if row0 is not None and row0[0].size == nev:
+            vals, vecs = row0
+        else:
+            vals, vecs = solve_smallest(disc.K, disc.M, nev, tol=config.eig_tol,
+                                        seed=config.seed, start=start)
+        row0 = None
         carried = (disc.space, disc.space.expand(vecs.sum(axis=1)))
         clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
-        if certify:
+        if not config.first_n:
             _certify_cluster(clusters, k0, n)
         upto = [c for c in clusters if c[0] < k0 + n]
         window = [(ci, c) for ci, c in enumerate(upto, start=1) if c[0] >= k0]
@@ -423,14 +412,16 @@ def _eigen_step(problem, config, k0, n, certify):
     return step
 
 
-def _run_eigen(config, lock, certify, mode):
+def _run_eigen(config):
     problem = get_problem(config.problem)
     t0 = time.perf_counter()
-    mesh, k0, n = lock(problem, config)
+    disc, row0, (k0, n) = _lock_window(problem, config)
+    mode = (f"first_{config.first_n}" if config.first_n else
+            f"cluster_{config.cluster_index}_q{config.multiplicity}")
     meta = {"mode": mode, "eig_tol": config.eig_tol,
             "label": f"{problem.name} P{config.degree}"}
-    trace = _adaptive_loop(problem, config, mesh,
-                           _eigen_step(problem, config, k0, n, certify), meta, t0)
+    trace = _adaptive_loop(problem, config, disc,
+                           _eigen_step(problem, config, k0, n, row0), meta, t0)
     refs = _reference_values(problem)
     per_value = [refs.get(ci) for ci, size in enumerate(trace.cluster_sizes[-1], start=1)
                  for _ in range(size)]
@@ -442,16 +433,14 @@ def run_afem(config):
     """AFEM for one tracked eigenvalue cluster; returns the iteration trace."""
     if config.first_n:
         raise ValueError("config.first_n is set; use run_afem_first_n")
-    return _run_eigen(config, _lock_cluster, certify=True,
-                      mode=f"cluster_{config.cluster_index}_q{config.multiplicity}")
+    return _run_eigen(config)
 
 
 def run_afem_first_n(config):
     """AFEM tracking the first N eigenpairs with summed indicators."""
     if not config.first_n:
         raise ValueError("config.first_n must be >= 1")
-    return _run_eigen(config, _lock_first_n, certify=False,
-                      mode=f"first_{config.first_n}")
+    return _run_eigen(config)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +456,8 @@ def run_afem_source(config, sources, exact=None):
     """
     problem = get_problem(config.problem)
     t0 = time.perf_counter()
-    mesh = uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS)
+    disc = _Discretization(problem, build_space(
+        uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS), config.degree))
     sources = list(sources)
 
     def step(disc, ancestor):
@@ -483,4 +473,4 @@ def run_afem_source(config, sources, exact=None):
 
     meta = {"mode": f"source_{len(sources)}", "lambda_refs": [],
             "label": f"{problem.name} source P{config.degree}"}
-    return _adaptive_loop(problem, config, mesh, step, meta, t0)
+    return _adaptive_loop(problem, config, disc, step, meta, t0)

@@ -186,16 +186,13 @@ class FeSpace:
             self.dof_coords = mesh.vertices.copy()
             dirichlet = np.unique(mesh.boundary_edges)
         else:
-            edges, elem_edges, _, _ = mesh.edge_table()
+            edges, elem_edges, owners, _ = mesh.edge_table()
             self.element_dofs = np.hstack([mesh.elements, nv + elem_edges])
             mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
             self.dof_coords = np.vstack([mesh.vertices, mids])
-            key = edges[:, 0] * np.int64(nv) + edges[:, 1]
-            bnd = np.sort(mesh.boundary_edges, axis=1)
-            bkey = bnd[:, 0] * np.int64(nv) + bnd[:, 1]
-            bedge_ids = np.searchsorted(key, np.sort(bkey))
-            dirichlet = np.unique(np.concatenate([
-                np.unique(mesh.boundary_edges), nv + bedge_ids]))
+            # the boundary edges are the single-owner edges
+            dirichlet = np.concatenate([np.unique(mesh.boundary_edges),
+                                        nv + np.flatnonzero(owners[:, 1] < 0)])
         self.ndofs = self.dof_coords.shape[0]
         self.dirichlet_dofs = dirichlet
         free_mask = np.ones(self.ndofs, dtype=bool)

@@ -154,21 +154,6 @@ class Mesh:
         rho = 4.0 * areas / perim  # inradius = area / semi-perimeter
         return float(np.max(h / rho))
 
-    def validate(self):
-        """Check conformity invariants; raises MeshError on violation."""
-        if not np.all(np.isfinite(self.vertices)):
-            raise MeshError("non-finite vertex coordinates")
-        if np.any(self.signed_areas() <= 0):
-            raise MeshError("inverted or degenerate element")
-        edges, _, owners, _ = self.edge_table()
-        n_owners = (owners >= 0).sum(axis=1)
-        derived_boundary = edges[n_owners == 1]
-        stored = {tuple(e) for e in np.sort(self.boundary_edges, axis=1).tolist()}
-        derived = {tuple(e) for e in derived_boundary.tolist()}
-        if stored != derived:
-            raise MeshError("boundary edges do not match single-owner edges (open boundary?)")
-        return True
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self, path=None):
@@ -319,10 +304,8 @@ def build_initial(vertices, triangles, boundary=None, region=None):
     lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
     rank = np.empty(edges.shape[0], np.int64)
     rank[np.argsort(lengths, kind="stable")] = np.arange(edges.shape[0])
-    mesh = Mesh(vertices, triangles, np.argmax(rank[inverse.reshape(-1, 3)], axis=1),
+    return Mesh(vertices, triangles, np.argmax(rank[inverse.reshape(-1, 3)], axis=1),
                 np.zeros(len(triangles), np.int64), region, derived_boundary)
-    mesh.validate()
-    return mesh
 
 
 # ---------------------------------------------------------------------------

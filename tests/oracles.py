@@ -1,5 +1,8 @@
 """Test-only oracles: independent checks that never run in the solve path.
 
+- `validate_mesh`: the conformity invariants of a mesh (finite vertices,
+  positive areas, at most two owners per edge, stored boundary equal to the
+  single-owner edges);
 - `monomial_integral`: exact reference-triangle integrals for the quadrature
   tests;
 - `evaluate` (with the element search `_locate`): point values and gradients
@@ -27,6 +30,20 @@ from scipy.sparse.linalg import spsolve
 from afemeig.estimator import _indicators
 from afemeig.fem import assemble_mass, assemble_stiffness, shape_gradients, shape_values
 from afemeig.gap import GapError, _GapWorkspace
+from afemeig.mesh import MeshError
+
+
+def validate_mesh(mesh):
+    """Raise MeshError unless `mesh` satisfies the conformity invariants."""
+    if not np.all(np.isfinite(mesh.vertices)):
+        raise MeshError("non-finite vertex coordinates")
+    if np.any(mesh.signed_areas() <= 0):
+        raise MeshError("inverted or degenerate element")
+    edges, _, owners, _ = mesh.edge_table()    # raises on a third owner
+    derived = {tuple(e) for e in edges[owners[:, 1] < 0].tolist()}
+    stored = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1).tolist()}
+    if stored != derived:
+        raise MeshError("boundary edges do not match single-owner edges (open boundary?)")
 
 
 def monomial_integral(a, b):

@@ -15,6 +15,21 @@ def _strip_seconds(csv_text):
                      for line in csv_text.strip().splitlines())
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """(free dofs, nev, start) of every solve_smallest call of the driver."""
+    from afemeig import driver
+    calls = []
+    real = driver.solve_smallest
+
+    def spy(K, M, nev, **kw):
+        calls.append((K.shape[0], nev, kw.get("start")))
+        return real(K, M, nev, **kw)
+
+    monkeypatch.setattr(driver, "solve_smallest", spy)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def small_cluster2_trace():
     cfg = AfemConfig(problem="square", degree=1, theta=0.5, cluster_index=2,
@@ -60,6 +75,10 @@ def test_config_validation():
         AfemConfig(marking="random")
     with pytest.raises(ValueError):
         AfemConfig(max_iterations=-1)
+    with pytest.raises(ValueError, match="bisections"):
+        AfemConfig(bisections=0)
+    with pytest.raises(ValueError, match="eig_tol"):
+        AfemConfig(eig_tol=-1.0)
     with pytest.raises(ValueError):
         run_afem(AfemConfig(first_n=2))
     with pytest.raises(ValueError):
@@ -128,12 +147,24 @@ def test_first_n_one_matches_cluster_one(tmp_path):
         _strip_seconds(trace_to_csv_text(tr_b))
 
 
-def test_first_n_splitting_a_multiplet_extends_the_window():
+def test_first_n_splitting_a_multiplet_extends_the_window(solve_calls):
     # the square's lambda_2 = lambda_3 = 5 pi^2 stays a pair under refinement,
     # so first_n = 2 cannot cut it and is widened to 3
     with pytest.warns(UserWarning, match="splits a multiplet; extending to 3"):
         tr = run_afem_first_n(AfemConfig(problem="square", first_n=2, max_dof=1500))
     assert tr.n_lambda == 3
+    # the lock's solve (N + 2 = 4) is too narrow for the widened window, so
+    # row 0 solves its pencil again with nev = 3 + 2
+    assert [nev for n, nev, _ in solve_calls if n == tr.n_dofs[0]] == [4, 5]
+
+
+@pytest.mark.parametrize("entry, kw", [
+    (run_afem, dict(problem="square", cluster_index=2, multiplicity=2)),
+    (run_afem_first_n, dict(problem="oscillator", first_n=3)),
+])
+def test_row_0_pencil_is_solved_once(solve_calls, entry, kw):
+    tr = entry(AfemConfig(max_dof=600, compute_gap=False, **kw))
+    assert [n for n, _, _ in solve_calls].count(tr.n_dofs[0]) == 1
 
 
 def test_cluster_identity_mismatch_aborts():
@@ -152,21 +183,12 @@ def test_determinism_small_run(small_cluster2_trace):
         _strip_seconds(trace_to_csv_text(tr2))
 
 
-def test_loop_solves_after_row_0_are_warm_started(monkeypatch):
-    from afemeig import driver
-    calls = []
-    real = driver.solve_smallest
-
-    def spy(K, M, nev, **kw):
-        calls.append((K.shape[0], kw.get("start")))
-        return real(K, M, nev, **kw)
-
-    monkeypatch.setattr(driver, "solve_smallest", spy)
+def test_loop_solves_after_row_0_are_warm_started(solve_calls):
     tr = run_afem(AfemConfig(problem="lshape", degree=1, max_dof=1500))
-    loop = calls[-len(tr):]         # the lock's solves come first
-    assert [n for n, _ in loop] == tr.n_dofs
-    assert loop[0][1] is None
-    sparse = [(n, start) for n, start in loop[1:] if n > 260]
+    loop = solve_calls[-len(tr):]   # the lock's last solve is row 0's
+    assert [n for n, _, _ in loop] == tr.n_dofs
+    assert loop[0][2] is None
+    sparse = [(n, start) for n, _, start in loop[1:] if n > 260]
     assert len(sparse) >= 3
     assert all(start is not None and start.shape == (n,) for n, start in sparse)
 
@@ -301,3 +323,10 @@ def test_cli_bad_problem_exit_code(capsys):
     from afemeig.cli import main
     rc = main(["run", "--problem", "bogus"])
     assert rc == 1
+
+
+def test_cli_bad_config_exits_before_solving(capsys, solve_calls):
+    from afemeig.cli import main
+    assert main(["run", "--problem", "square", "--b", "0"]) == 1
+    assert "bisections must be >= 1" in capsys.readouterr().err
+    assert solve_calls == []

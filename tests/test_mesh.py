@@ -13,6 +13,7 @@ from afemeig import MeshError, RefineResult, build_initial, refine, uniform_refi
 from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh, from_json
 
 from conftest import lshape_mesh, square_mesh
+from oracles import validate_mesh
 
 
 def test_build_square_diagonal_refinement_edges():
@@ -40,7 +41,7 @@ def test_build_lshape_conforming():
     # derived by enumerating edges: every interior edge has exactly 2 owners
     assert np.all(n_owners[~interior] == 1)
     assert interior.sum() == edges.shape[0] - m.boundary_edges.shape[0]
-    m.validate()
+    validate_mesh(m)
 
 
 # three triangles on the edge (0, 1), all counter-clockwise
@@ -126,7 +127,7 @@ def test_bisect_compatible_pair():
     m2 = refine(m, [0]).mesh
     assert m2.n_elements == 4
     assert m2.n_vertices == 5
-    m2.validate()
+    validate_mesh(m2)
 
 
 def test_bisect_children_halve_area():
@@ -174,7 +175,7 @@ def test_refined_set_is_old_minus_survivors():
 def test_refine_b2_bisects_twice():
     m = square_mesh()
     res = refine(m, {0}, b=2)
-    res.mesh.validate()
+    validate_mesh(res.mesh)
     # the marked half-square (area 1/2) splits into four grandchildren
     assert np.isclose(res.mesh.signed_areas().min(), 0.125)
     assert res.mesh.generation.max() == 2
@@ -251,7 +252,7 @@ def test_random_marking_fuzz_conformity_and_complexity():
         k = max(1, mesh.n_elements // 6)
         marked = set(rng.choice(mesh.n_elements, size=k, replace=False).tolist())
         res = refine(mesh, marked)
-        res.mesh.validate()
+        validate_mesh(res.mesh)
         assert marked <= res.refined_set
         mesh = res.mesh
         total_marked += len(marked)
@@ -268,7 +269,7 @@ def test_refine_conformity_property(raw_marks, rounds):
     mesh = square_mesh(2 + rounds % 2)
     marked = {m % mesh.n_elements for m in raw_marks}
     res = refine(mesh, marked)
-    res.mesh.validate()
+    validate_mesh(res.mesh)
     assert res.refined_set <= set(range(mesh.n_elements))
     assert marked <= res.refined_set
 
@@ -324,7 +325,7 @@ def test_incompatible_labeling_detected_and_repaired():
     # labeling by length alone could cycle; the strict edge order cannot
     m = build_initial(_FAN_VERTS, _FAN_TRIS)
     for tok in range(m.n_elements):
-        refine(m, [tok]).mesh.validate()
+        validate_mesh(refine(m, [tok]).mesh)
 
 
 def test_incompatible_labeling_fails_fast():
@@ -363,8 +364,8 @@ def test_tied_spoke_fan_labeling_terminates():
         warnings.simplefilter("error")
         m = build_initial(*_tied_fans(1))
     for tok in range(m.n_elements):
-        refine(m, [tok]).mesh.validate()
-    refine(m, range(m.n_elements), b=2).mesh.validate()
+        validate_mesh(refine(m, [tok]).mesh)
+    validate_mesh(refine(m, range(m.n_elements), b=2).mesh)
 
 
 def test_tied_spoke_fans_build_in_linear_time():

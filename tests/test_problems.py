@@ -9,6 +9,8 @@ from afemeig import (AfemConfig, MeshError, build_space, get_problem, harmonic_o
                      lshape_laplace, run_afem, square_laplace)
 from afemeig.mesh import uniform_refine
 
+from oracles import validate_mesh
+
 _SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
            "elements": [[0, 1, 2], [0, 2, 3]],
            "boundary": [[0, 1], [1, 2], [2, 3], [0, 3]]}
@@ -108,7 +110,7 @@ def test_problem_from_json(tmp_path):
     assert prob.coefficients.a == 2.0
     pts = np.array([[1.0, 1.0], [0.0, 2.0]])
     assert np.allclose(prob.coefficients.c_at(pts), [1.0, 2.0])
-    prob.initial_mesh().validate()
+    validate_mesh(prob.initial_mesh())
 
 
 def test_polynomial_coefficient_descriptor(tmp_path):
