@@ -67,33 +67,6 @@ def _edge_projector(degree_poly, npoints):
     return proj
 
 
-def _div_a_grad(coeffs, space, rule, local, hess_phys):
-    """div(A grad u) at the rule's quadrature points, (ne, nq).
-
-    `local` holds u's element coefficients (ne, nb) and hess_phys its
-    per-element constant physical Hessian (ne, 2, 2): exact for P1 (zero) and
-    P2.  Piecewise-constant A contributes A:H; a variable scalar field adds
-    grad(a) . grad(u) with a central-difference gradient, the only term that
-    needs u's gradient.
-    """
-    xq = rule.xq
-    amat = coeffs.a_matrix_for(space.mesh.region)
-    if amat is not None:
-        return np.einsum("eij,eij->e", amat, hess_phys)[:, None] * np.ones(xq.shape[1])
-    a = coeffs.a
-    lap = np.einsum("eii->e", hess_phys)
-    if not callable(a):
-        return float(a) * lap[:, None] * np.ones(xq.shape[1])
-    aq = coeffs.a_scalar_at(xq)
-    h = 1e-6
-    flat = xq.reshape(-1, 2)
-    gax = (np.asarray(a(flat + [h, 0.0]), float) - np.asarray(a(flat - [h, 0.0]), float)) / (2 * h)
-    gay = (np.asarray(a(flat + [0.0, h]), float) - np.asarray(a(flat - [0.0, h]), float)) / (2 * h)
-    ga = np.stack([gax, gay], axis=-1).reshape(xq.shape)
-    ugrad = np.einsum("eb,ebqi->eqi", local, rule.grads)
-    return aq * lap[:, None] + np.einsum("eqi,eqi->eq", ga, ugrad)
-
-
 def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     mesh = space.mesh
     rule = space.rule(rule_degree)
@@ -101,22 +74,22 @@ def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     h2 = mesh.diameters() ** 2
     href = shape_hessians(space.degree)
     cq = coeffs.c_at(xq)
+    amat = coeffs.a_matrix_for(mesh.region)
     proj = _tri_projector(space.degree - 1, rule_degree)
     eta2 = np.zeros(mesh.n_elements)
     osc2 = np.zeros(mesh.n_elements)
     for m in range(vectors.shape[1]):
         local = vectors[:, m][space.element_dofs]
         uq = np.einsum("eb,bq->eq", local, rule.vals)
-        if href.any():
-            hess_phys = np.einsum("eki,ekl,elj->eij", rule.Binv,
-                                  np.einsum("eb,bij->eij", local, href), rule.Binv)
-        else:  # P1: every reference Hessian is zero
-            hess_phys = np.zeros((mesh.n_elements, 2, 2))
         if sources is not None:
             r0 = np.asarray(sources[m](xq.reshape(-1, 2)), float).reshape(xq.shape[:2])
         else:
             r0 = lams[m] * uq
-        R = r0 + _div_a_grad(coeffs, space, rule, local, hess_phys) - cq * uq
+        if href.any():   # P2: div(A grad u) = A : Hess(u), constant on each element
+            hess = np.einsum("eki,ekl,elj->eij", rule.Binv,
+                             np.einsum("eb,bij->eij", local, href), rule.Binv)
+            r0 = r0 + np.einsum("eij,eij->e", amat, hess)[:, None]
+        R = r0 - cq * uq
         Rbar = R @ proj.T
         eta2 += h2 * rule.det * np.einsum("eq,q->e", R ** 2, rule.wts)
         osc2 += h2 * rule.det * np.einsum("eq,q->e", (R - Rbar) ** 2, rule.wts)
@@ -153,7 +126,7 @@ def _edge_terms(space, coeffs, vectors, npoints):
         dofs = space.element_dofs[el]                        # (nE, nb)
         gm = np.einsum("emb,beqi->meqi",
                        vectors[dofs].transpose(0, 2, 1), gphys)  # (nmem, nE, nq, 2)
-        flux.append(coeffs.apply_a(mesh.region[el], xq, gm))
+        flux.append(coeffs.apply_a(mesh.region[el], gm))
     jump = np.einsum("meqi,ei->meq", flux[0] - flux[1], nu)
 
     wl = w[None, None, :] * lens[None, :, None]

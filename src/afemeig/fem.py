@@ -21,56 +21,46 @@ import scipy.sparse as sp
 from .mesh import MeshError
 from .quadrature import triangle_rule_subdivided
 
-AField = Union[float, Callable, dict]
-CField = Union[float, Callable]
-
 
 @dataclass(frozen=True)
 class Coefficients:
     """Operator data for a(u, v) = (A grad u, grad v) + (c u, v).
 
-    ``a`` is a positive scalar (A = a*I), a callable a(points)->(m,) positive
-    scalar field, or a dict mapping region tags to symmetric positive definite
-    2x2 arrays (piecewise constant per region).  ``c`` is a nonnegative scalar or callable.
+    A is constant on each element: ``a`` is a positive scalar (A = a*I) or a
+    dict mapping region tags to symmetric positive definite 2x2 arrays.  ``c``
+    is a nonnegative scalar or a callable c(points)->(m,) field.  The scalars
+    and the matrices are checked when the object is made.
     """
 
-    a: AField = 1.0
-    c: CField = 0.0
+    a: Union[float, dict] = 1.0
+    c: Union[float, Callable] = 0.0
 
-    @property
-    def constant(self):
-        return not callable(self.a) and not callable(self.c) and not isinstance(self.a, dict)
-
-    def a_scalar_at(self, points):
-        """Scalar multiplier field at physical points, or None in matrix mode."""
-        if isinstance(self.a, dict):
-            return None
+    def __post_init__(self):
         if callable(self.a):
-            vals = np.asarray(self.a(points.reshape(-1, 2)), float).reshape(points.shape[:-1])
-            if not np.all(np.isfinite(vals)):
-                raise MeshError("coefficient a evaluated to a non-finite value")
-            if np.any(vals <= 0):
-                raise MeshError("coefficient a is not positive")
-            return vals
-        if not self.a > 0:
+            raise MeshError("coefficient a must be a positive scalar or a region table "
+                            "of 2x2 matrices, not a callable")
+        if isinstance(self.a, dict):
+            for tag, mat in self.a.items():
+                m = np.asarray(mat, float)
+                if m.shape != (2, 2) or not np.allclose(m, m.T):
+                    raise MeshError(f"region {tag}: A must be a symmetric 2x2 matrix")
+                if np.linalg.eigvalsh(m)[0] <= 0:
+                    raise MeshError(f"region {tag}: A is not positive definite")
+        elif not self.a > 0:
             raise MeshError("coefficient a is not positive")
-        return float(self.a)
+        if not callable(self.c) and self.c < 0:
+            raise MeshError("coefficient c is negative")
 
     def a_matrix_for(self, region):
-        """(ne, 2, 2) matrices in region-table mode, or None."""
+        """A on every element, (ne, 2, 2); a read-only broadcast for scalar a."""
         if not isinstance(self.a, dict):
-            return None
+            return np.broadcast_to(self.a * np.eye(2), (region.size, 2, 2))
         missing = set(np.unique(region).tolist()) - set(self.a)
         if missing:
             raise MeshError(f"no coefficient matrix for region tags {sorted(missing)}")
         out = np.empty((region.size, 2, 2))
         for tag, mat in self.a.items():
-            m = np.asarray(mat, float)
-            if m.shape != (2, 2) or not np.allclose(m, m.T):
-                raise MeshError(f"region {tag}: A must be a symmetric 2x2 matrix")
-            if np.linalg.eigvalsh(m)[0] <= 0:
-                raise MeshError(f"region {tag}: A is not positive definite")
-            out[region == tag] = m
+            out[region == tag] = mat
         return out
 
     def c_at(self, points):
@@ -81,19 +71,11 @@ class Coefficients:
             if np.any(vals < -1e-14):
                 raise MeshError("coefficient c is negative")
             return vals
-        if self.c < 0:
-            raise MeshError("coefficient c is negative")
         return float(self.c)
 
-    def apply_a(self, region, points, grads):
-        """A grad u for grads (m, ne, nq, 2) at points (ne, nq, 2)."""
-        amat = self.a_matrix_for(region)
-        if amat is not None:
-            return _matvec2(amat[:, None], grads)
-        aq = self.a_scalar_at(points)
-        if np.isscalar(aq):
-            return aq * grads
-        return grads * aq[..., None]
+    def apply_a(self, region, grads):
+        """A grad u for grads (m, ne, nq, 2) on elements with tags `region`."""
+        return _matvec2(self.a_matrix_for(region)[:, None], grads)
 
 
 def _matvec2(M, v):
@@ -101,9 +83,12 @@ def _matvec2(M, v):
     ``out[..., i] = M[..., i, 0] * v[..., 0] + M[..., i, 1] * v[..., 1]``.
 
     A sum of two products has one rounding order, so this equals the
-    matching ``np.einsum`` bit for bit, at a fraction of its cost.
+    matching ``np.einsum`` bit for bit, at a fraction of its cost.  When the
+    result has v's shape it also keeps v's memory layout, as ``a * v`` would:
+    the einsum reductions that read it sum in an order set by that layout.
     """
-    out = np.empty(np.broadcast_shapes(M.shape[:-2], v.shape[:-1]) + (2,))
+    shape = np.broadcast_shapes(M.shape[:-2], v.shape[:-1]) + (2,)
+    out = np.empty_like(v) if shape == v.shape else np.empty(shape)
     for i in range(2):
         np.multiply(M[..., i, 0], v[..., 0], out=out[..., i])
         out[..., i] += M[..., i, 1] * v[..., 1]
@@ -262,10 +247,10 @@ def build_space(mesh, degree):
 
 
 def _assembly_rule(space, coeffs):
-    # exact to degree 2k for constant data; variable coefficients get 2k+2 so
-    # polynomial c (oscillator) is still integrated exactly
+    # exact to degree 2k for piecewise-constant A and constant c; a variable c
+    # gets 2k+2 so polynomial c (oscillator) is still integrated exactly
     k = space.degree
-    return space.rule(2 * k if coeffs.constant else 2 * k + 2)
+    return space.rule(2 * k + 2 if callable(coeffs.c) else 2 * k)
 
 
 def _to_csr(space, local, apply_dirichlet):
@@ -283,24 +268,16 @@ def _to_csr(space, local, apply_dirichlet):
 def assemble_stiffness(space, coeffs, apply_dirichlet=True):
     """Sparse matrix of a(phi_j, phi_i) = (A grad, grad) + (c .,.)."""
     rule = _assembly_rule(space, coeffs)
-    wts, vals, gphys, xq = rule.wts, rule.vals, rule.grads, rule.xq
-    amat = coeffs.a_matrix_for(space.mesh.region)
-    if amat is None:
-        aq = coeffs.a_scalar_at(xq)
-        if np.isscalar(aq):
-            local = aq * np.einsum("ebqi,edqi,q->ebd", gphys, gphys, wts)
-        else:
-            local = np.einsum("ebqi,edqi,eq,q->ebd", gphys, gphys, aq, wts)
-    else:
-        flux = _matvec2(amat[:, None, None], gphys)
-        local = np.einsum("ebqi,edqi,q->ebd", flux, gphys, wts)
-    cq = coeffs.c_at(xq)
+    flux = _matvec2(coeffs.a_matrix_for(space.mesh.region)[:, None, None], rule.grads)
+    local = np.einsum("ebqi,edqi,q->ebd", flux, rule.grads, rule.wts)
+    cq = coeffs.c_at(rule.xq)
     if np.isscalar(cq):
         if cq != 0.0:
-            local += cq * np.einsum("bq,dq,q->bd", vals, vals, wts)[None]
+            local += cq * np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]
     else:
-        local += np.einsum("bq,dq,eq,q->ebd", vals, vals, cq, wts)
+        local += np.einsum("bq,dq,eq,q->ebd", rule.vals, rule.vals, cq, rule.wts)
     local *= rule.det[:, None, None]
+    del rule, flux   # free the gradients before the CSR build, which sets peak memory
     return _to_csr(space, local, apply_dirichlet)
 
 
@@ -364,11 +341,7 @@ def energy_error(space, coeffs, vec, value_fn, grad_fn):
     local = np.asarray(vec, float)[space.element_dofs]
     dval -= np.einsum("eb,bq->eq", local, rule.vals)
     dgrad -= np.einsum("eb,ebqi->eqi", local, rule.grads)
-    amat = coeffs.a_matrix_for(space.mesh.region)
-    if amat is None:
-        agrad2 = np.einsum("eqi,eqi->eq", dgrad, dgrad) * coeffs.a_scalar_at(xq)
-    else:
-        agrad2 = np.einsum("eqi,eij,eqj->eq", dgrad, amat, dgrad)
+    agrad2 = np.einsum("eqi,eij,eqj->eq", dgrad, coeffs.a_matrix_for(space.mesh.region), dgrad)
     cq = coeffs.c_at(xq)
     dens = agrad2 + cq * dval ** 2
     return float(np.sqrt(np.einsum("eq,q,e->", dens, rule.wts, rule.det)))

@@ -76,12 +76,12 @@ class _GapWorkspace:
         for i, fn in enumerate(exact.basis):
             uvals[i] = np.asarray(fn.value(flat), float).reshape(ne, nq)
             ugrads[i] = np.asarray(fn.grad(flat), float).reshape(ne, nq, 2)
-        self.exact = _SideData(uvals, ugrads, coeffs.apply_a(region, xq, ugrads))
+        self.exact = _SideData(uvals, ugrads, coeffs.apply_a(region, ugrads))
 
         local = V[space.element_dofs]                       # (ne, nb, qd)
         vvals = np.einsum("ebl,bq->leq", local, rule.vals)
         vgrads = np.einsum("ebl,ebqi->leqi", local, rule.grads)
-        self.discrete = _SideData(vvals, vgrads, coeffs.apply_a(region, xq, vgrads))
+        self.discrete = _SideData(vvals, vgrads, coeffs.apply_a(region, vgrads))
 
         self.G = self._a_gram(self.exact, self.exact)
         self.B = self._b_gram(self.exact, self.exact)

@@ -157,39 +157,53 @@ _REGISTRY = {
 }
 
 
+def _number(value):
+    # bool is an int to Python, but "A": true is no coefficient
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _coefficient_from_descriptor(desc):
     """Coefficient field from a JSON descriptor.
 
     A: number (scalar multiple of identity) or {"regions": {tag: 2x2 list}}.
     c: number, {"type": "polynomial", "terms": [[coef, i, j], ...]} meaning
     sum coef x^i y^j, or {"type": "radial", "scale": s, "power": p} meaning
-    s * |x|^p.
+    s * |x|^p.  A malformed descriptor raises a ValueError naming its field.
     """
-    a_desc = desc.get("A", 1.0)
-    if isinstance(a_desc, dict):
-        a = {int(tag): np.array(mat, float) for tag, mat in a_desc["regions"].items()}
-    else:
-        a = float(a_desc)
-    c_desc = desc.get("c", 0.0)
-    if isinstance(c_desc, dict):
-        kind = c_desc["type"]
-        if kind == "polynomial":
-            terms = [(float(c), int(i), int(j)) for c, i, j in c_desc["terms"]]
-
-            def c(p, _terms=terms):
-                out = np.zeros(p.shape[0])
-                for coef, i, j in _terms:
-                    out += coef * p[:, 0] ** i * p[:, 1] ** j
-                return out
-        elif kind == "radial":
-            scale, power = float(c_desc["scale"]), float(c_desc["power"])
-
-            def c(p, _s=scale, _p=power):
-                return _s * np.hypot(p[:, 0], p[:, 1]) ** _p
+    field = "A"
+    try:
+        a_desc = desc.get("A", 1.0)
+        if isinstance(a_desc, dict):
+            a = {int(tag): np.array(mat, float) for tag, mat in a_desc["regions"].items()}
         else:
-            raise ValueError(f"unknown coefficient type {kind!r}")
-    else:
-        c = float(c_desc)
+            a = _number(a_desc)
+        field = "c"
+        c_desc = desc.get("c", 0.0)
+        if isinstance(c_desc, dict):
+            kind = c_desc["type"]
+            if kind == "polynomial":
+                terms = [(float(c), int(i), int(j)) for c, i, j in c_desc["terms"]]
+
+                def c(p, _terms=terms):
+                    out = np.zeros(p.shape[0])
+                    for coef, i, j in _terms:
+                        out += coef * p[:, 0] ** i * p[:, 1] ** j
+                    return out
+            elif kind == "radial":
+                scale, power = _number(c_desc["scale"]), _number(c_desc["power"])
+
+                def c(p, _s=scale, _p=power):
+                    return _s * np.hypot(p[:, 0], p[:, 1]) ** _p
+            else:
+                raise ValueError(f"unknown type {kind!r}")
+        else:
+            c = _number(c_desc)
+    except KeyError as exc:
+        raise ValueError(f"coefficient {field}: no {exc.args[0]!r} entry") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"coefficient {field}: {exc}") from None
     return Coefficients(a=a, c=c)
 
 

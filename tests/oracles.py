@@ -148,12 +148,7 @@ def galerkin_project(space, coeffs, value_fn, grad_fn):
     flat = xq.reshape(-1, 2)
     wgrad = np.asarray(grad_fn(flat), float).reshape(xq.shape[0], xq.shape[1], 2)
     wval = np.asarray(value_fn(flat), float).reshape(xq.shape[:2])
-    amat = coeffs.a_matrix_for(space.mesh.region)
-    if amat is None:
-        aq = coeffs.a_scalar_at(xq)
-        aw = wgrad * (aq if np.isscalar(aq) else aq[..., None])
-    else:
-        aw = np.einsum("eij,eqj->eqi", amat, wgrad)
+    aw = np.einsum("eij,eqj->eqi", coeffs.a_matrix_for(space.mesh.region), wgrad)
     local = np.einsum("ebqi,eqi,q->eb", rule.grads, aw, rule.wts)
     cq = coeffs.c_at(xq)
     if not (np.isscalar(cq) and cq == 0.0):
@@ -172,13 +167,13 @@ def galerkin_project(space, coeffs, value_fn, grad_fn):
 def edge_jump_total(space, coeffs, vectors):
     """sum over interior edges E of h_E ||J_E||^2_{0,E}, each edge once.
 
-    P1 with piecewise-constant A only: the gradient on each owner is constant,
-    solved from [1, x, y] (c0, g) = u on its three vertices, so the jump
+    P1 only: the gradient on each owner is constant, solved from
+    [1, x, y] (c0, g) = u on its three vertices, so the jump
     J_E = (A g0 - A g1) . nu is constant and ||J_E||^2_{0,E} = |E| J_E^2,
     with h_E = |E|.
     """
-    if space.degree != 1 or callable(coeffs.a):
-        raise ValueError("edge_jump_total needs P1 and a piecewise-constant A")
+    if space.degree != 1:
+        raise ValueError("edge_jump_total needs P1")
     mesh = space.mesh
     vectors = np.asarray(vectors, float).reshape(space.ndofs, -1)
     amat = coeffs.a_matrix_for(mesh.region)
@@ -196,7 +191,7 @@ def edge_jump_total(space, coeffs, vectors):
                 dofs = space.element_dofs[t]
                 system = np.column_stack([np.ones(3), space.dof_coords[dofs]])
                 g = np.linalg.solve(system, u[dofs])[1:]
-                flux.append((amat[t] if amat is not None else coeffs.a * np.eye(2)) @ g)
+                flux.append(amat[t] @ g)
             total += length * length * float((flux[0] - flux[1]) @ nu) ** 2
     return total
 

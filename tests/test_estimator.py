@@ -18,18 +18,15 @@ from oracles import (calibrate_oscillation_constant, edge_jump_total,
                      oscillation_lipschitz_check)
 
 
-def _a_times(coeffs, region, xq, g):
-    """A grad u at the points xq (nq, 2) of an element with region tag `region`."""
+def _a_times(coeffs, region, g):
+    """A grad u on an element with region tag `region`."""
     if isinstance(coeffs.a, dict):
         return g @ np.asarray(coeffs.a[region], float).T
-    if callable(coeffs.a):
-        return coeffs.a(xq)[:, None] * g
     return coeffs.a * g
 
 
-def _loop_oracle(space, coeffs, vectors, lams=None, sources=None, a_grad=None):
-    """Straightforward per-element / per-edge re-implementation.  A callable
-    `coeffs.a` needs its analytic gradient `a_grad(points) -> (m, 2)`."""
+def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
+    """Straightforward per-element / per-edge re-implementation."""
     mesh = space.mesh
     k = space.degree
     pts, wts = triangle_rule(2 * k + 2)
@@ -48,9 +45,6 @@ def _loop_oracle(space, coeffs, vectors, lams=None, sources=None, a_grad=None):
             hess = Binv[e].T @ hess @ Binv[e]
             if isinstance(coeffs.a, dict):      # A:H
                 div_term = np.sum(np.asarray(coeffs.a[mesh.region[e]], float) * hess)
-            elif callable(coeffs.a):            # a lap(u) + grad(a) . grad(u)
-                g = np.einsum("b,bqi->qi", local, shape_gradients(k, pts)) @ Binv[e]
-                div_term = coeffs.a(xq) * np.trace(hess) + np.sum(a_grad(xq) * g, axis=1)
             else:
                 div_term = coeffs.a * np.trace(hess)
             cq = coeffs.c_at(xq) if callable(coeffs.c) else coeffs.c
@@ -75,7 +69,7 @@ def _loop_oracle(space, coeffs, vectors, lams=None, sources=None, a_grad=None):
                 local = coef[space.element_dofs[t]]
                 xi = (xq - v0[t]) @ Binv[t].T
                 g = np.einsum("b,bqi->qi", local, shape_gradients(k, xi))
-                grads.append(_a_times(coeffs, mesh.region[t], xq, g @ Binv[t]))
+                grads.append(_a_times(coeffs, mesh.region[t], g @ Binv[t]))
             J = (grads[0] - grads[1]) @ nu
             jump2 += length * np.sum(w1d * J ** 2)
         eta2[ta] += length * jump2
@@ -124,28 +118,24 @@ def _c_sq(p):
     return p[:, 0] ** 2 + p[:, 1] ** 2
 
 
-# (coefficients, analytic grad a, rtol): the callable-a branch differentiates
-# a by central differences with step 1e-6, whose rounding moves eta2 by ~3e-12
 _COEFF_CASES = {
-    "A-table": (Coefficients(a={0: [[2.0, 0.5], [0.5, 1.0]], 1: [[1.0, -0.3], [-0.3, 3.0]]},
-                             c=_c_sq), None, 1e-12),
-    "callable-a": (Coefficients(a=lambda p: 1.0 + 0.5 * p[:, 0], c=_c_sq),
-                   lambda p: np.tile([0.5, 0.0], (p.shape[0], 1)), 1e-10),
+    "A-table": Coefficients(a={0: [[2.0, 0.5], [0.5, 1.0]], 1: [[1.0, -0.3], [-0.3, 3.0]]},
+                            c=_c_sq),
 }
 
 
 @pytest.mark.parametrize("case", list(_COEFF_CASES))
 @pytest.mark.parametrize("degree", [1, 2])
 def test_indicators_match_loop_oracle_with_coefficients(degree, case):
-    co, a_grad, rtol = _COEFF_CASES[case]
+    co = _COEFF_CASES[case]
     space = build_space(_two_region_square(4 if degree == 1 else 3), degree)
     rng = np.random.default_rng(3)
     V = rng.standard_normal((space.ndofs, 2))
     V[space.dirichlet_dofs] = 0.0
     lams = [20.0, 50.0]
     ind = _indicators(space, co, V, lams=lams)
-    oracle = _loop_oracle(space, co, V, lams=lams, a_grad=a_grad)
-    np.testing.assert_allclose(ind.eta2, oracle, rtol=rtol, atol=1e-14)
+    oracle = _loop_oracle(space, co, V, lams=lams)
+    np.testing.assert_allclose(ind.eta2, oracle, rtol=1e-12, atol=1e-14)
 
 
 def test_linear_interpolant_has_zero_indicator():

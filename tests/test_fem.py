@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from afemeig import Coefficients, MeshError, assemble_mass, assemble_stiffness, build_space, refine
+from afemeig import (Coefficients, MeshError, assemble_mass, assemble_stiffness, build_space,
+                     gap_energy, refine, square_laplace)
+from afemeig.eigsolve import EigenCluster
+from afemeig.estimator import _indicators
 from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, shape_values
 from afemeig.mesh import build_initial
 from afemeig.quadrature import interval_rule, triangle_rule, triangle_rule_subdivided
@@ -64,7 +67,8 @@ def test_rule_weights_sum_to_domain_area(mesh, area):
 
 # The seven 2x2 maps of the package, as the einsum each replaced.  Each case
 # gives the operands at the shapes of its call site and the broadcast form of
-# the matrix that _matvec2 takes.
+# the matrix that _matvec2 takes.  ``gm`` is made as the estimator's edge
+# loop makes it, by an einsum whose output is not C-ordered.
 _MATVEC2_CASES = {
     "eij,qj->eqi": lambda d: (d["B"], d["pts"], d["B"][:, None]),               # rule.xq
     "eji,bqj->ebqi": lambda d: (d["Binv"], d["gref"], d["BinvT"][:, None, None]),  # rule.grads
@@ -78,7 +82,9 @@ _MATVEC2_CASES = {
 
 @pytest.mark.parametrize("subscripts", list(_MATVEC2_CASES))
 def test_matvec2_equals_einsum(subscripts):
-    # the trace digests rely on _matvec2 reproducing the einsum bit for bit
+    # the trace digests rely on _matvec2 reproducing the einsum bit for bit,
+    # and on its output keeping the layout of v when it has v's shape: the
+    # einsum reductions that read a flux sum in an order set by its layout
     mesh = lshape_mesh(8)
     mesh = refine(mesh, range(0, mesh.n_elements, 3)).mesh
     rng = np.random.default_rng(8)
@@ -94,13 +100,18 @@ def test_matvec2_equals_einsum(subscripts):
             pts, _ = triangle_rule_subdivided(*rule)
             gref = shape_gradients(degree, pts)
             grads = np.einsum("eji,bqj->ebqi", Binv, gref)
+            gref_edge = shape_gradients(degree, xi_edge)
+            gm = np.einsum("emb,beqi->meqi", rng.standard_normal((ne, 2, gref.shape[0])),
+                           np.einsum("eji,beqj->beqi", Binv, gref_edge))
+            assert not gm.flags.c_contiguous
             data = dict(B=B, Binv=Binv, BinvT=Binv.transpose(0, 2, 1), A=A, pts=pts,
-                        gref=gref, grads=grads, gm=rng.standard_normal((2,) + grads[:, 0].shape),
-                        rel=rng.standard_normal((ne, 2)),
-                        rel_edge=np.einsum("eij,eqj->eqi", B, xi_edge),
-                        gref_edge=shape_gradients(degree, xi_edge))
+                        gref=gref, grads=grads, gm=gm, rel=rng.standard_normal((ne, 2)),
+                        rel_edge=np.einsum("eij,eqj->eqi", B, xi_edge), gref_edge=gref_edge)
             M, v, M_bcast = _MATVEC2_CASES[subscripts](data)
-            np.testing.assert_array_equal(_matvec2(M_bcast, v), np.einsum(subscripts, M, v))
+            out = _matvec2(M_bcast, v)
+            np.testing.assert_array_equal(out, np.einsum(subscripts, M, v))
+            if out.shape == v.shape:
+                assert out.strides == v.strides
 
 
 def test_p1_local_stiffness_reference_triangle(laplace_coeffs):
@@ -250,21 +261,38 @@ def test_coefficient_validation():
     assert mat.shape == (3, 2, 2)
 
 
-@pytest.mark.parametrize("a", [0.0, -1.0, lambda p: p[:, 0] - 0.5],
-                         ids=["zero", "negative", "callable-sign-change"])
-def test_nonpositive_diffusion_rejected_at_assembly(a):
-    space = build_space(square_mesh(2), 1)
-    with pytest.raises(MeshError, match="coefficient a is not positive"):
-        assemble_stiffness(space, Coefficients(a=a))
+@pytest.mark.parametrize("a, message", [
+    (0.0, "coefficient a is not positive"),
+    (-1.0, "coefficient a is not positive"),
+    (lambda p: 1.0 + p[:, 0], "region table of 2x2 matrices, not a callable"),
+], ids=["zero", "negative", "callable"])
+def test_diffusion_rejected_when_coefficients_are_made(a, message):
+    with pytest.raises(MeshError, match=message):
+        Coefficients(a=a)
 
 
-def test_region_matrix_assembly_matches_scalar(laplace_coeffs):
+def test_region_matrix_assembly_matches_scalar():
+    # a scalar a is the table {0: a*I} broadcast, so stiffness, indicators and
+    # gap take one code path for both and agree bit for bit, for any a
     mesh = square_mesh(3)
-    space = build_space(mesh, 1)
-    iso = Coefficients(a={0: [[2.0, 0.0], [0.0, 2.0]]})
-    K_mat = assemble_stiffness(space, iso).toarray()
-    K_scal = assemble_stiffness(space, Coefficients(a=2.0)).toarray()
-    assert np.allclose(K_mat, K_scal, atol=1e-13)
+    exact = square_laplace().exact_clusters[1]
+    rng = np.random.default_rng(5)
+    for a in (2.0, 0.3):
+        scalar, table = Coefficients(a=a), Coefficients(a={0: a * np.eye(2)})
+        for degree in (1, 2):
+            space = build_space(mesh, degree)
+            V = rng.standard_normal((space.ndofs, 2))
+            V[space.dirichlet_dofs] = 0.0
+            K, ind, gap = [], [], []
+            for co in (scalar, table):
+                K.append(assemble_stiffness(space, co).toarray())
+                field = _indicators(space, co, V, lams=[20.0, 50.0])
+                ind.append(np.stack([field.eta2, field.osc2]))
+                gap.append(gap_energy(exact, EigenCluster(np.array([50.0, 50.0]), V),
+                                      space, co))
+            np.testing.assert_array_equal(K[0], K[1])
+            np.testing.assert_array_equal(ind[0], ind[1])
+            assert gap[0] == gap[1]
 
 
 def test_matrixmarket_export(tmp_path, laplace_coeffs):

@@ -146,6 +146,33 @@ def test_nonpositive_diffusion_fails_fast(tmp_path, A):
     assert time.perf_counter() - start < 1.0
 
 
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    ({"A": {"0": _EYE}}, "coefficient A: no 'regions' entry"),
+    ({"A": {"regions": {"1.5": _EYE}}}, "coefficient A: invalid literal for int"),
+    ({"A": True}, "coefficient A: expected a number, got True"),
+    ({"c": {"terms": [[1.0, 2, 0]]}}, "coefficient c: no 'type' entry"),
+    ({"c": {"type": "polynomial"}}, "coefficient c: no 'terms' entry"),
+    ({"c": {"type": "radial", "scale": 1.0}}, "coefficient c: no 'power' entry"),
+], ids=["A-without-regions", "A-tag-not-integer", "A-bool", "c-without-type",
+        "c-polynomial-without-terms", "c-radial-without-power"])
+def test_malformed_coefficient_descriptor_names_its_field(tmp_path, coefficients, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"mesh": _SQUARE, "coefficients": coefficients}))
+    with pytest.raises(ValueError, match=message):
+        get_problem(f"file:{path}")
+
+
+def test_cli_malformed_coefficient_descriptor_exits_1(tmp_path, capsys):
+    from afemeig.cli import main
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"mesh": _SQUARE, "coefficients": {"A": {"0": _EYE}}}))
+    assert main(["run", "--problem", f"file:{path}"]) == 1
+    assert "coefficient A: no 'regions' entry" in capsys.readouterr().err
+
+
 def test_problem_from_json_reads_region_tags(tmp_path):
     eye = [[1.0, 0.0], [0.0, 1.0]]
     path = tmp_path / "regions.json"
