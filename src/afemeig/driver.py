@@ -152,18 +152,21 @@ def trace_columns(trace):
 
 
 def export_trace(trace, path, fmt="csv"):
-    """CSV with the fixed column schema, or a JSON mirror with metadata."""
+    """CSV with the fixed column schema, or a strict-JSON mirror with metadata,
+    where NaN (the gap column of a run without the gap) is written as null."""
     if fmt == "csv":
         text = trace_to_csv_text(trace)
         with open(path, "w", newline="") as fh:
             fh.write(text)
     elif fmt == "json":
+        rows = [[None if np.isnan(v) else v for v in _row_values(trace, k)]
+                for k in range(len(trace))]
         obj = {"meta": trace.meta,
                "columns": trace_columns(trace),
-               "rows": [_row_values(trace, k) for k in range(len(trace))],
+               "rows": rows,
                "cluster_sizes": [list(cs) for cs in trace.cluster_sizes]}
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=1)
+            json.dump(obj, fh, indent=1, allow_nan=False)
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
 

@@ -10,8 +10,11 @@ and the jump J_E = [[A grad u]] . nu on interior edges.  The local indicator
     eta^2_T = h_T^2 ||R_T||^2_{0,T} + sum_{E in dT} h_E ||J_E||^2_{0,E}
 
 sums each interior edge fully into BOTH adjacent elements (no 1/2 factor),
-and a cluster's indicator is the plain sum over its members.  Oscillations
-subtract the L2 projection of R_T onto P_{k-1}(T) and of J_E onto P_k(E).
+and a cluster's indicator is the plain sum over its members.  The oscillation
+subtracts the L2 projection of R_T onto P_{k-1}(T).  A is constant on each
+element and grad u affine there (P1, P2), so J_E is affine along E: its
+integral is taken in closed form from the end values, and its oscillation
+against P_k(E) is identically zero.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .fem import _matvec2, shape_gradients, shape_hessians
-from .quadrature import interval_rule, triangle_rule
+from .quadrature import triangle_rule
+
+_REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @dataclass
@@ -58,15 +63,6 @@ def _tri_projector(degree_poly, rule_degree):
     return proj  # (nq, nq), maps point values to projected point values
 
 
-@lru_cache(maxsize=None)
-def _edge_projector(degree_poly, npoints):
-    t, w = interval_rule(npoints)
-    phi = np.stack([t ** p for p in range(degree_poly + 1)])
-    gram = np.einsum("iq,jq,q->ij", phi, phi, w)
-    proj = phi.T @ np.linalg.solve(gram, phi * w[None, :])
-    return proj
-
-
 def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     mesh = space.mesh
     rule = space.rule(rule_degree)
@@ -96,52 +92,36 @@ def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     return eta2, osc2
 
 
-def _edge_terms(space, coeffs, vectors, npoints):
-    """Squared jump indicator and oscillation accumulated per element."""
+def _edge_terms(space, coeffs, vectors):
+    """Squared jump indicator accumulated per element, in closed form.
+
+    A is constant and grad u affine on each element, so J_E is affine along
+    the edge and int_E J^2 ds = |E| (J_a^2 + J_a J_b + J_b^2) / 3 from its
+    values at the end points a and b.
+    """
     mesh = space.mesh
-    edges, _, owners, _ = mesh.edge_table()
+    edges, _, owners, owner_local = mesh.edge_table()
     interior = owners[:, 1] >= 0
-    e_int = edges[interior]
-    own = owners[interior]
-    if e_int.shape[0] == 0:
-        z = np.zeros(mesh.n_elements)
-        return z, z.copy()
-    t, w = interval_rule(npoints)
-    va = mesh.vertices[e_int[:, 0]]
-    vb = mesh.vertices[e_int[:, 1]]
-    tang = vb - va
-    lens = np.linalg.norm(tang, axis=1)
-    nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / lens[:, None]
-    xq = va[:, None, :] + t[None, :, None] * tang[:, None, :]
-    v0, _, _, Binv = space.geometry()
-    proj = _edge_projector(space.degree, npoints)
+    e_int, own, loc = edges[interior], owners[interior], owner_local[interior]
+    tang = mesh.vertices[e_int[:, 1]] - mesh.vertices[e_int[:, 0]]
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)   # |E| nu
+    _, _, _, Binv = space.geometry()
+    gvert = _matvec2(Binv.transpose(0, 2, 1)[:, None, None],
+                     shape_gradients(space.degree, _REF_VERTICES))   # (ne, nb, 3, 2)
+    grads = np.einsum("emb,ebvi->mevi",
+                      vectors[space.element_dofs].transpose(0, 2, 1), gvert)
+    flux = coeffs.apply_a(mesh.region, grads)                # (nmem, ne, 3, 2)
 
-    flux = []
+    ends = []   # each owner's flux at a and at b; local edge l joins l+1, l+2
     for side in (0, 1):
-        el = own[:, side]
-        rel = xq - v0[el][:, None, :]
-        xi = _matvec2(Binv[el][:, None], rel)
-        gref = shape_gradients(space.degree, xi)            # (nb, nE, nq, 2)
-        gphys = _matvec2(Binv[el].transpose(0, 2, 1)[:, None], gref)
-        dofs = space.element_dofs[el]                        # (nE, nb)
-        gm = np.einsum("emb,beqi->meqi",
-                       vectors[dofs].transpose(0, 2, 1), gphys)  # (nmem, nE, nq, 2)
-        flux.append(coeffs.apply_a(mesh.region[el], gm))
-    jump = np.einsum("meqi,ei->meq", flux[0] - flux[1], nu)
-
-    wl = w[None, None, :] * lens[None, :, None]
-    jump2 = np.einsum("meq->e", jump ** 2 * wl)              # int_E J^2 ds, all members
-    jdiff = jump - jump @ proj.T
-    osc_e = np.einsum("meq->e", jdiff ** 2 * wl)
-    eta_edge = lens * jump2
-    osc_edge = lens * osc_e
-
-    eta2 = np.zeros(mesh.n_elements)
-    osc2 = np.zeros(mesh.n_elements)
-    for side in (0, 1):   # each interior edge contributes fully to both owners
-        np.add.at(eta2, own[:, side], eta_edge)
-        np.add.at(osc2, own[:, side], osc_edge)
-    return eta2, osc2
+        el, l = own[:, side], loc[:, side]
+        after = (l + 1) % 3
+        at_a = np.where(mesh.elements[el, after] == e_int[:, 0], after, (l + 2) % 3)
+        ends.append((flux[:, el, at_a], flux[:, el, 3 - l - at_a]))
+    ja, jb = (np.einsum("mei,ei->me", f0 - f1, normal) for f0, f1 in zip(*ends))
+    eta_edge = np.sum(ja * ja + ja * jb + jb * jb, axis=0) / 3.0   # |E| int_E J^2 ds
+    # each interior edge contributes fully to both owners
+    return np.bincount(own.T.ravel(), np.tile(eta_edge, 2), minlength=mesh.n_elements)
 
 
 def _indicators(space, coeffs, vectors, lams=None, sources=None):
@@ -156,8 +136,8 @@ def _indicators(space, coeffs, vectors, lams=None, sources=None):
         raise ValueError("one source field per solution vector required")
     rule_degree = 2 * space.degree + 2
     eta_i, osc_i = _interior_terms(space, coeffs, vectors, lams, sources, rule_degree)
-    eta_e, osc_e = _edge_terms(space, coeffs, vectors, space.degree + 2)
-    return IndicatorField(eta2=eta_i + eta_e, osc2=osc_i + osc_e)
+    eta_e = _edge_terms(space, coeffs, vectors)
+    return IndicatorField(eta2=eta_i + eta_e, osc2=osc_i)
 
 
 def eigen_indicators(space, coeffs, cluster):

@@ -42,14 +42,21 @@ class Coefficients:
         if isinstance(self.a, dict):
             for tag, mat in self.a.items():
                 m = np.asarray(mat, float)
+                if not np.all(np.isfinite(m)):
+                    raise MeshError(f"region {tag}: coefficient A has a non-finite entry")
                 if m.shape != (2, 2) or not np.allclose(m, m.T):
                     raise MeshError(f"region {tag}: A must be a symmetric 2x2 matrix")
                 if np.linalg.eigvalsh(m)[0] <= 0:
                     raise MeshError(f"region {tag}: A is not positive definite")
+        elif not np.isfinite(self.a):
+            raise MeshError("coefficient a is not finite")
         elif not self.a > 0:
             raise MeshError("coefficient a is not positive")
-        if not callable(self.c) and self.c < 0:
-            raise MeshError("coefficient c is negative")
+        if not callable(self.c):
+            if not np.isfinite(self.c):
+                raise MeshError("coefficient c is not finite")
+            if self.c < 0:
+                raise MeshError("coefficient c is negative")
 
     def a_matrix_for(self, region):
         """A on every element, (ne, 2, 2); a read-only broadcast for scalar a."""

@@ -1,7 +1,7 @@
-"""Quadrature rules on the reference triangle and the unit interval.
+"""Quadrature rules on the reference triangle.
 
-The reference triangle has vertices (0,0), (1,0), (0,1) and area 1/2.
-All triangle rule weights sum to 1/2; interval rule weights sum to 1.
+The reference triangle has vertices (0,0), (1,0), (0,1) and area 1/2, and
+all rule weights sum to 1/2.
 """
 
 from functools import lru_cache
@@ -89,9 +89,3 @@ def triangle_rule_subdivided(degree, levels):
         all_wts.append(scale * weights)
     return np.vstack(all_pts), np.concatenate(all_wts)
 
-
-@lru_cache(maxsize=None)
-def interval_rule(npoints):
-    """Gauss-Legendre rule on [0, 1]; exact for degree 2*npoints - 1."""
-    x, w = np.polynomial.legendre.leggauss(npoints)
-    return 0.5 * (x + 1.0), 0.5 * w

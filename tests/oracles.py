@@ -4,7 +4,8 @@
   positive areas, at most two owners per edge, stored boundary equal to the
   single-owner edges);
 - `monomial_integral`: exact reference-triangle integrals for the quadrature
-  tests;
+  tests, and `gauss_legendre`: a Gauss-Legendre rule on [0, 1] for edge
+  integrals;
 - `evaluate` (with the element search `_locate`): point values and gradients
   of a finite element function;
 - `export_matrixmarket`: MatrixMarket dump of an assembled matrix;
@@ -49,6 +50,12 @@ def validate_mesh(mesh):
 def monomial_integral(a, b):
     """Exact integral of x^a y^b over the reference triangle."""
     return factorial(a) * factorial(b) / factorial(a + b + 2)
+
+
+def gauss_legendre(npoints):
+    """Gauss-Legendre rule on [0, 1], exact for degree 2*npoints - 1."""
+    x, w = np.polynomial.legendre.leggauss(npoints)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # ---------------------------------------------------------------------------

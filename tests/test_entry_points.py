@@ -1,6 +1,7 @@
 """Entry points that the rest of the suite does not run: the experiment
 scripts, the benchmark's layer tracer and the public name list."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,12 @@ def test_script_runs(tmp_path, script):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0
+    for path in tmp_path.glob("*.json"):   # strict JSON: no NaN or Infinity tokens
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 # The benchmark's tracer wraps driver and eigsolve attributes by name and

@@ -11,10 +11,10 @@ from afemeig.eigsolve import EigenCluster
 from afemeig.estimator import _indicators
 from afemeig.fem import assemble_load, shape_gradients, shape_hessians, shape_values
 from afemeig.mesh import Mesh
-from afemeig.quadrature import interval_rule, triangle_rule
+from afemeig.quadrature import triangle_rule
 
 from conftest import square_mesh
-from oracles import (calibrate_oscillation_constant, edge_jump_total,
+from oracles import (calibrate_oscillation_constant, edge_jump_total, gauss_legendre,
                      oscillation_lipschitz_check)
 
 
@@ -25,15 +25,28 @@ def _a_times(coeffs, region, g):
     return coeffs.a * g
 
 
+def _l2_residue(phi, wts, values):
+    """values minus their weighted least-squares fit by the rows of phi."""
+    sw = np.sqrt(wts)
+    coef = np.linalg.lstsq((phi * sw).T, values * sw, rcond=None)[0]
+    return values - coef @ phi
+
+
 def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
-    """Straightforward per-element / per-edge re-implementation."""
+    """Straightforward per-element / per-edge re-implementation: (eta2, osc2).
+
+    The oscillation projects R_T onto P_{k-1}(T) (monomials in physical
+    coordinates about the first vertex) and J_E onto P_k(E), both by
+    quadrature; the edge part is round-off for elementwise-constant A.
+    """
     mesh = space.mesh
     k = space.degree
     pts, wts = triangle_rule(2 * k + 2)
-    t1d, w1d = interval_rule(k + 2)
+    t1d, w1d = gauss_legendre(k + 2)
     v0, B, det, Binv = space.geometry()
     h = mesh.diameters()
     eta2 = np.zeros(mesh.n_elements)
+    osc2 = np.zeros(mesh.n_elements)
     vectors = np.atleast_2d(vectors.T).T
     for m in range(vectors.shape[1]):
         coef = vectors[:, m]
@@ -51,6 +64,9 @@ def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
             r0 = lams[m] * uq if sources is None else sources[m](xq)
             R = r0 + div_term - cq * uq
             eta2[e] += h[e] ** 2 * det[e] * np.sum(wts * R ** 2)
+            dx, dy = (xq - v0[e]).T
+            phi = np.array([dx ** a * dy ** b for a in range(k) for b in range(k - a)])
+            osc2[e] += h[e] ** 2 * det[e] * np.sum(wts * _l2_residue(phi, wts, R) ** 2)
     edges, _, owners, _ = mesh.edge_table()
     for eid in range(edges.shape[0]):
         ta, tb = owners[eid]
@@ -61,7 +77,8 @@ def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
         length = np.linalg.norm(tang)
         nu = np.array([tang[1], -tang[0]]) / length
         xq = a_v + np.outer(t1d, tang)
-        jump2 = 0.0
+        phi = np.array([t1d ** p for p in range(k + 1)])
+        jump2 = osc = 0.0
         for m in range(vectors.shape[1]):
             coef = vectors[:, m]
             grads = []
@@ -72,9 +89,11 @@ def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
                 grads.append(_a_times(coeffs, mesh.region[t], g @ Binv[t]))
             J = (grads[0] - grads[1]) @ nu
             jump2 += length * np.sum(w1d * J ** 2)
-        eta2[ta] += length * jump2
-        eta2[tb] += length * jump2
-    return eta2
+            osc += length * np.sum(w1d * _l2_residue(phi, w1d, J) ** 2)
+        for t in (ta, tb):
+            eta2[t] += length * jump2
+            osc2[t] += length * osc
+    return eta2, osc2
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +110,8 @@ def small_cluster():
 def test_vectorized_indicators_match_loop_oracle(small_cluster):
     space, co, cluster = small_cluster
     ind = eigen_indicators(space, co, cluster)
-    oracle = _loop_oracle(space, co, cluster.vectors, lams=cluster.values)
-    assert np.allclose(ind.eta2, oracle, rtol=1e-12, atol=1e-14)
+    eta2, _ = _loop_oracle(space, co, cluster.vectors, lams=cluster.values)
+    assert np.allclose(ind.eta2, eta2, rtol=1e-12, atol=1e-14)
 
 
 def test_p2_indicators_match_loop_oracle():
@@ -103,8 +122,8 @@ def test_p2_indicators_match_loop_oracle():
     vals, vecs = solve_smallest(K, M, 2)
     V = space.expand(vecs[:, 0])[:, None]
     ind = _indicators(space, co, V, lams=[vals[0]])
-    oracle = _loop_oracle(space, co, V, lams=[vals[0]])
-    assert np.allclose(ind.eta2, oracle, rtol=1e-12, atol=1e-14)
+    eta2, _ = _loop_oracle(space, co, V, lams=[vals[0]])
+    assert np.allclose(ind.eta2, eta2, rtol=1e-12, atol=1e-14)
 
 
 def _two_region_square(rounds):
@@ -134,8 +153,9 @@ def test_indicators_match_loop_oracle_with_coefficients(degree, case):
     V[space.dirichlet_dofs] = 0.0
     lams = [20.0, 50.0]
     ind = _indicators(space, co, V, lams=lams)
-    oracle = _loop_oracle(space, co, V, lams=lams)
-    np.testing.assert_allclose(ind.eta2, oracle, rtol=1e-12, atol=1e-14)
+    eta2, osc2 = _loop_oracle(space, co, V, lams=lams)
+    np.testing.assert_allclose(ind.eta2, eta2, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(ind.osc2, osc2, rtol=1e-12, atol=1e-14)
 
 
 def test_linear_interpolant_has_zero_indicator():
@@ -200,8 +220,8 @@ def test_source_indicators_duplication_doubles():
     one = _indicators(space, co, u[:, None], sources=[f])
     two = _indicators(space, co, np.column_stack([u, u]), sources=[f, f])
     assert np.allclose(two.eta2, 2.0 * one.eta2, rtol=1e-13)
-    oracle = _loop_oracle(space, co, u[:, None], sources=[f])
-    assert np.allclose(one.eta2, oracle, rtol=1e-12, atol=1e-14)
+    eta2, _ = _loop_oracle(space, co, u[:, None], sources=[f])
+    assert np.allclose(one.eta2, eta2, rtol=1e-12, atol=1e-14)
 
 
 def test_mismatched_inputs_rejected(small_cluster):

@@ -9,11 +9,11 @@ from afemeig.eigsolve import EigenCluster
 from afemeig.estimator import _indicators
 from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, shape_values
 from afemeig.mesh import build_initial
-from afemeig.quadrature import interval_rule, triangle_rule, triangle_rule_subdivided
+from afemeig.quadrature import triangle_rule, triangle_rule_subdivided
 
 from conftest import lshape_mesh, square_mesh
 from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket,
-                     galerkin_project, monomial_integral)
+                     galerkin_project, gauss_legendre, monomial_integral)
 
 
 REF_TRIANGLE = build_initial([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -36,7 +36,7 @@ def test_subdivided_rule_matches_plain_on_polynomials():
 
 
 def test_interval_rule_exactness():
-    t, w = interval_rule(3)
+    t, w = gauss_legendre(3)
     for p in range(6):
         assert np.sum(w * t ** p) == pytest.approx(1.0 / (p + 1), abs=1e-14)
 
@@ -67,16 +67,18 @@ def test_rule_weights_sum_to_domain_area(mesh, area):
 
 # The seven 2x2 maps of the package, as the einsum each replaced.  Each case
 # gives the operands at the shapes of its call site and the broadcast form of
-# the matrix that _matvec2 takes.  ``gm`` is made as the estimator's edge
-# loop makes it, by an einsum whose output is not C-ordered.
+# the matrix that _matvec2 takes.  ``gm`` is made as the gap workspace makes
+# its gradients and ``gv`` as the estimator makes its vertex gradients, by
+# einsums whose outputs are not C-ordered.
 _MATVEC2_CASES = {
     "eij,qj->eqi": lambda d: (d["B"], d["pts"], d["B"][:, None]),               # rule.xq
     "eji,bqj->ebqi": lambda d: (d["Binv"], d["gref"], d["BinvT"][:, None, None]),  # rule.grads
-    "eij,meqj->meqi": lambda d: (d["A"], d["gm"], d["A"][:, None]),             # apply_a
+    "eij,meqj->meqi": lambda d: (d["A"], d["gm"], d["A"][:, None]),             # gap fluxes
     "eij,ebqj->ebqi": lambda d: (d["A"], d["grads"], d["A"][:, None, None]),    # region flux
     "nij,nj->ni": lambda d: (d["Binv"], d["rel"], d["Binv"]),                   # prolongate
-    "eij,eqj->eqi": lambda d: (d["Binv"], d["rel_edge"], d["Binv"][:, None]),   # edge back-map
-    "eji,beqj->beqi": lambda d: (d["Binv"], d["gref_edge"], d["BinvT"][:, None]),  # edge gradients
+    "eji,bvj->ebvi": lambda d: (d["Binv"], d["gref_vert"],
+                                d["BinvT"][:, None, None]),                     # vertex gradients
+    "eij,mevj->mevi": lambda d: (d["A"], d["gv"], d["A"][:, None]),             # vertex fluxes
 }
 
 
@@ -94,19 +96,20 @@ def test_matvec2_equals_einsum(subscripts):
     for degree in (1, 2):
         space = build_space(mesh, degree)
         _, B, _, Binv = space.geometry()
-        t, _ = interval_rule(degree + 2)
-        xi_edge = np.stack([t, 1 - t], axis=-1) * rng.random((ne, 1, 1))
+        gref_vert = shape_gradients(degree, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        local = rng.standard_normal((ne, gref_vert.shape[0], 2))
+        gv = np.einsum("emb,ebvi->mevi", local.transpose(0, 2, 1),
+                       np.einsum("eji,bvj->ebvi", Binv, gref_vert))
+        assert not gv.flags.c_contiguous
         for rule in ((4, 0), (6, 0), (4, 1)):   # 6, 12 and 24 points
             pts, _ = triangle_rule_subdivided(*rule)
             gref = shape_gradients(degree, pts)
             grads = np.einsum("eji,bqj->ebqi", Binv, gref)
-            gref_edge = shape_gradients(degree, xi_edge)
-            gm = np.einsum("emb,beqi->meqi", rng.standard_normal((ne, 2, gref.shape[0])),
-                           np.einsum("eji,beqj->beqi", Binv, gref_edge))
+            gm = np.einsum("ebl,ebqi->leqi", local, grads)
             assert not gm.flags.c_contiguous
             data = dict(B=B, Binv=Binv, BinvT=Binv.transpose(0, 2, 1), A=A, pts=pts,
                         gref=gref, grads=grads, gm=gm, rel=rng.standard_normal((ne, 2)),
-                        rel_edge=np.einsum("eij,eqj->eqi", B, xi_edge), gref_edge=gref_edge)
+                        gref_vert=gref_vert, gv=gv)
             M, v, M_bcast = _MATVEC2_CASES[subscripts](data)
             out = _matvec2(M_bcast, v)
             np.testing.assert_array_equal(out, np.einsum(subscripts, M, v))
@@ -261,14 +264,21 @@ def test_coefficient_validation():
     assert mat.shape == (3, 2, 2)
 
 
-@pytest.mark.parametrize("a, message", [
-    (0.0, "coefficient a is not positive"),
-    (-1.0, "coefficient a is not positive"),
-    (lambda p: 1.0 + p[:, 0], "region table of 2x2 matrices, not a callable"),
-], ids=["zero", "negative", "callable"])
-def test_diffusion_rejected_when_coefficients_are_made(a, message):
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(a=0.0), "coefficient a is not positive"),
+    (dict(a=-1.0), "coefficient a is not positive"),
+    (dict(a=lambda p: 1.0 + p[:, 0]), "region table of 2x2 matrices, not a callable"),
+    (dict(a=math.inf), "coefficient a is not finite"),
+    (dict(a=math.nan), "coefficient a is not finite"),
+    (dict(a={0: [[1.0, 0.0], [0.0, math.inf]]}), "region 0: coefficient A has a non-finite"),
+    (dict(a={0: [[1.0, math.nan], [math.nan, 1.0]]}), "region 0: coefficient A has a non-finite"),
+    (dict(c=math.nan), "coefficient c is not finite"),
+    (dict(c=math.inf), "coefficient c is not finite"),
+], ids=["zero", "negative", "callable", "a-inf", "a-nan", "A-inf-entry", "A-nan-entry",
+        "c-nan", "c-inf"])
+def test_diffusion_rejected_when_coefficients_are_made(kwargs, message):
     with pytest.raises(MeshError, match=message):
-        Coefficients(a=a)
+        Coefficients(**kwargs)
 
 
 def test_region_matrix_assembly_matches_scalar():

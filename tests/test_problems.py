@@ -146,6 +146,15 @@ def test_nonpositive_diffusion_fails_fast(tmp_path, A):
     assert time.perf_counter() - start < 1.0
 
 
+def test_non_finite_coefficient_in_spec_fails_when_loaded(tmp_path):
+    # Python's json reads a bare NaN token; it used to fail only inside the
+    # eigensolve, with scipy's "array must not contain infs or NaNs"
+    path = tmp_path / "spec.json"
+    path.write_text('{"mesh": %s, "coefficients": {"c": NaN}}' % json.dumps(_SQUARE))
+    with pytest.raises(MeshError, match="coefficient c is not finite"):
+        get_problem(f"file:{path}")
+
+
 _EYE = [[1.0, 0.0], [0.0, 1.0]]
 
 
