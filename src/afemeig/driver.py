@@ -361,8 +361,9 @@ def _eigen_step(problem, config, k0, n, row0):
     The recorded cluster sizes are those of every detected cluster that starts
     before the window ends, so a cluster's 1-based position is its place in
     that list.  gap2 sums the squared energy gaps of the window's clusters to
-    their exact eigenspaces, or, without closed-form eigenspaces, their
-    eigenvalue errors against the reference values (NaN if one is missing).
+    their exact eigenspaces, all from one `gap_energy` call, or, without
+    closed-form eigenspaces, their eigenvalue errors against the reference
+    values (NaN if one is missing).
     A cluster run aborts unless the window is exactly one detected cluster.
     `row0` is the lock's solve on row 0's mesh; row 0 uses it when it holds
     the loop's number of eigenpairs.
@@ -401,10 +402,11 @@ def _eigen_step(problem, config, k0, n, row0):
         if not config.compute_gap:
             gap2 = float("nan")
         elif problem.exact_clusters is not None:
-            gap2 = sum(gap_energy(problem.exact_clusters[ci - 1],
-                                  EigenCluster(vals[c[0]:c[-1] + 1], columns(c)),
-                                  disc.space, disc.coeffs) ** 2
-                       for ci, c in window)
+            gaps = gap_energy([problem.exact_clusters[ci - 1] for ci, _ in window],
+                              [EigenCluster(vals[c[0]:c[-1] + 1], columns(c))
+                               for _, c in window],
+                              disc.space, disc.coeffs)
+            gap2 = sum(g ** 2 for g in gaps)
         elif all(refs.get(ci) is not None for ci, _ in window):
             gap2 = sum(float(np.sum(np.abs(vals[c[0]:c[-1] + 1] - refs[ci])))
                        for ci, c in window)

@@ -66,10 +66,9 @@ def _tri_projector(degree_poly, rule_degree):
 def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
     mesh = space.mesh
     rule = space.rule(rule_degree)
-    xq = rule.xq
     h2 = mesh.diameters() ** 2
     href = shape_hessians(space.degree)
-    cq = coeffs.c_at(xq)
+    cq = coeffs.c_on(rule)
     amat = coeffs.a_matrix_for(mesh.region)
     proj = _tri_projector(space.degree - 1, rule_degree)
     eta2 = np.zeros(mesh.n_elements)
@@ -78,7 +77,7 @@ def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
         local = vectors[:, m][space.element_dofs]
         uq = np.einsum("eb,bq->eq", local, rule.vals)
         if sources is not None:
-            r0 = np.asarray(sources[m](xq.reshape(-1, 2)), float).reshape(xq.shape[:2])
+            r0 = np.asarray(sources[m](rule.xq.reshape(-1, 2)), float).reshape(uq.shape)
         else:
             r0 = lams[m] * uq
         if href.any():   # P2: div(A grad u) = A : Hess(u), constant on each element

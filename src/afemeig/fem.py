@@ -80,6 +80,10 @@ class Coefficients:
             return vals
         return float(self.c)
 
+    def c_on(self, rule):
+        """c at an ElementRule's points, which are mapped only for a callable c."""
+        return self.c_at(rule.xq) if callable(self.c) else float(self.c)
+
     def apply_a(self, region, grads):
         """A grad u for grads (m, ne, nq, 2) on elements with tags `region`."""
         return _matvec2(self.a_matrix_for(region)[:, None], grads)
@@ -236,8 +240,12 @@ class ElementRule:
 
     @cached_property
     def xq(self):
+        # stored point-major, so the long element axis is the inner loop;
+        # the (ne, nq, 2) view holds the same values
         v0, B, _, _ = self.space.geometry()
-        return v0[:, None, :] + _matvec2(B[:, None], self.pts)
+        xq = _matvec2(B, self.pts[:, None])
+        xq += np.ascontiguousarray(v0)
+        return xq.transpose(1, 0, 2)
 
     @cached_property
     def grads(self):
@@ -277,7 +285,7 @@ def assemble_stiffness(space, coeffs, apply_dirichlet=True):
     rule = _assembly_rule(space, coeffs)
     flux = _matvec2(coeffs.a_matrix_for(space.mesh.region)[:, None, None], rule.grads)
     local = np.einsum("ebqi,edqi,q->ebd", flux, rule.grads, rule.wts)
-    cq = coeffs.c_at(rule.xq)
+    cq = coeffs.c_on(rule)
     if np.isscalar(cq):
         if cq != 0.0:
             local += cq * np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]

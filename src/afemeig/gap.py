@@ -13,17 +13,23 @@ which sidesteps the Gram cancellation that would otherwise floor tiny
 distances at sqrt(machine eps).  The gap is the max of the two directed
 distances, each computed by the same formula with the roles swapped.
 
-Every Gram comes from one subdivided element rule of degree 2k+2, which for
-constant A and quadratic c (every built-in problem) makes the discrete Grams
-S and SM equal V^T K V and V^T M V up to rounding.
+`gap_energy` measures every cluster of a window from one workspace: the rule,
+its points and every exact and discrete member are evaluated once, and the
+Grams of all members are BLAS products of which each cluster's Grams are
+diagonal blocks.  Every Gram comes from one subdivided element rule of degree
+2k+2, which for constant A and quadratic c (every built-in problem) makes the
+discrete Grams S and SM equal V^T K V and V^T M V up to rounding.  A P1
+gradient is constant on each element and kept with a point axis of length
+one; a product with it sums the other factor over the element's points first.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
+
+from .fem import shape_gradients
 
 
 @dataclass(frozen=True)
@@ -50,71 +56,97 @@ class GapError(RuntimeError):
     pass
 
 
-# point values (q, ne, nq), gradients and A-weighted gradients (q, ne, nq, 2)
-# of one basis
-_SideData = namedtuple("_SideData", "vals grads agrads")
+def _gram(left, right):
+    """(i, j) sums over points and elements of left[i] * right[j].
+
+    Both are (members, points, ne); a right side with one point (constant on
+    each element) meets the left side summed over its points.
+    """
+    if right.shape[1] != left.shape[1]:
+        left = left.sum(axis=1, keepdims=True)
+    return left.reshape(len(left), -1) @ right.reshape(len(right), -1).T
 
 
 class _GapWorkspace:
-    """Shared quadrature data for every distance between two fixed spaces."""
+    """Quadrature data and Grams of every member of a window's clusters.
 
-    def __init__(self, exact, cluster, space, coeffs, subdivision=1):
-        V = cluster.vectors
+    Each side is (values, x gradients, y gradients), arrays of shape
+    (members, nq, ne): point-major, so per-element data broadcasts along the
+    contiguous axis.  The P1 discrete gradients have one point.  G, B, P, S
+    and SM pair every member with every other; cluster i owns the block
+    ``blocks[i]`` of both sides.
+    """
+
+    def __init__(self, exact, discrete, space, coeffs, subdivision=1):
+        V = np.column_stack([cl.vectors for cl in discrete])
         if V.shape[0] != space.ndofs:
             raise GapError("cluster vectors do not live on the given space")
+        stops = np.cumsum([cl.q for cl in discrete])
+        self.blocks = [slice(stop - cl.q, stop) for stop, cl in zip(stops, discrete)]
 
         rule = space.rule(2 * space.degree + 2, subdivision)
-        xq = rule.xq
+        xq = rule.xq.transpose(1, 0, 2)         # (nq, ne, 2), the rule's own layout
+        nq, ne = xq.shape[:2]
         flat = xq.reshape(-1, 2)
-        ne, nq = xq.shape[:2]
-        self.wdet = rule.wts[None, :] * rule.det[:, None]
-        self.cq = coeffs.c_at(xq)
-        region = space.mesh.region
+        self.w = rule.wts[:, None] * rule.det[None, :]
+        self.wc = self.w * coeffs.c_at(xq)
+        self.A = np.ascontiguousarray(
+            coeffs.a_matrix_for(space.mesh.region).transpose(1, 2, 0))   # (2, 2, ne)
 
-        uvals = np.empty((exact.dim, ne, nq))
-        ugrads = np.empty((exact.dim, ne, nq, 2))
-        for i, fn in enumerate(exact.basis):
-            uvals[i] = np.asarray(fn.value(flat), float).reshape(ne, nq)
-            ugrads[i] = np.asarray(fn.grad(flat), float).reshape(ne, nq, 2)
-        self.exact = _SideData(uvals, ugrads, coeffs.apply_a(region, ugrads))
+        basis = [fn for eigenspace in exact for fn in eigenspace.basis]
+        u = np.empty((3, len(basis), nq, ne))
+        for i, fn in enumerate(basis):
+            u[0, i] = np.asarray(fn.value(flat), float).reshape(nq, ne)
+            u[1:, i] = np.asarray(fn.grad(flat), float).T.reshape(2, nq, ne)
+        self.exact = tuple(u)
 
-        local = V[space.element_dofs]                       # (ne, nb, qd)
-        vvals = np.einsum("ebl,bq->leq", local, rule.vals)
-        vgrads = np.einsum("ebl,ebqi->leqi", local, rule.grads)
-        self.discrete = _SideData(vvals, vgrads, coeffs.apply_a(region, vgrads))
+        # discrete gradients from element data: reference gradients mapped by
+        # Binv^T, at one point on P1, where they are constant on each element
+        local = V.T[:, space.element_dofs.T]                        # (m, nb, ne)
+        gref = shape_gradients(space.degree, rule.pts if space.degree > 1 else rule.pts[:1])
+        r0, r1 = gref[..., 0].T @ local, gref[..., 1].T @ local
+        Binv = rule.Binv.transpose(1, 2, 0)
+        self.discrete = (rule.vals.T @ local, Binv[0, 0] * r0 + Binv[1, 0] * r1,
+                         Binv[0, 1] * r0 + Binv[1, 1] * r1)
+        del rule, xq, flat, u
 
-        self.G = self._a_gram(self.exact, self.exact)
-        self.B = self._b_gram(self.exact, self.exact)
-        self.P = self._a_gram(self.exact, self.discrete)
-        self.S = self._a_gram(self.discrete, self.discrete)
-        self.SM = self._b_gram(self.discrete, self.discrete)
+        (uv, ux, uy), (vv, vx, vy) = self.exact, self.discrete
+        wv = self.w if vx.shape[1] == nq else self.w.sum(axis=0, keepdims=True)
+        cu = self.wc * uv
+        self.G, self.P = _gram(cu, uv), _gram(cu, vv)
+        del cu
+        self.S = _gram(self.wc * vv, vv)
+        for i, (ug, vg) in enumerate(((ux, vx), (uy, vy))):
+            flux = self._flux(i, ux, uy, self.w)
+            self.G += _gram(flux, ug)
+            self.P += _gram(flux, vg)
+            del flux
+            self.S += _gram(self._flux(i, vx, vy, wv), vg)
+        self.B = _gram(self.w * uv, uv)
+        self.SM = _gram(self.w * vv, vv)
 
-    def _a_gram(self, left, right):
-        g = np.einsum("meqi,neqi,eq->mn", left.agrads, right.grads, self.wdet)
-        g += np.einsum("meq,neq,eq->mn", left.vals * self.cq, right.vals, self.wdet)
-        return g
+    def _flux(self, i, gx, gy, w):
+        """Component i of w * A grad for gradient components (m, n, ne)."""
+        flux = self.A[i, 0] * gx
+        flux += self.A[i, 1] * gy
+        flux *= w
+        return flux
 
-    def _b_gram(self, left, right):
-        return np.einsum("meq,neq,eq->mn", left.vals, right.vals, self.wdet)
+    def _residual_norm(self, i, alpha, beta):
+        """|| sum alpha_j u_j - sum beta_l v_l ||_a over cluster i, pointwise."""
+        blk = self.blocks[i]
+        rv, rx, ry = (np.tensordot(alpha, u[blk], 1) - np.tensordot(beta, v[blk], 1)
+                      for u, v in zip(self.exact, self.discrete))
+        total = np.vdot(self.wc * rv, rv)
+        for j, r in enumerate((rx, ry)):
+            total += np.vdot(self._flux(j, rx, ry, self.w), r)
+        return float(np.sqrt(max(total, 0.0)))
 
-    def _residual_norm(self, side_from, alpha, side_to, c):
-        """|| sum alpha_i u_i - sum c_l v_l ||_a by pointwise quadrature."""
-        rvals = np.einsum("m,meq->eq", alpha, side_from.vals)
-        rvals -= np.einsum("l,leq->eq", c, side_to.vals)
-        rgrads = np.einsum("m,meqi->eqi", alpha, side_from.grads)
-        rgrads -= np.einsum("l,leqi->eqi", c, side_to.grads)
-        ragrads = np.einsum("m,meqi->eqi", alpha, side_from.agrads)
-        ragrads -= np.einsum("l,leqi->eqi", c, side_to.agrads)
-        dens = np.einsum("eqi,eqi->eq", ragrads, rgrads) + self.cq * rvals ** 2
-        return float(np.sqrt(max(np.einsum("eq,eq->", dens, self.wdet), 0.0)))
-
-    def directed(self, reverse=False):
-        if reverse:
-            from_a, from_b, cross, to_a = self.S, self.SM, self.P.T, self.G
-            side_from, side_to = self.discrete, self.exact
-        else:
-            from_a, from_b, cross, to_a = self.G, self.B, self.P, self.S
-            side_from, side_to = self.exact, self.discrete
+    def directed(self, i, reverse=False):
+        """Distance from cluster i's exact space to its discrete one (or back)."""
+        blk = self.blocks[i]
+        G, B, P, S, SM = (M[blk, blk] for M in (self.G, self.B, self.P, self.S, self.SM))
+        from_a, from_b, cross, to_a = (S, SM, P.T, G) if reverse else (G, B, P, S)
         try:
             sol = np.linalg.solve(to_a, cross.T)
         except np.linalg.LinAlgError as exc:
@@ -124,13 +156,15 @@ class _GapWorkspace:
         _, W = sla.eigh(D, 0.5 * (from_b + from_b.T))
         alpha = W[:, -1]   # b-normalized maximizer of the projection error
         c = sol @ alpha
-        return self._residual_norm(side_from, alpha, side_to, c)
+        return self._residual_norm(i, c, alpha) if reverse else self._residual_norm(i, alpha, c)
 
 
 def gap_energy(exact, discrete, space, coeffs, subdivision=1):
-    """max of the two directed distances (the energy gap delta)."""
-    if exact.dim != discrete.q:
+    """Energy gap delta of each pair of equal-length sequences of exact
+    eigenspaces and discrete clusters: the max of its two directed distances."""
+    if len(exact) != len(discrete) or not exact:
+        raise GapError("need one exact eigenspace per discrete cluster")
+    if any(e.dim != d.q for e, d in zip(exact, discrete)):
         raise GapError("spaces must have equal dimension")
     ws = _GapWorkspace(exact, discrete, space, coeffs, subdivision)
-    return max(ws.directed(), ws.directed(reverse=True))
-
+    return [max(ws.directed(i), ws.directed(i, reverse=True)) for i in range(len(exact))]

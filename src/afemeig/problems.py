@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import hermite
 
 from .fem import Coefficients
 from .gap import ExactEigenspace, ExactFunction
@@ -73,20 +74,12 @@ def square_laplace():
 
 
 def _hermite_1d(n):
-    """Normalized Hermite function psi_n and its derivative (physicists' H_n)."""
+    """Norm of the Hermite function psi_n and the physicists' H_n and H_n'
+    coefficients, for `hermval`."""
     coeff = np.zeros(n + 1)
     coeff[n] = 1.0
-    H = np.polynomial.hermite.Hermite(coeff)
-    dH = H.deriv()
-    norm = 1.0 / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
-
-    def value(x):
-        return norm * H(x) * np.exp(-0.5 * x ** 2)
-
-    def deriv(x):
-        return norm * (dH(x) - x * H(x)) * np.exp(-0.5 * x ** 2)
-
-    return value, deriv
+    return (1.0 / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi)),
+            coeff, hermite.hermder(coeff))
 
 
 def harmonic_oscillator(box_half_width=5.5):
@@ -101,15 +94,22 @@ def harmonic_oscillator(box_half_width=5.5):
     L = float(box_half_width)
 
     def member(nx, ny):
-        vx, dx = _hermite_1d(nx)
-        vy, dy = _hermite_1d(ny)
+        # psi_nx(x) psi_ny(y) with one Gaussian factor exp(-|p|^2/2) per call
+        normx, hx, dhx = _hermite_1d(nx)
+        normy, hy, dhy = _hermite_1d(ny)
+        norm = normx * normy
 
         def value(p):
-            return vx(p[:, 0]) * vy(p[:, 1])
+            x, y = p[:, 0], p[:, 1]
+            return norm * hermite.hermval(x, hx) * hermite.hermval(y, hy) * np.exp(
+                -0.5 * (x * x + y * y))
 
         def grad(p):
-            return np.stack([dx(p[:, 0]) * vy(p[:, 1]),
-                             vx(p[:, 0]) * dy(p[:, 1])], axis=1)
+            x, y = p[:, 0], p[:, 1]
+            px, py = hermite.hermval(x, hx), hermite.hermval(y, hy)
+            g = norm * np.exp(-0.5 * (x * x + y * y))
+            return np.stack([(hermite.hermval(x, dhx) - x * px) * py * g,
+                             px * (hermite.hermval(y, dhy) - y * py) * g], axis=1)
 
         return ExactFunction(value, grad)
 

@@ -208,12 +208,12 @@ def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
     """Monte-Carlo lower bound on the directed distance.
 
     Samples b-unit coefficient directions on the exact side and takes the max
-    Gram projection error; approaches `_GapWorkspace.directed()` from below
+    Gram projection error; approaches `_GapWorkspace.directed(0)` from below
     as the sample count grows, and matches it for one-dimensional spaces.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
-    ws = _GapWorkspace(exact, discrete, space, coeffs, subdivision)
+    ws = _GapWorkspace([exact], [discrete], space, coeffs, subdivision)
     D = ws.G - ws.P @ np.linalg.solve(ws.S, ws.P.T)
     D = 0.5 * (D + D.T)
     rng = np.random.default_rng(seed)

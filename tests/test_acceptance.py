@@ -284,13 +284,13 @@ def test_criterion_11_gap_oracle():
         W = m_orthonormalize(W, M)
         V = np.column_stack([space.expand(W[:, 0]), space.expand(W[:, 1])])
         cl = EigenCluster(vals[1:3], V)
-        ws = _GapWorkspace(exact, cl, space, co)
-        d = ws.directed()
+        ws = _GapWorkspace([exact], [cl], space, co)
+        d = ws.directed(0)
         bf = brute_force_distance(exact, cl, space, co, 100_000, seed=trial)
         rel = abs(bf - d) / d
         worst = max(worst, rel)
         ok &= rel <= 1e-3
-        rev = ws.directed(reverse=True)
+        rev = ws.directed(0, reverse=True)
         ok &= rev <= reverse_distance_bound(d) + 1e-8
     _criterion(11, "directed distance vs 1e5-sample oracle within 1e-3; "
                    "reverse-distance bound holds",

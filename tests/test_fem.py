@@ -298,7 +298,7 @@ def test_region_matrix_assembly_matches_scalar():
                 K.append(assemble_stiffness(space, co).toarray())
                 field = _indicators(space, co, V, lams=[20.0, 50.0])
                 ind.append(np.stack([field.eta2, field.osc2]))
-                gap.append(gap_energy(exact, EigenCluster(np.array([50.0, 50.0]), V),
+                gap.append(gap_energy([exact], [EigenCluster(np.array([50.0, 50.0]), V)],
                                       space, co))
             np.testing.assert_array_equal(K[0], K[1])
             np.testing.assert_array_equal(ind[0], ind[1])

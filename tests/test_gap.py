@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import afemeig.driver
 from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness,
-                     build_space, gap_energy, get_problem, run_afem,
+                     build_space, gap_energy, get_problem, run_afem, run_afem_first_n,
                      solve_smallest, square_laplace, uniform_refine)
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
 from afemeig.gap import ExactEigenspace, ExactFunction, GapError, _GapWorkspace
@@ -49,9 +50,9 @@ def test_distance_zero_when_exact_in_space():
     exact = ExactEigenspace(1.0, [fn])
     v = fn.value(space.dof_coords)
     cluster = EigenCluster(np.array([1.0]), v[:, None])
-    assert _GapWorkspace(exact, cluster, space, co).directed() <= 1e-10
+    assert _GapWorkspace([exact], [cluster], space, co).directed(0) <= 1e-10
     # identical spans make the full gap vanish as well
-    assert gap_energy(exact, cluster, space, co) <= 1e-10
+    assert gap_energy([exact], [cluster], space, co)[0] <= 1e-10
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -68,7 +69,7 @@ def test_gap_grams_equal_matrix_grams(name, degree):
         rng.standard_normal(space.ndofs),
         space.expand(rng.standard_normal(space.n_free)),
     ])
-    ws = _GapWorkspace(prob.exact_clusters[0], EigenCluster(np.ones(3), V),
+    ws = _GapWorkspace([prob.exact_clusters[0]], [EigenCluster(np.ones(3), V)],
                        space, co)
     S = V.T @ (assemble_stiffness(space, co, apply_dirichlet=False) @ V)
     SM = V.T @ (assemble_mass(space, apply_dirichlet=False) @ V)
@@ -76,10 +77,65 @@ def test_gap_grams_equal_matrix_grams(name, degree):
     assert np.abs(ws.SM - SM).max() <= 1e-13 * np.abs(SM).max()
 
 
+@pytest.mark.parametrize("subdivision", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", ["square", "oscillator"])
+def test_window_gaps_equal_gaps_alone(name, degree, subdivision):
+    # one workspace for every cluster of the window gives each cluster's gap
+    # as a workspace of its own would
+    prob = get_problem(name)
+    space = build_space(uniform_refine(prob.initial_mesh(), 3), degree)
+    co = prob.coefficients
+    exact = prob.exact_clusters
+    stops = np.cumsum([e.dim for e in exact])
+    vals, vecs = solve_smallest(assemble_stiffness(space, co), assemble_mass(space),
+                                int(stops[-1]))
+    clusters = [EigenCluster(vals[stop - e.dim:stop],
+                             np.column_stack([space.expand(vecs[:, k])
+                                              for k in range(stop - e.dim, stop)]))
+                for stop, e in zip(stops, exact)]
+    window = gap_energy(exact, clusters, space, co, subdivision)
+    alone = [gap_energy([e], [cl], space, co, subdivision)[0]
+             for e, cl in zip(exact, clusters)]
+    assert len(window) == len(exact)
+    np.testing.assert_allclose(window, alone, rtol=1e-13, atol=0)
+
+
+def test_exact_members_evaluated_once_per_row(monkeypatch):
+    # every exact member of the window is evaluated once per row, value and
+    # gradient each; members outside the window are never evaluated
+    calls = {}
+
+    def counted(key, fn):
+        def call(p):
+            calls[key] += 1
+            return fn(p)
+        calls[key] = 0
+        return call
+
+    def problem(name):
+        prob = get_problem(name)
+        prob.exact_clusters = [
+            ExactEigenspace(e.value, [ExactFunction(counted((ci, j, "value"), f.value),
+                                                    counted((ci, j, "grad"), f.grad))
+                                      for j, f in enumerate(e.basis)])
+            for ci, e in enumerate(prob.exact_clusters)]
+        return prob
+
+    monkeypatch.setattr(afemeig.driver, "get_problem", problem)
+    tr = run_afem_first_n(AfemConfig(problem="oscillator", degree=1, first_n=3,
+                                     max_dof=1500))
+    assert len(tr) >= 3
+    window = {key: n for key, n in calls.items() if key[0] < 2}
+    assert len(window) == 6   # clusters 1 and 2: three members, value and grad
+    assert set(window.values()) == {len(tr)}
+    assert all(n == 0 for key, n in calls.items() if key[0] >= 2)
+
+
 def test_brute_force_bounds_directed(cluster2_setup):
     prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    d = _GapWorkspace(exact, cluster, space, co).directed()
+    d = _GapWorkspace([exact], [cluster], space, co).directed(0)
     bf = brute_force_distance(exact, cluster, space, co, 100_000)
     assert bf <= d + 1e-12
     assert bf == pytest.approx(d, rel=1e-3)
@@ -92,7 +148,7 @@ def test_brute_force_exact_for_q1(cluster2_setup):
     vals, vecs = solve_smallest(K, M, 1)
     cl1 = EigenCluster(vals[:1], space.expand(vecs[:, 0])[:, None])
     exact = prob.exact_clusters[0]
-    d = _GapWorkspace(exact, cl1, space, co).directed()
+    d = _GapWorkspace([exact], [cl1], space, co).directed(0)
     bf = brute_force_distance(exact, cl1, space, co, 1000)
     assert bf == pytest.approx(d, rel=1e-12)
 
@@ -105,9 +161,9 @@ def test_brute_force_sample_floor():
 def test_gap_is_max_of_directions(cluster2_setup):
     prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    ws = _GapWorkspace(exact, cluster, space, co)
-    fwd, rev = ws.directed(), ws.directed(reverse=True)
-    delta = gap_energy(exact, cluster, space, co)
+    ws = _GapWorkspace([exact], [cluster], space, co)
+    fwd, rev = ws.directed(0), ws.directed(0, reverse=True)
+    delta = gap_energy([exact], [cluster], space, co)[0]
     assert delta == max(fwd, rev)
     # d(Y, X) <= d(X, Y) / (1 - d(X, Y)) for equal dimensions and d < 1
     assert fwd < 1.0
@@ -117,28 +173,28 @@ def test_gap_is_max_of_directions(cluster2_setup):
 def test_gap_invariant_under_recombination(cluster2_setup):
     prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    delta = gap_energy(exact, cluster, space, co)
+    delta = gap_energy([exact], [cluster], space, co)[0]
     rng = np.random.default_rng(5)
     for _ in range(5):
         th = rng.uniform(0, 2 * math.pi)
         Q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        delta2 = gap_energy(exact, EigenCluster(cluster.values, cluster.vectors @ Q),
-                            space, co)
+        delta2 = gap_energy([exact], [EigenCluster(cluster.values, cluster.vectors @ Q)],
+                            space, co)[0]
         assert delta2 == pytest.approx(delta, abs=1e-10)
 
 
 def test_dimension_mismatch_rejected(cluster2_setup):
     prob, space, co, cluster = cluster2_setup
     with pytest.raises(GapError):
-        gap_energy(prob.exact_clusters[0], cluster, space, co)
+        gap_energy([prob.exact_clusters[0]], [cluster], space, co)
 
 
 def test_quadrature_subdivision_converged(cluster2_setup):
     # doubling the subdivision must not move the measured gap by > 1%
     prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    d1 = gap_energy(exact, cluster, space, co, subdivision=1)
-    d2 = gap_energy(exact, cluster, space, co, subdivision=2)
+    d1 = gap_energy([exact], [cluster], space, co, subdivision=1)[0]
+    d2 = gap_energy([exact], [cluster], space, co, subdivision=2)[0]
     assert d2 == pytest.approx(d1, rel=1e-2)
 
 
@@ -159,12 +215,12 @@ def test_random_perturbed_instances_agree_with_oracle():
         W = m_orthonormalize(W, M)
         V = np.column_stack([space.expand(W[:, 0]), space.expand(W[:, 1])])
         cl = EigenCluster(vals[1:3], V)
-        ws = _GapWorkspace(exact, cl, space, co)
-        d = ws.directed()
+        ws = _GapWorkspace([exact], [cl], space, co)
+        d = ws.directed(0)
         bf = brute_force_distance(exact, cl, space, co, 100_000, seed=trial)
         assert bf == pytest.approx(d, rel=1e-3)
         if d < 1.0:
-            assert ws.directed(reverse=True) <= reverse_distance_bound(d) + 1e-8
+            assert ws.directed(0, reverse=True) <= reverse_distance_bound(d) + 1e-8
 
 
 def test_gap_monotone_under_refinement():

@@ -8,13 +8,17 @@ eight indicators that agree to round-off at 7 of its 15 rows, and round-off
 picks the marked members.  Regenerate them after an intended change of the
 numbers with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which rewrites the named files (the keys of RUNS, without `.csv`), or all of
+them when no name is given, at the shell's BLAS thread count.
 """
 
 import csv
 import io
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -80,7 +84,11 @@ def test_trace_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(RUNS)
+    unknown = sorted(set(names) - set(RUNS))
+    if unknown:
+        sys.exit(f"unknown run {', '.join(unknown)}; choose from {', '.join(RUNS)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, run in RUNS.items():
-        (GOLDEN / f"{name}.csv").write_text(_golden_text(run()))
+    for name in names:
+        (GOLDEN / f"{name}.csv").write_text(_golden_text(RUNS[name]()))
         print("wrote", GOLDEN / f"{name}.csv")

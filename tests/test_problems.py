@@ -71,6 +71,32 @@ def test_oscillator_spectrum_and_basis():
         assert np.abs(rq - cl.value).max() / cl.value <= 1e-5  # box truncation
 
 
+def test_oscillator_members_match_hermite_class():
+    # psi_nx(x) psi_ny(y) with psi_n = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi))
+    # built from numpy's Hermite class; gradients against central differences
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-5.5, 5.5, (400, 2))
+    members = [f for cl in harmonic_oscillator().exact_clusters for f in cl.basis]
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    def psi(n, x):
+        coeff = np.zeros(n + 1)
+        coeff[n] = 1.0
+        norm = 1.0 / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
+        return norm * np.polynomial.hermite.Hermite(coeff)(x) * np.exp(-0.5 * x ** 2)
+
+    h = 1e-5
+    for fn, (nx, ny) in zip(members, orders):
+        want = psi(nx, pts[:, 0]) * psi(ny, pts[:, 1])
+        np.testing.assert_allclose(fn.value(pts), want, rtol=1e-13, atol=0)
+        grad = fn.grad(pts)
+        for axis in range(2):
+            step = np.zeros(2)
+            step[axis] = h
+            central = (fn.value(pts + step) - fn.value(pts - step)) / (2 * h)
+            np.testing.assert_allclose(grad[:, axis], central, rtol=0, atol=1e-8)
+
+
 def test_oscillator_box_matches_half_width():
     prob = harmonic_oscillator(box_half_width=4.0)
     assert prob.vertices[:, 0].min() == -4.0
