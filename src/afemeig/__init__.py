@@ -6,7 +6,7 @@ from .driver import (AfemConfig, AfemTrace, ClusterIdentityError, emit_plot,
 from .eigsolve import EigenCluster, detect_cluster, solve_smallest
 from .estimator import IndicatorField, eigen_indicators
 from .fem import Coefficients, FeSpace, assemble_mass, assemble_stiffness, build_space
-from .gap import ExactEigenspace, ExactFunction, gap_energy
+from .gap import ExactEigenspace, gap_energy
 from .marking import MarkResult, dorfler_mark
 from .mesh import Mesh, MeshError, RefineResult, build_initial, refine, uniform_refine
 from .problems import ProblemSpec, get_problem, harmonic_oscillator, lshape_laplace, square_laplace
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AfemConfig", "AfemTrace", "ClusterIdentityError", "Coefficients",
-    "EigenCluster", "ExactEigenspace", "ExactFunction", "FeSpace",
+    "EigenCluster", "ExactEigenspace", "FeSpace",
     "IndicatorField", "MarkResult", "Mesh", "MeshError", "ProblemSpec",
     "RefineResult", "assemble_mass", "assemble_stiffness",
     "build_initial", "build_space", "detect_cluster",

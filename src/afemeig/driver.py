@@ -361,14 +361,15 @@ def _eigen_step(problem, config, k0, n, row0):
     The recorded cluster sizes are those of every detected cluster that starts
     before the window ends, so a cluster's 1-based position is its place in
     that list.  gap2 sums the squared energy gaps of the window's clusters to
-    their exact eigenspaces, all from one `gap_energy` call, or, without
-    closed-form eigenspaces, their eigenvalue errors against the reference
-    values (NaN if one is missing).
+    their exact eigenspaces, all from one `gap_energy` call, or, unless every
+    window cluster has a closed-form eigenspace, their eigenvalue errors
+    against the reference values (NaN if one is missing).
     A cluster run aborts unless the window is exactly one detected cluster.
     `row0` is the lock's solve on row 0's mesh; row 0 uses it when it holds
     the loop's number of eigenpairs.
     """
     refs = _reference_values(problem)
+    exact = problem.exact_clusters or []
     carried = None     # the row before's space and the sum of its eigenvectors
 
     def step(disc, ancestor):
@@ -401,8 +402,8 @@ def _eigen_step(problem, config, k0, n, row0):
                                EigenCluster(tracked, columns(range(k0, k0 + n))))
         if not config.compute_gap:
             gap2 = float("nan")
-        elif problem.exact_clusters is not None:
-            gaps = gap_energy([problem.exact_clusters[ci - 1] for ci, _ in window],
+        elif all(ci <= len(exact) for ci, _ in window):
+            gaps = gap_energy([exact[ci - 1] for ci, _ in window],
                               [EigenCluster(vals[c[0]:c[-1] + 1], columns(c))
                                for _, c in window],
                               disc.space, disc.coeffs)
@@ -455,15 +456,22 @@ def run_afem_first_n(config):
 def run_afem_source(config, sources, exact=None):
     """AFEM for the vector source problem a(u_i, v) = b(f_i, v).
 
-    `sources` are callables f_i(points)->(m,); optional `exact` supplies
-    (value, grad) callables per component, in which case the gap2 column
-    records the squared energy error sum.
+    `sources` are one or more callables f_i(points) -> (m,).  The optional
+    `exact` holds one closed-form solution u_i per source, each a callable
+    from (m, 2) points to the (3, m) rows of u_i, du_i/dx and du_i/dy; then
+    the gap2 column records the sum of the squared energy errors.  A count
+    mismatch raises a ValueError before any solve.
     """
+    sources = list(sources)
+    if not sources:
+        raise ValueError("need at least one source")
+    if exact is not None and len(exact) != len(sources):
+        raise ValueError(f"exact has {len(exact)} entries for {len(sources)} sources; "
+                         "need one closed-form solution per source")
     problem = get_problem(config.problem)
     t0 = time.perf_counter()
     disc = _Discretization(problem, build_space(
         uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS), config.degree))
-    sources = list(sources)
 
     def step(disc, ancestor):
         lu = spla.splu(disc.K.tocsc())
@@ -472,8 +480,8 @@ def run_afem_source(config, sources, exact=None):
             for f in sources])
         ind = _indicators(disc.space, disc.coeffs, vectors, sources=sources)
         err2 = float("nan") if exact is None else sum(
-            energy_error(disc.space, disc.coeffs, vectors[:, i], value_fn, grad_fn) ** 2
-            for i, (value_fn, grad_fn) in enumerate(exact))
+            energy_error(disc.space, disc.coeffs, vectors[:, i], fn) ** 2
+            for i, fn in enumerate(exact))
         return ind, (), err2, ()
 
     meta = {"mode": f"source_{len(sources)}", "lambda_refs": [],

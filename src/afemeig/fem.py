@@ -346,13 +346,13 @@ def prolongate(coarse_space, fine_space, ancestor, vec):
     return np.einsum("nb,bn->n", local, vals)
 
 
-def energy_error(space, coeffs, vec, value_fn, grad_fn):
-    """|| w - u_h ||_a by quadrature against an analytic w."""
+def energy_error(space, coeffs, vec, fn):
+    """|| w - u_h ||_a by quadrature against an analytic w, given as one
+    callable from (m, 2) points to the (3, m) rows of w, dw/dx and dw/dy."""
     rule = space.rule(2 * space.degree + 2)
     xq = rule.xq
-    flat = xq.reshape(-1, 2)
-    dval = np.asarray(value_fn(flat), float).reshape(xq.shape[:2])
-    dgrad = np.asarray(grad_fn(flat), float).reshape(xq.shape[0], xq.shape[1], 2)
+    w = np.asarray(fn(xq.reshape(-1, 2)), float).reshape(3, *xq.shape[:2])
+    dval, dgrad = w[0], w[1:].transpose(1, 2, 0)
     local = np.asarray(vec, float)[space.element_dofs]
     dval -= np.einsum("eb,bq->eq", local, rule.vals)
     dgrad -= np.einsum("eb,ebqi->eqi", local, rule.grads)

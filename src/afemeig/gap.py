@@ -16,15 +16,16 @@ distances, each computed by the same formula with the roles swapped.
 `gap_energy` measures every cluster of a window from one workspace: the rule,
 its points and every exact and discrete member are evaluated once, and the
 Grams of all members are BLAS products of which each cluster's Grams are
-diagonal blocks.  Every Gram comes from one subdivided element rule of degree
-2k+2, which for constant A and quadratic c (every built-in problem) makes the
-discrete Grams S and SM equal V^T K V and V^T M V up to rounding.  A P1
-gradient is constant on each element and kept with a point axis of length
-one; a product with it sums the other factor over the element's points first.
+diagonal blocks.  Each exact member is one call per row that returns its
+values and gradient together (see `ExactEigenspace`).  Every Gram comes from
+one subdivided element rule of degree 2k+2, which for constant A and
+quadratic c (every built-in problem) makes the discrete Grams S and SM equal
+V^T K V and V^T M V up to rounding.  A P1 gradient is constant on each
+element and kept with a point axis of length one; a product with it sums the
+other factor over the element's points first.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,17 +33,10 @@ import scipy.linalg as sla
 from .fem import shape_gradients
 
 
-@dataclass(frozen=True)
-class ExactFunction:
-    """Closed-form function with evaluable gradient; both take (m, 2) arrays."""
-
-    value: Callable
-    grad: Callable
-
-
 @dataclass
 class ExactEigenspace:
-    """Analytic eigenvalue with a b-orthonormal closed-form basis."""
+    """Analytic eigenvalue with a b-orthonormal closed-form basis: callables
+    from (m, 2) points to the (3, m) rows of value, d/dx and d/dy."""
 
     value: float
     basis: list
@@ -88,17 +82,23 @@ class _GapWorkspace:
         xq = rule.xq.transpose(1, 0, 2)         # (nq, ne, 2), the rule's own layout
         nq, ne = xq.shape[:2]
         flat = xq.reshape(-1, 2)
+        # the members first: a call's temporaries set the workspace's memory
+        # peak, so neither the weights nor the last call's output outlive it
+        basis = [(ci, j, fn) for ci, eigenspace in enumerate(exact)
+                 for j, fn in enumerate(eigenspace.basis)]
+        u = np.empty((3, len(basis), nq, ne))
+        for i, (ci, j, fn) in enumerate(basis):
+            out = np.asarray(fn(flat), float)
+            if out.shape != (3, nq * ne):
+                raise GapError(f"exact[{ci}].basis[{j}] returned shape "
+                               f"{out.shape}, expected (3, {nq * ne})")
+            u[:, i] = out.reshape(3, nq, ne)
+            del out
+        self.exact = tuple(u)
         self.w = rule.wts[:, None] * rule.det[None, :]
         self.wc = self.w * coeffs.c_at(xq)
         self.A = np.ascontiguousarray(
             coeffs.a_matrix_for(space.mesh.region).transpose(1, 2, 0))   # (2, 2, ne)
-
-        basis = [fn for eigenspace in exact for fn in eigenspace.basis]
-        u = np.empty((3, len(basis), nq, ne))
-        for i, fn in enumerate(basis):
-            u[0, i] = np.asarray(fn.value(flat), float).reshape(nq, ne)
-            u[1:, i] = np.asarray(fn.grad(flat), float).T.reshape(2, nq, ne)
-        self.exact = tuple(u)
 
         # discrete gradients from element data: reference gradients mapped by
         # Binv^T, at one point on P1, where they are constant on each element

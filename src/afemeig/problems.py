@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import hermite
 
 from .fem import Coefficients
-from .gap import ExactEigenspace, ExactFunction
+from .gap import ExactEigenspace
 from .mesh import build_initial
 
 
@@ -47,16 +47,13 @@ def square_laplace():
     five_pi2 = 5.0 * math.pi ** 2
 
     def sine(m, n):
-        def value(p):
-            return 2.0 * np.sin(m * np.pi * p[:, 0]) * np.sin(n * np.pi * p[:, 1])
-
-        def grad(p):
+        def fn(p):
             sx, cx = np.sin(m * np.pi * p[:, 0]), np.cos(m * np.pi * p[:, 0])
             sy, cy = np.sin(n * np.pi * p[:, 1]), np.cos(n * np.pi * p[:, 1])
-            return np.stack([2.0 * m * np.pi * cx * sy,
-                             2.0 * n * np.pi * sx * cy], axis=1)
+            return np.stack([2.0 * sx * sy, 2.0 * m * np.pi * cx * sy,
+                             2.0 * n * np.pi * sx * cy])
 
-        return ExactFunction(value, grad)
+        return fn
 
     clusters = [
         ExactEigenspace(two_pi2, [sine(1, 1)]),
@@ -94,24 +91,21 @@ def harmonic_oscillator(box_half_width=5.5):
     L = float(box_half_width)
 
     def member(nx, ny):
-        # psi_nx(x) psi_ny(y) with one Gaussian factor exp(-|p|^2/2) per call
+        # psi_nx(x) psi_ny(y): the Hermite factors and the Gaussian once per call
         normx, hx, dhx = _hermite_1d(nx)
         normy, hy, dhy = _hermite_1d(ny)
         norm = normx * normy
 
-        def value(p):
-            x, y = p[:, 0], p[:, 1]
-            return norm * hermite.hermval(x, hx) * hermite.hermval(y, hy) * np.exp(
-                -0.5 * (x * x + y * y))
-
-        def grad(p):
+        def fn(p):
             x, y = p[:, 0], p[:, 1]
             px, py = hermite.hermval(x, hx), hermite.hermval(y, hy)
-            g = norm * np.exp(-0.5 * (x * x + y * y))
-            return np.stack([(hermite.hermval(x, dhx) - x * px) * py * g,
-                             px * (hermite.hermval(y, dhy) - y * py) * g], axis=1)
+            e = np.exp(-0.5 * (x * x + y * y))
+            g = norm * e
+            return np.stack([norm * px * py * e,
+                             (hermite.hermval(x, dhx) - x * px) * py * g,
+                             px * (hermite.hermval(y, dhy) - y * py) * g])
 
-        return ExactFunction(value, grad)
+        return fn
 
     clusters = [
         ExactEigenspace(1.0, [member(0, 0)]),
@@ -207,17 +201,26 @@ def _coefficient_from_descriptor(desc):
     return Coefficients(a=a, c=c)
 
 
+def _entry(obj, key, where):
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{where}: no {key!r} entry") from None
+
+
 def from_json(path):
+    """Problem spec from a JSON file; a missing `mesh`, `vertices` or
+    `elements` entry raises a ValueError that names it."""
     with open(path) as fh:
         obj = json.load(fh)
-    mesh_obj = obj["mesh"]
+    mesh_obj = _entry(obj, "mesh", "problem spec")
     if isinstance(mesh_obj, str):
         with open(mesh_obj) as fh:
             mesh_obj = json.load(fh)
     return ProblemSpec(
         name=obj.get("name", "custom"),
-        vertices=np.array(mesh_obj["vertices"], float),
-        triangles=np.array(mesh_obj["elements"], np.int64),
+        vertices=np.array(_entry(mesh_obj, "vertices", "mesh"), float),
+        triangles=np.array(_entry(mesh_obj, "elements", "mesh"), np.int64),
         coefficients=_coefficient_from_descriptor(obj.get("coefficients", {})),
         exact_clusters=None,
         reference_values=[tuple(rv) for rv in obj["reference_values"]]

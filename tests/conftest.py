@@ -1,4 +1,7 @@
+import math
+
 import hypothesis
+import numpy as np
 import pytest
 
 from afemeig import Coefficients, build_initial, build_space, uniform_refine
@@ -18,6 +21,20 @@ def lshape_mesh(rounds=0):
         [(-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)],
         [(0, 1, 3), (0, 3, 2), (2, 3, 6), (2, 6, 5), (3, 4, 7), (3, 7, 6)])
     return uniform_refine(m, rounds) if rounds else m
+
+
+def sine_solution(p):
+    """u = sin(pi x) sin(pi y) as a closed-form function: the (3, m) rows of
+    u, du/dx and du/dy at the (m, 2) points p."""
+    sx, cx = np.sin(math.pi * p[:, 0]), np.cos(math.pi * p[:, 0])
+    sy, cy = np.sin(math.pi * p[:, 1]), np.cos(math.pi * p[:, 1])
+    return np.stack([sx * sy, math.pi * cx * sy, math.pi * sx * cy])
+
+
+def sine_source(p):
+    """f = -Lap u = 2 pi^2 u for u = `sine_solution`, zero on the unit square's
+    boundary."""
+    return 2 * math.pi ** 2 * sine_solution(p)[0]
 
 
 @pytest.fixture(scope="session")

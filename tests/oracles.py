@@ -145,16 +145,16 @@ def b_norm(space, vec):
     return _quadratic_form(space, M, vec)
 
 
-def galerkin_project(space, coeffs, value_fn, grad_fn):
+def galerkin_project(space, coeffs, fn):
     """Energy projection of an analytic function onto the space (R_h w).
 
-    The right-hand side a(w, phi_i) is integrated with the degree 2k+2 rule.
+    `fn` maps (m, 2) points to the (3, m) rows of w, dw/dx and dw/dy.  The
+    right-hand side a(w, phi_i) is integrated with the degree 2k+2 rule.
     """
     rule = space.rule(2 * space.degree + 2)
     xq = rule.xq
-    flat = xq.reshape(-1, 2)
-    wgrad = np.asarray(grad_fn(flat), float).reshape(xq.shape[0], xq.shape[1], 2)
-    wval = np.asarray(value_fn(flat), float).reshape(xq.shape[:2])
+    w = np.asarray(fn(xq.reshape(-1, 2)), float).reshape(3, *xq.shape[:2])
+    wval, wgrad = w[0], w[1:].transpose(1, 2, 0)
     aw = np.einsum("eij,eqj->eqi", coeffs.a_matrix_for(space.mesh.region), wgrad)
     local = np.einsum("ebqi,eqi,q->eb", rule.grads, aw, rule.wts)
     cq = coeffs.c_at(xq)

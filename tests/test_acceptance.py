@@ -21,7 +21,7 @@ from afemeig.eigsolve import EigenCluster, m_orthonormalize
 from afemeig.gap import _GapWorkspace
 from afemeig.mesh import refine, uniform_refine
 
-from conftest import lshape_mesh, square_mesh
+from conftest import lshape_mesh, sine_solution, sine_source, square_mesh
 from oracles import brute_force_distance, reverse_distance_bound, validate_mesh
 
 LAM2 = 5 * math.pi ** 2
@@ -302,13 +302,8 @@ def test_criterion_11_gap_oracle():
 
 
 def test_criterion_12_source_problem():
-    val = lambda p: np.sin(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1])
-    grad = lambda p: np.stack(
-        [math.pi * np.cos(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1]),
-         math.pi * np.sin(math.pi * p[:, 0]) * np.cos(math.pi * p[:, 1])], axis=1)
-    source = lambda p: 2 * math.pi ** 2 * val(p)
     cfg = AfemConfig(problem="square", degree=1, theta=0.5, max_dof=40_000)
-    tr = run_afem_source(cfg, [source], exact=[(val, grad)])
+    tr = run_afem_source(cfg, [sine_source], exact=[sine_solution])
     err = np.sqrt(tr.series("gap2"))
     slope = fit_slope(tr.series("n_dofs"), err, window=6)
     tr0 = run_afem_source(cfg, [lambda p: np.zeros(p.shape[0])])

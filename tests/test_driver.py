@@ -9,6 +9,8 @@ from afemeig import (AfemConfig, ClusterIdentityError, run_afem, run_afem_first_
 from afemeig.driver import (emit_plot, export_trace, fit_slope, read_trace,
                             trace_to_csv_text)
 
+from conftest import sine_solution, sine_source
+
 
 def _strip_seconds(csv_text):
     return "\n".join(",".join(line.split(",")[:-1])
@@ -201,6 +203,22 @@ def test_lshape_gap_column_is_reference_proxy():
     assert np.allclose(tr.series("gap2"), np.abs(lam_err), rtol=1e-12)
 
 
+@pytest.mark.parametrize("entry, kw", [
+    ("cluster", dict(cluster_index=3)),     # 8 pi^2: past the closed forms
+    ("first_n", dict(first_n=4)),           # clusters 1-3, the third without one
+])
+def test_window_past_closed_forms_records_nan_gap(entry, kw):
+    # the square has exact eigenspaces and reference values for clusters 1
+    # and 2 only; a window that reaches cluster 3 used to crash with
+    # "list index out of range" and now takes the reference-value proxy,
+    # which is NaN where a reference is missing
+    cfg = AfemConfig(problem="square", max_dof=300, **kw)
+    tr = run_afem_first_n(cfg) if entry == "first_n" else run_afem(cfg)
+    assert len(tr) >= 2
+    assert np.all(np.isnan(tr.series("gap2")))
+    assert np.all(np.isfinite(tr.series("eta2")))
+
+
 def test_uniform_marking_marks_everything():
     cfg = AfemConfig(problem="square", degree=1, cluster_index=1,
                      multiplicity=1, max_dof=800, marking="uniform",
@@ -212,15 +230,6 @@ def test_uniform_marking_marks_everything():
 # -- source mode -------------------------------------------------------------
 
 
-def _manufactured():
-    val = lambda p: np.sin(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1])
-    grad = lambda p: np.stack(
-        [math.pi * np.cos(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1]),
-         math.pi * np.sin(math.pi * p[:, 0]) * np.cos(math.pi * p[:, 1])], axis=1)
-    source = lambda p: 2 * math.pi ** 2 * val(p)
-    return val, grad, source
-
-
 def test_zero_source_converges_immediately():
     cfg = AfemConfig(problem="square", degree=1, max_dof=4000)
     tr = run_afem_source(cfg, [lambda p: np.zeros(p.shape[0])])
@@ -230,21 +239,38 @@ def test_zero_source_converges_immediately():
 
 
 def test_source_composite_contraction():
-    val, grad, source = _manufactured()
     cfg = AfemConfig(problem="square", degree=1, theta=0.5, max_dof=6000)
-    tr = run_afem_source(cfg, [source], exact=[(val, grad)])
+    tr = run_afem_source(cfg, [sine_source], exact=[sine_solution])
     assert len(tr) >= 11
     comp = tr.series("gap2") + 1e-3 * tr.series("eta2")  # gap2 = energy error^2
     assert np.all(np.diff(comp) < 0)
 
 
 def test_source_two_components():
-    val, grad, source = _manufactured()
     bump = lambda p: p[:, 0] * (1 - p[:, 0]) * p[:, 1] * (1 - p[:, 1])
     cfg = AfemConfig(problem="square", degree=1, max_dof=900)
-    tr = run_afem_source(cfg, [source, lambda p: 10 * bump(p)])
+    tr = run_afem_source(cfg, [sine_source, lambda p: 10 * bump(p)])
     assert tr.n_lambda == 0
     assert np.all(tr.series("eta2") > 0)
+
+
+@pytest.mark.parametrize("sources, exact, message", [
+    ([sine_source], [], "exact has 0 entries for 1 sources"),
+    ([sine_source], [sine_solution, sine_solution], "exact has 2 entries for 1 sources"),
+    ([], None, "need at least one source"),
+], ids=["exact-empty", "exact-too-long", "no-sources"])
+def test_source_count_mismatch_rejected_before_solving(monkeypatch, sources, exact, message):
+    # exact=[] used to record gap2 = 0.0, a second exact entry to raise an
+    # IndexError after the first solve, and no source numpy's "need at least
+    # one array to concatenate"
+    from afemeig import driver
+
+    def no_discretization(*args):
+        raise AssertionError("assembled before the check")
+
+    monkeypatch.setattr(driver, "_Discretization", no_discretization)
+    with pytest.raises(ValueError, match=message):
+        run_afem_source(AfemConfig(problem="square", max_dof=300), sources, exact=exact)
 
 
 # -- one stop/status rule for every entry point -----------------------------
@@ -256,8 +282,7 @@ def _run_entry(entry, **kw):
     if entry == "first_n":
         return run_afem_first_n(AfemConfig(problem="square", first_n=3,
                                            compute_gap=False, **kw))
-    _, _, source = _manufactured()
-    return run_afem_source(AfemConfig(problem="square", **kw), [source])
+    return run_afem_source(AfemConfig(problem="square", **kw), [sine_source])
 
 
 @pytest.mark.parametrize("entry", ["cluster", "first_n", "source"])

@@ -79,7 +79,7 @@ def test_benchmark_tracer_installs_and_counts():
 def test_public_names():
     assert sorted(afemeig.__all__) == [
         "AfemConfig", "AfemTrace", "ClusterIdentityError", "Coefficients",
-        "EigenCluster", "ExactEigenspace", "ExactFunction", "FeSpace",
+        "EigenCluster", "ExactEigenspace", "FeSpace",
         "IndicatorField", "MarkResult", "Mesh", "MeshError", "ProblemSpec",
         "RefineResult", "assemble_mass", "assemble_stiffness", "build_initial",
         "build_space", "detect_cluster", "dorfler_mark", "eigen_indicators",

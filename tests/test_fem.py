@@ -11,7 +11,7 @@ from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, sha
 from afemeig.mesh import build_initial
 from afemeig.quadrature import triangle_rule, triangle_rule_subdivided
 
-from conftest import lshape_mesh, square_mesh
+from conftest import lshape_mesh, sine_solution, square_mesh
 from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket,
                      galerkin_project, gauss_legendre, monomial_integral)
 
@@ -238,18 +238,14 @@ def test_galerkin_projection_orthogonality(degree):
     # spaces, up to the quadrature used to realize R_h for analytic w
     mesh = square_mesh(6 if degree == 1 else 5)
     co = Coefficients(a=1.0, c=1.0)
-    w = lambda p: np.sin(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1])
-    gw = lambda p: np.stack(
-        [math.pi * np.cos(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1]),
-         math.pi * np.sin(math.pi * p[:, 0]) * np.cos(math.pi * p[:, 1])], axis=1)
     rng = np.random.default_rng(9)
     coarse = build_space(mesh, degree)
     res = refine(mesh, set(rng.choice(mesh.n_elements, 30, replace=False).tolist()))
     fine = build_space(res.mesh, degree)
-    RH = galerkin_project(coarse, co, w, gw)
-    Rh = galerkin_project(fine, co, w, gw)
-    eH = energy_error(coarse, co, RH, w, gw)
-    eh = energy_error(fine, co, Rh, w, gw)
+    RH = galerkin_project(coarse, co, sine_solution)
+    Rh = galerkin_project(fine, co, sine_solution)
+    eH = energy_error(coarse, co, RH, sine_solution)
+    eh = energy_error(fine, co, Rh, sine_solution)
     diff = Rh - prolongate(coarse, fine, res.ancestor, RH)
     dn = energy_norm(fine, co, diff)
     assert eh ** 2 == pytest.approx(eH ** 2 - dn ** 2, rel=1e-5)

@@ -8,7 +8,7 @@ from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness
                      build_space, gap_energy, get_problem, run_afem, run_afem_first_n,
                      solve_smallest, square_laplace, uniform_refine)
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
-from afemeig.gap import ExactEigenspace, ExactFunction, GapError, _GapWorkspace
+from afemeig.gap import ExactEigenspace, GapError, _GapWorkspace
 
 from conftest import square_mesh
 from oracles import (brute_force_distance, directed_distance_from_grams,
@@ -45,10 +45,10 @@ def test_distance_zero_when_exact_in_space():
     space = build_space(mesh, 1)
     co = Coefficients()
     nrm = math.sqrt(7.0 / 15.0)  # || x + 0.2 ||_{L2(0,1)^2}
-    fn = ExactFunction(lambda p: (p[:, 0] + 0.2) / nrm,
-                       lambda p: np.tile([1.0 / nrm, 0.0], (p.shape[0], 1)))
+    fn = lambda p: np.stack([(p[:, 0] + 0.2) / nrm, np.full(len(p), 1.0 / nrm),
+                             np.zeros(len(p))])
     exact = ExactEigenspace(1.0, [fn])
-    v = fn.value(space.dof_coords)
+    v = fn(space.dof_coords)[0]
     cluster = EigenCluster(np.array([1.0]), v[:, None])
     assert _GapWorkspace([exact], [cluster], space, co).directed(0) <= 1e-10
     # identical spans make the full gap vanish as well
@@ -102,8 +102,8 @@ def test_window_gaps_equal_gaps_alone(name, degree, subdivision):
 
 
 def test_exact_members_evaluated_once_per_row(monkeypatch):
-    # every exact member of the window is evaluated once per row, value and
-    # gradient each; members outside the window are never evaluated
+    # every exact member of the window is called once per row, value and
+    # gradient together; members outside the window are never called
     calls = {}
 
     def counted(key, fn):
@@ -116,9 +116,7 @@ def test_exact_members_evaluated_once_per_row(monkeypatch):
     def problem(name):
         prob = get_problem(name)
         prob.exact_clusters = [
-            ExactEigenspace(e.value, [ExactFunction(counted((ci, j, "value"), f.value),
-                                                    counted((ci, j, "grad"), f.grad))
-                                      for j, f in enumerate(e.basis)])
+            ExactEigenspace(e.value, [counted((ci, j), f) for j, f in enumerate(e.basis)])
             for ci, e in enumerate(prob.exact_clusters)]
         return prob
 
@@ -127,9 +125,23 @@ def test_exact_members_evaluated_once_per_row(monkeypatch):
                                      max_dof=1500))
     assert len(tr) >= 3
     window = {key: n for key, n in calls.items() if key[0] < 2}
-    assert len(window) == 6   # clusters 1 and 2: three members, value and grad
+    assert len(window) == 3   # clusters 1 and 2: three members
     assert set(window.values()) == {len(tr)}
     assert all(n == 0 for key, n in calls.items() if key[0] >= 2)
+
+
+@pytest.mark.parametrize("rows", [
+    lambda out: out[0], lambda out: out.T, lambda out: out[:2], lambda out: out[:, :-1],
+], ids=["value-only", "point-major", "no-y-derivative", "one-point-short"])
+def test_member_of_wrong_shape_rejected(cluster2_setup, rows):
+    # a member must return the (3, m) rows of value, d/dx and d/dy; any other
+    # shape, even one with 3 m numbers, names the member
+    prob, space, co, cluster = cluster2_setup
+    good, other = prob.exact_clusters[1].basis
+    exact = ExactEigenspace(prob.exact_clusters[1].value,
+                            [good, lambda p: rows(other(p))])
+    with pytest.raises(GapError, match=r"exact\[0\]\.basis\[1\] returned shape"):
+        _GapWorkspace([exact], [cluster], space, co)
 
 
 def test_brute_force_bounds_directed(cluster2_setup):

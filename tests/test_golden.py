@@ -16,7 +16,6 @@ them when no name is given, at the shell's BLAS thread count.
 
 import csv
 import io
-import math
 import pathlib
 import sys
 
@@ -26,18 +25,15 @@ import pytest
 from afemeig import AfemConfig, run_afem, run_afem_first_n, run_afem_source
 from afemeig.driver import trace_to_csv_text
 
+from conftest import sine_solution, sine_source
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 INT_COLUMNS = ("iter", "n_elements", "n_dofs", "marked")
 
 
 def _manufactured_source_run():
-    val = lambda p: np.sin(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1])
-    grad = lambda p: np.stack(
-        [math.pi * np.cos(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1]),
-         math.pi * np.sin(math.pi * p[:, 0]) * np.cos(math.pi * p[:, 1])], axis=1)
-    source = lambda p: 2 * math.pi ** 2 * val(p)
     cfg = AfemConfig(problem="square", degree=1, theta=0.5, max_dof=3000)
-    return run_afem_source(cfg, [source], exact=[(val, grad)])
+    return run_afem_source(cfg, [sine_source], exact=[sine_solution])
 
 
 RUNS = {

@@ -28,9 +28,9 @@ def _exact_grams(prob, rounds=10):
     cq = co.c_at(xq)
     out = []
     for cl in prob.exact_clusters:
-        vals = [np.asarray(f.value(flat)).reshape(xq.shape[:2]) for f in cl.basis]
-        grads = [np.asarray(f.grad(flat)).reshape(xq.shape[0], xq.shape[1], 2)
-                 for f in cl.basis]
+        rows = [np.asarray(f(flat)).reshape(3, *xq.shape[:2]) for f in cl.basis]
+        vals = [r[0] for r in rows]
+        grads = [r[1:].transpose(1, 2, 0) for r in rows]
         q = cl.dim
         B = np.empty((q, q))
         G = np.empty((q, q))
@@ -73,7 +73,8 @@ def test_oscillator_spectrum_and_basis():
 
 def test_oscillator_members_match_hermite_class():
     # psi_nx(x) psi_ny(y) with psi_n = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi))
-    # built from numpy's Hermite class; gradients against central differences
+    # built from numpy's Hermite class; rows 1-2 of the same call, the
+    # gradient, against central differences of row 0
     rng = np.random.default_rng(3)
     pts = rng.uniform(-5.5, 5.5, (400, 2))
     members = [f for cl in harmonic_oscillator().exact_clusters for f in cl.basis]
@@ -88,13 +89,14 @@ def test_oscillator_members_match_hermite_class():
     h = 1e-5
     for fn, (nx, ny) in zip(members, orders):
         want = psi(nx, pts[:, 0]) * psi(ny, pts[:, 1])
-        np.testing.assert_allclose(fn.value(pts), want, rtol=1e-13, atol=0)
-        grad = fn.grad(pts)
+        rows = fn(pts)
+        assert rows.shape == (3, len(pts))
+        np.testing.assert_allclose(rows[0], want, rtol=1e-13, atol=0)
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = h
-            central = (fn.value(pts + step) - fn.value(pts - step)) / (2 * h)
-            np.testing.assert_allclose(grad[:, axis], central, rtol=0, atol=1e-8)
+            central = (fn(pts + step)[0] - fn(pts - step)[0]) / (2 * h)
+            np.testing.assert_allclose(rows[1 + axis], central, rtol=0, atol=1e-8)
 
 
 def test_oscillator_box_matches_half_width():
@@ -206,6 +208,22 @@ def test_cli_malformed_coefficient_descriptor_exits_1(tmp_path, capsys):
     path.write_text(json.dumps({"mesh": _SQUARE, "coefficients": {"A": {"0": _EYE}}}))
     assert main(["run", "--problem", f"file:{path}"]) == 1
     assert "coefficient A: no 'regions' entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"coefficients": {"A": 1.0}}, "problem spec: no 'mesh' entry"),
+    ({"mesh": {"elements": _SQUARE["elements"]}}, "mesh: no 'vertices' entry"),
+    ({"mesh": {"vertices": _SQUARE["vertices"]}}, "mesh: no 'elements' entry"),
+], ids=["no-mesh", "no-vertices", "no-elements"])
+def test_spec_missing_mesh_entry_names_it(tmp_path, capsys, spec, message):
+    # these used to fail with the bare key name, "afem: error: 'mesh'"
+    from afemeig.cli import main
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=message):
+        get_problem(f"file:{path}")
+    assert main(["run", "--problem", f"file:{path}"]) == 1
+    assert f"afem: error: {message}" in capsys.readouterr().err
 
 
 def test_problem_from_json_reads_region_tags(tmp_path):
