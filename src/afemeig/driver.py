@@ -85,70 +85,79 @@ class AfemConfig:
             raise ValueError("marking must be 'dorfler' or 'uniform'")
 
 
+_COUNTS = ("iter", "n_elements", "n_dofs", "marked")   # int columns
+_TOTALS = ("eta2", "osc2", "gap2", "seconds")          # float columns
+
+
+def _column(name):
+    def view(self):
+        k = self.columns.index(name)
+        return [row[k] for row in self.rows]
+    return property(view, doc=f"The {name} column as a list (read-only).")
+
+
 @dataclass
 class AfemTrace:
-    """Per-iteration record of an AFEM run (one row per solved mesh)."""
+    """Per-iteration record of an AFEM run: one row per solved mesh, a tuple in
+    the CSV column order `columns` (four ints, then floats from lambda_1 on).
+    The column attributes are read-only views of the rows."""
 
-    iters: list = field(default_factory=list)
-    n_elements: list = field(default_factory=list)
-    n_dofs: list = field(default_factory=list)
-    marked: list = field(default_factory=list)
-    lambdas: list = field(default_factory=list)   # tuple per row
-    eta2: list = field(default_factory=list)
-    osc2: list = field(default_factory=list)
-    gap2: list = field(default_factory=list)
-    seconds: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
     cluster_sizes: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     final_mesh: object = None
 
+    iters = _column("iter")
+    n_elements = _column("n_elements")
+    n_dofs = _column("n_dofs")
+    marked = _column("marked")
+    eta2 = _column("eta2")
+    osc2 = _column("osc2")
+    gap2 = _column("gap2")
+    seconds = _column("seconds")
+
     @property
     def n_lambda(self):
-        return len(self.lambdas[0]) if self.lambdas else 0
+        return len(self.rows[0]) - len(_COUNTS) - len(_TOTALS) if self.rows else 0
+
+    @property
+    def columns(self):
+        return (*_COUNTS, *(f"lambda_{i + 1}" for i in range(self.n_lambda)), *_TOTALS)
+
+    @property
+    def lambdas(self):
+        """The lambda_<i> columns, one tuple per row (read-only)."""
+        return [row[len(_COUNTS):-len(_TOTALS)] for row in self.rows]
 
     def __len__(self):
-        return len(self.iters)
-
-    def add_row(self, **kw):
-        for name in ("iters", "n_elements", "n_dofs", "marked", "lambdas",
-                     "eta2", "osc2", "gap2", "seconds"):
-            getattr(self, name).append(kw[name])
-        self.cluster_sizes.append(kw.get("cluster_sizes", ()))
+        return len(self.rows)
 
     def series(self, name):
-        """Named column as an array; lambda_err_<i> uses meta['lambda_refs']."""
-        plain = {"iter": "iters", "n_elements": "n_elements", "n_dofs": "n_dofs",
-                 "marked": "marked", "eta2": "eta2", "osc2": "osc2",
-                 "gap2": "gap2", "seconds": "seconds"}
-        if name in plain:
-            return np.asarray(getattr(self, plain[name]), float)
-        if name == "eta":
-            return np.sqrt(self.series("eta2"))
-        if name == "gap":
-            return np.sqrt(self.series("gap2"))
+        """A column of `columns` as a float array, or a derived series: eta,
+        gap, n_elements_added, or lambda_err_<i>, which subtracts
+        meta['lambda_refs'] from lambda_<i>."""
+        columns = self.columns
+        if name in columns:
+            k = columns.index(name)
+            return np.array([row[k] for row in self.rows], float)
+        if name in ("eta", "gap"):
+            return np.sqrt(self.series(name + "2"))
         if name == "n_elements_added":
             ne = self.series("n_elements")
             return ne - ne[0]
-        if name.startswith("lambda_err_"):
-            i = int(name.rsplit("_", 1)[1]) - 1
+        lam = "lambda_" + name[len("lambda_err_"):]
+        if name.startswith("lambda_err_") and lam in columns:
             refs = self.meta.get("lambda_refs")
-            if refs is None or refs[i] is None:
-                raise ValueError("no reference eigenvalue recorded for this run")
-            return np.array([row[i] - refs[i] for row in self.lambdas])
-        if name.startswith("lambda_"):
-            i = int(name.rsplit("_", 1)[1]) - 1
-            return np.array([row[i] for row in self.lambdas])
-        raise ValueError(f"unknown series {name!r}")
+            ref = refs[columns.index(lam) - len(_COUNTS)] if refs else None
+            if ref is None:
+                raise ValueError(f"no reference eigenvalue recorded for {lam}")
+            return self.series(lam) - ref
+        raise ValueError(f"unknown series {name!r}; choose from {','.join(columns)}, "
+                         "eta, gap, n_elements_added or lambda_err_<i>")
 
 
 # ---------------------------------------------------------------------------
 # trace I/O
-
-
-def trace_columns(trace):
-    cols = ["iter", "n_elements", "n_dofs", "marked"]
-    cols += [f"lambda_{i + 1}" for i in range(trace.n_lambda)]
-    return cols + ["eta2", "osc2", "gap2", "seconds"]
 
 
 def export_trace(trace, path, fmt="csv"):
@@ -159,11 +168,9 @@ def export_trace(trace, path, fmt="csv"):
         with open(path, "w", newline="") as fh:
             fh.write(text)
     elif fmt == "json":
-        rows = [[None if np.isnan(v) else v for v in _row_values(trace, k)]
-                for k in range(len(trace))]
         obj = {"meta": trace.meta,
-               "columns": trace_columns(trace),
-               "rows": rows,
+               "columns": trace.columns,
+               "rows": [[None if np.isnan(v) else v for v in row] for row in trace.rows],
                "cluster_sizes": [list(cs) for cs in trace.cluster_sizes]}
         with open(path, "w") as fh:
             json.dump(obj, fh, indent=1, allow_nan=False)
@@ -171,37 +178,24 @@ def export_trace(trace, path, fmt="csv"):
         raise ValueError(f"unknown trace format {fmt!r}")
 
 
-def _row_values(trace, k):
-    row = [trace.iters[k], trace.n_elements[k], trace.n_dofs[k], trace.marked[k]]
-    row += [float(v) for v in trace.lambdas[k]]
-    row += [float(trace.eta2[k]), float(trace.osc2[k]), float(trace.gap2[k]),
-            float(trace.seconds[k])]
-    return row
-
-
 def trace_to_csv_text(trace):
+    # csv writes ints with str and floats with repr, which round-trips exactly
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(trace_columns(trace))
-    for k in range(len(trace)):
-        vals = _row_values(trace, k)
-        w.writerow([repr(v) if isinstance(v, float) else v for v in vals])
+    w.writerow(trace.columns)
+    w.writerows(trace.rows)
     return buf.getvalue()
 
 
 def read_trace(path):
     """Load a trace CSV back; float repr round-trips bit-exactly."""
-    trace = AfemTrace()
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    n_lam = sum(1 for h in header if h.startswith("lambda_"))
-    for row in rows[1:]:
-        it, ne, nd, mk = (int(v) for v in row[:4])
-        lams = tuple(float(v) for v in row[4:4 + n_lam])
-        e2, o2, g2, sec = (float(v) for v in row[4 + n_lam:])
-        trace.add_row(iters=it, n_elements=ne, n_dofs=nd, marked=mk,
-                      lambdas=lams, eta2=e2, osc2=o2, gap2=g2, seconds=sec)
+        header, *body = csv.reader(fh)
+    n = len(_COUNTS)
+    rows = [tuple(map(int, r[:n])) + tuple(map(float, r[n:])) for r in body]
+    trace = AfemTrace(rows=rows, cluster_sizes=[()] * len(rows))
+    if list(trace.columns) != header:
+        raise ValueError(f"{path}: not a trace header: {','.join(header)}")
     return trace
 
 
@@ -229,8 +223,8 @@ def fit_slope(trace, y_field, x_field="n_dofs", window=6):
     x, y = x[-window:], y[-window:]
     if x.size < 3:
         raise ValueError("need at least 3 points in the window")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("slope fit needs positive data")
+    if not all(np.all((0 < v) & (v < np.inf)) for v in (x, y)):
+        raise ValueError("slope fit needs finite positive data")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
@@ -273,10 +267,10 @@ def _adaptive_loop(problem, config, disc, step, meta, t0):
         at_max_dof = disc.space.n_free >= config.max_dof
         stop = converged or at_max_dof or it == config.max_iterations
         now = time.perf_counter()
-        trace.add_row(iters=it, n_elements=disc.space.mesh.n_elements,
-                      n_dofs=disc.space.n_free, marked=0 if stop else len(marked),
-                      lambdas=lambdas, eta2=ind.total_eta2, osc2=ind.total_osc2,
-                      gap2=gap2, seconds=now - t0, cluster_sizes=sizes)
+        trace.rows.append((it, disc.space.mesh.n_elements, disc.space.n_free,
+                           0 if stop else len(marked), *lambdas, ind.total_eta2,
+                           ind.total_osc2, float(gap2), now - t0))
+        trace.cluster_sizes.append(sizes)
         t0 = now
         if stop:
             break
@@ -351,11 +345,7 @@ def _certify_cluster(clusters, k0, q):
     raise ClusterIdentityError("tracked cluster vanished from the spectrum")
 
 
-def _reference_values(problem):
-    return {idx: val for idx, val, _ in (problem.reference_values or [])}
-
-
-def _eigen_step(problem, config, k0, n, row0):
+def _eigen_step(problem, config, k0, n, row0, refs):
     """Step over the window J = {k0, ..., k0+n-1}.
 
     The recorded cluster sizes are those of every detected cluster that starts
@@ -366,9 +356,9 @@ def _eigen_step(problem, config, k0, n, row0):
     against the reference values (NaN if one is missing).
     A cluster run aborts unless the window is exactly one detected cluster.
     `row0` is the lock's solve on row 0's mesh; row 0 uses it when it holds
-    the loop's number of eigenpairs.
+    the loop's number of eigenpairs.  `refs` maps a cluster's position to its
+    reference value.
     """
-    refs = _reference_values(problem)
     exact = problem.exact_clusters or []
     carried = None     # the row before's space and the sum of its eigenvectors
 
@@ -426,9 +416,9 @@ def _run_eigen(config):
             f"cluster_{config.cluster_index}_q{config.multiplicity}")
     meta = {"mode": mode, "eig_tol": config.eig_tol,
             "label": f"{problem.name} P{config.degree}"}
+    refs = {idx: val for idx, val, _ in problem.reference_values or []}
     trace = _adaptive_loop(problem, config, disc,
-                           _eigen_step(problem, config, k0, n, row0), meta, t0)
-    refs = _reference_values(problem)
+                           _eigen_step(problem, config, k0, n, row0, refs), meta, t0)
     per_value = [refs.get(ci) for ci, size in enumerate(trace.cluster_sizes[-1], start=1)
                  for _ in range(size)]
     trace.meta["lambda_refs"] = (per_value + [None] * n)[k0:k0 + n]

@@ -9,6 +9,11 @@ import math
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _text(value):
+    # escaped for an XML text node: a problem may be named "A&B <x>"
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _decades(lo, hi):
     start = math.floor(math.log10(lo))
     stop = math.ceil(math.log10(hi))
@@ -49,7 +54,7 @@ def loglog_svg(path, curves, guide_slope=None, xlabel="x", ylabel="y",
     ]
     if title:
         parts.append(f'<text x="{width / 2}" y="18" text-anchor="middle" '
-                     f'font-size="13">{title}</text>')
+                     f'font-size="13">{_text(title)}</text>')
     for tick in _decades(min(xs), max(xs)):
         if lx0 <= math.log10(tick) <= lx1:
             x = px(tick)
@@ -65,10 +70,10 @@ def loglog_svg(path, curves, guide_slope=None, xlabel="x", ylabel="y",
             parts.append(f'<text x="{margin["left"] - 8}" y="{y + 4:.2f}" '
                          f'text-anchor="end" font-size="11">1e{int(math.log10(tick))}</text>')
     parts.append(f'<text x="{margin["left"] + box_w / 2}" y="{height - 8}" '
-                 f'text-anchor="middle" font-size="12">{xlabel}</text>')
+                 f'text-anchor="middle" font-size="12">{_text(xlabel)}</text>')
     parts.append(f'<text x="16" y="{margin["top"] + box_h / 2}" text-anchor="middle" '
                  f'font-size="12" transform="rotate(-90 16 {margin["top"] + box_h / 2})">'
-                 f'{ylabel}</text>')
+                 f'{_text(ylabel)}</text>')
 
     for k, (name, x, y) in enumerate(curves):
         color = _COLORS[k % len(_COLORS)]
@@ -77,7 +82,7 @@ def loglog_svg(path, curves, guide_slope=None, xlabel="x", ylabel="y",
                      f'points="{pts}"/>')
         lx, ly_ = px(float(x[-1])), py(float(y[-1]))
         parts.append(f'<text x="{lx - 4:.2f}" y="{ly_ - 6:.2f}" text-anchor="end" '
-                     f'font-size="11" fill="{color}">{name}</text>')
+                     f'font-size="11" fill="{color}">{_text(name)}</text>')
 
     if guide_slope is not None and curves:
         _, x, y = curves[0]

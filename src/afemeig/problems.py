@@ -201,6 +201,27 @@ def _coefficient_from_descriptor(desc):
     return Coefficients(a=a, c=c)
 
 
+def _reference_values(entries):
+    """A spec's reference values as (cluster position, eigenvalue, provenance)
+    tuples; a malformed entry raises a ValueError that names it."""
+    if not isinstance(entries, list):
+        raise ValueError(f"reference_values: expected a list, got {entries!r}")
+    out = []
+    for entry in entries:
+        # type(...) is int also rejects true/false, which are ints to Python
+        pos, value, note = entry if isinstance(entry, list) and len(entry) == 3 else [None] * 3
+        if not (type(pos) is int and pos >= 1 and isinstance(note, str)
+                and type(value) in (int, float) and math.isfinite(value) and value > 0):
+            raise ValueError(f"reference_values entry {entry!r}: expected [cluster "
+                             "position: int >= 1, eigenvalue: finite and > 0, "
+                             "provenance: string]")
+        if any(pos == seen for seen, _, _ in out):
+            raise ValueError(f"reference_values entry {entry!r}: cluster position "
+                             f"{pos} is listed twice")
+        out.append((pos, float(value), note))
+    return out
+
+
 def _entry(obj, key, where):
     try:
         return obj[key]
@@ -223,7 +244,7 @@ def from_json(path):
         triangles=np.array(_entry(mesh_obj, "elements", "mesh"), np.int64),
         coefficients=_coefficient_from_descriptor(obj.get("coefficients", {})),
         exact_clusters=None,
-        reference_values=[tuple(rv) for rv in obj["reference_values"]]
+        reference_values=_reference_values(obj["reference_values"])
         if "reference_values" in obj else None,
         boundary=mesh_obj.get("boundary"),
         region=mesh_obj.get("region"),

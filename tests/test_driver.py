@@ -39,6 +39,13 @@ def small_cluster2_trace():
     return run_afem(cfg)
 
 
+@pytest.fixture(scope="module")
+def small_first3_trace():
+    # without the gap, so its gap2 column is NaN
+    return run_afem_first_n(AfemConfig(problem="square", first_n=3, max_dof=600,
+                                       compute_gap=False))
+
+
 # -- fit_slope ---------------------------------------------------------------
 
 
@@ -61,6 +68,12 @@ def test_fit_slope_constant_and_errors():
         fit_slope(x, np.array([1.0, -1.0, 1.0, 1.0]), window=4)
     with pytest.raises(ValueError):
         fit_slope(x[:2], x[:2], window=2)
+    # a NaN gap2 row or an overflowed value used to give a nan slope
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="slope fit needs finite positive data"):
+            fit_slope(x, np.array([1.0, bad, 1.0, 1.0]), window=4)
+        with pytest.raises(ValueError, match="slope fit needs finite positive data"):
+            fit_slope(np.array([1.0, 2, bad, 8]), x, window=4)
 
 
 # -- config validation -------------------------------------------------------
@@ -106,6 +119,58 @@ def test_trace_csv_round_trip(tmp_path, small_cluster2_trace):
     assert again.lambdas == [tuple(map(float, r)) for r in small_cluster2_trace.lambdas]
 
 
+@pytest.mark.parametrize("name", ["lambda_0", "lambda_3", "lambda_01", "lambda_x",
+                                  "lambda_err_0", "lambda_err_3", "lambda_err_",
+                                  "iters", "eta2_", "bogus"])
+def test_series_rejects_names_outside_the_schema(small_cluster2_trace, name):
+    # lambda_0 used to return the last eigenvalue column, lambda_err_0 the
+    # last one's error and lambda_3 on a 2-wide trace a bare IndexError
+    with pytest.raises(ValueError, match=f"unknown series {name!r}"):
+        small_cluster2_trace.series(name)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_series_lambda_columns(small_cluster2_trace, i):
+    tr = small_cluster2_trace
+    lam = np.array([row[i - 1] for row in tr.lambdas])
+    assert np.array_equal(tr.series(f"lambda_{i}"), lam)
+    ref = tr.meta["lambda_refs"][i - 1]
+    assert ref == 5 * math.pi ** 2
+    assert np.array_equal(tr.series(f"lambda_err_{i}"), lam - ref)
+
+
+_COLUMN_VIEWS = {"iters": "iter", "n_elements": "n_elements", "n_dofs": "n_dofs",
+                 "marked": "marked", "eta2": "eta2", "osc2": "osc2", "gap2": "gap2",
+                 "seconds": "seconds"}
+
+
+@pytest.mark.parametrize("fixture", ["small_cluster2_trace", "small_first3_trace"])
+def test_column_views_match_the_rows(tmp_path, request, fixture):
+    # the benchmark's trace digests and run records read the column attributes
+    import csv
+    import json
+    tr = request.getfixturevalue(fixture)
+    header, *body = csv.reader(trace_to_csv_text(tr).splitlines())
+    assert header == list(tr.columns)
+
+    def column(name):
+        k = header.index(name)
+        return [row[k] for row in tr.rows]
+
+    for attr, name in _COLUMN_VIEWS.items():
+        view = getattr(tr, attr)
+        assert [repr(v) for v in view] == [repr(v) for v in column(name)], attr
+        assert [repr(v) for v in view] == [r[header.index(name)] for r in body], attr
+    lams = [name for name in header if name.startswith("lambda_")]
+    assert len(lams) == tr.n_lambda > 0
+    assert tr.lambdas == [tuple(row[header.index(n)] for n in lams) for row in tr.rows]
+    path = tmp_path / "trace.json"
+    export_trace(tr, path, fmt="json")
+    obj = json.loads(path.read_text())
+    assert obj["columns"] == header
+    assert obj["rows"] == [[None if v != v else v for v in row] for row in tr.rows]
+
+
 def test_trace_json_mirror(tmp_path, small_cluster2_trace):
     import json
     path = tmp_path / "trace.json"
@@ -130,6 +195,19 @@ def test_emit_plot_one_polyline_per_series(tmp_path, small_cluster2_trace):
             px, py = map(float, pair.split(","))
             assert x0 - 0.5 <= px <= x0 + w + 0.5
             assert y0 - 0.5 <= py <= y0 + h + 0.5
+
+
+def test_plot_text_is_escaped(tmp_path):
+    # a problem named "A&B <x>" used to give an SVG that XML parsers reject
+    import xml.etree.ElementTree as ET
+    from afemeig import plotting
+    path = tmp_path / "plot.svg"
+    x = np.array([10.0, 100.0, 1000.0])
+    plotting.loglog_svg(path, [("a<b", x, 1 / x)], guide_slope=-1.0, xlabel="x&y",
+                        ylabel="y>0", title="A&B <x> P1")
+    texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "A&B <x> P1"
+    assert {"a<b", "x&y", "y>0"} <= set(texts)
 
 
 def test_tiny_theta_marks_single_element():
@@ -354,4 +432,48 @@ def test_cli_bad_config_exits_before_solving(capsys, solve_calls):
     from afemeig.cli import main
     assert main(["run", "--problem", "square", "--b", "0"]) == 1
     assert "bisections must be >= 1" in capsys.readouterr().err
+    assert solve_calls == []
+
+
+def test_spec_reference_values_feed_the_gap_proxy(tmp_path):
+    import json
+    spec = {"name": "box", "mesh": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                                    "elements": [[0, 1, 2], [0, 2, 3]]},
+            "reference_values": [[1, 2 * math.pi ** 2, "separation of variables"]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    tr = run_afem(AfemConfig(problem=f"file:{path}", max_dof=300))
+    assert tr.meta["lambda_refs"] == [2 * math.pi ** 2]
+    assert np.array_equal(tr.series("gap2"), np.abs(tr.series("lambda_err_1")))
+
+
+@pytest.mark.parametrize("refs, message", [
+    ([[1]], "expected [cluster position"),
+    ([[1, "abc", "x"]], "expected [cluster position"),
+    ([["1", 19.74, "x"]], "expected [cluster position"),
+    ([[0, 19.7, "x"]], "expected [cluster position"),
+    ([[True, 19.7, "x"]], "expected [cluster position"),
+    ([[1.0, 19.7, "x"]], "expected [cluster position"),
+    ([[1, -19.7, "x"]], "expected [cluster position"),
+    ([[1, float("nan"), "x"]], "expected [cluster position"),
+    ([[1, 19.7, 3]], "expected [cluster position"),
+    ([[1, 19.7, "x"], [1, 49.3, "y"]], "cluster position 1 is listed twice"),
+    ({"1": 19.7}, "expected a list"),
+], ids=["short", "value-string", "position-string", "position-0", "position-bool",
+        "position-float", "value-negative", "value-nan", "provenance-number",
+        "position-twice", "not-a-list"])
+def test_cli_bad_reference_values_exit_before_solving(tmp_path, capsys, solve_calls,
+                                                      refs, message):
+    # [[1]] used to fail after the lock's solves, [[1, "abc", "x"]] mid-run, and
+    # a string or zero position was silently ignored (gap2 NaN)
+    import json
+    from afemeig.cli import main
+    spec = {"mesh": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                     "elements": [[0, 1, 2], [0, 2, 3]]},
+            "reference_values": refs}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--problem", f"file:{path}", "--max-dof", "300"]) == 1
+    err = capsys.readouterr().err
+    assert "reference_values" in err and message in err
     assert solve_calls == []

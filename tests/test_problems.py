@@ -135,6 +135,7 @@ def test_problem_from_json(tmp_path):
     path.write_text(json.dumps(spec))
     prob = get_problem(f"file:{path}")
     assert prob.name == "weighted-box"
+    assert prob.reference_values == [(1, 40.0, "made up")]
     assert prob.coefficients.a == 2.0
     pts = np.array([[1.0, 1.0], [0.0, 2.0]])
     assert np.allclose(prob.coefficients.c_at(pts), [1.0, 2.0])
