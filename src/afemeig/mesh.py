@@ -5,21 +5,30 @@ orientation together with the local index of its refinement edge: local edge
 ``i`` is the edge opposite local vertex ``i``.  Bisecting an element inserts
 the midpoint of its refinement edge and hands both children the inherited
 parent edge as their new refinement edge, which is the edge opposite the
-newly created vertex.  Conformity is maintained by recursively bisecting the
-neighbour across the refinement edge first whenever its own refinement edge
-disagrees (implemented with an explicit stack, so chains of any length are
-fine).
+newly created vertex.  Conformity needs completion: before an element x is
+bisected on its refinement edge r(x), the neighbour P(x) across r(x) is
+bisected first whenever it refines another edge.
 
 The initial labeling is the largest edge of each element under one strict
 order on edges: length first, then the sorted vertex pair.  It makes every
 completion chain terminate, because along a chain the refinement edges
 strictly increase in that order.
 
-Refinement works on the element-neighbour array: a bisection rewires the
-pointers of its two children and of the parent's two outer neighbours in
-O(1).  Each `refine` call still has an O(elements) cost on top: it converts
-the input mesh's arrays to Python lists, and `freeze` assembles the new
-mesh's arrays by numpy indexing.
+`refine` works in rounds, one per bisection of a marked element.  A round
+bisects only edges of its input mesh (Stevenson, Math. Comp. 2008), and
+these form a forest: r(P(x)) is the parent of r(x) when the two differ.  A
+target's chain is the path from its refinement edge to a root.  The round
+numbers its output as bisecting the targets one at a time in ascending id
+order would: an edge e is bisected in the chain of T(e), the smallest
+target whose chain passes e, from the root down, so the midpoints are new
+vertices in ascending (T(e), depth(e)) order; each bisection appends the two
+children of the element on the target's side, then the two of the element
+across.  The round is a fixed number of array passes plus three loops with
+one pass per chain level: up from the targets to collect the chain edges,
+down from the roots for their depths (an edge never reached lies on a cycle
+of an incompatible labeling), and up again for T(e).  Round k + 1 bisects
+the children of every round-k target; `tests/oracles.py` keeps the
+one-at-a-time bisector that the rounds reproduce.
 """
 
 import itertools
@@ -312,105 +321,165 @@ def build_initial(vertices, triangles, boundary=None, region=None):
 # bisection
 
 
-class _RefineWork:
-    """Mutable append-only refinement workspace over the neighbour array.
+def _ranges(lo, hi):
+    """The concatenation of ``arange(lo[i], hi[i])`` over i."""
+    n = hi - lo
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
 
-    Element "tokens" are never reused: bisecting a token marks it dead and
-    appends two children.  Tokens < ne_old are the elements of the input
-    mesh; ``root`` maps every token to its input-mesh ancestor.  ``nbr[t][i]``
-    is the token across local edge ``i`` of `t` (-1 on the boundary).  The
-    completion stack of a terminating labeling never holds a token twice, so
-    a stack taller than the token count means an incompatible labeling.
+
+def _rotated(tri, local):
+    """Columns p, a, b of triangles `tri` with refinement edge `local`: the
+    edge (a, b), opposite p, in counter-clockwise order."""
+    return np.take_along_axis(tri, np.array(_ROTATE)[local], axis=1).T
+
+
+def _bisect_round(mesh, targets):
+    """Bisect the sorted unique element ids `targets` once each, with
+    completion, in the order the module docstring gives; returns the new mesh
+    and the id in `mesh` of each of its elements or their parents.
+
+    A bisected edge e first splits its entry element: the target, or the
+    element reached from the chain edge below.  Then the element q across e
+    splits if it refines e; else q was split on its own edge before, and its
+    child holding e splits.
     """
+    ne, nv = mesh.n_elements, mesh.n_vertices
+    edges, elem_edges, owners, _ = mesh.edge_table()
+    refe, elems = mesh.refinement_edge, mesh.elements
+    ids = np.arange(ne)
+    ref = elem_edges[ids, refe]
+    pair = owners[ref]
+    across = np.where(pair[:, 0] == ids, pair[:, 1], pair[:, 0])
+    up = np.where(across >= 0, ref[across], -1)
+    up[up == ref] = -1
+    parent = np.full(edges.shape[0], -1)
+    parent[ref] = up
 
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self.ne_old = mesh.n_elements
-        self.verts = mesh.vertices.tolist()
-        self.elems = mesh.elements.tolist()
-        self.refe = mesh.refinement_edge.tolist()
-        self.gen = mesh.generation.tolist()
-        self.nbr = mesh.element_neighbors().tolist()
-        self.alive = [True] * self.ne_old
-        self.root = list(range(self.ne_old))
-        self.children = {}
+    # the chain edges: walk up from the targets' refinement edges, keeping
+    # each edge once per step so that merging chains cost nothing extra
+    on_chain = np.zeros(edges.shape[0], bool)
+    slot = np.empty(edges.shape[0], np.int64)
+    front = ref[targets]
+    while front.size:
+        front = front[~on_chain[front]]
+        slot[front] = np.arange(front.size)
+        front = front[slot[front] == np.arange(front.size)]
+        on_chain[front] = True
+        front = parent[front]
+        front = front[front >= 0]
+    chain = np.flatnonzero(on_chain)
+    # depth: walk down from the roots; an edge never reached lies on a cycle
+    kids = chain[parent[chain] >= 0]
+    kids = kids[np.argsort(parent[kids], kind="stable")]
+    kid_parent = parent[kids]
+    depth = np.full(edges.shape[0], -1)
+    levels = [chain[parent[chain] < 0]]
+    while levels[-1].size:
+        depth[levels[-1]] = len(levels) - 1
+        f = levels[-1]
+        levels.append(kids[_ranges(np.searchsorted(kid_parent, f),
+                                   np.searchsorted(kid_parent, f, side="right"))])
+    if np.any(depth[chain] < 0):
+        raise MeshError("completion does not terminate: incompatible refinement-edge labeling")
+    # T(e): the least target below e, passed up one level at a time
+    own = np.full(edges.shape[0], ne)
+    np.minimum.at(own, ref[targets], targets)
+    least = own.copy()
+    for f in reversed(levels[1:-1]):
+        np.minimum.at(least, parent[f], least[f])
+    bis = chain[np.lexsort((depth[chain], least[chain]))]
+    nb = bis.size
+    rank = np.full(edges.shape[0], -1)
+    rank[bis] = np.arange(nb)
 
-    def _split(self, tok, mid):
-        """Replace `tok` by its two children across its refinement edge,
-        using existing midpoint vertex id `mid`.  Each child's local edge 0
-        (its half of the bisected edge) still points at tok's neighbour
-        there; the caller links it to the partner's child."""
-        v, nb = self.elems[tok], self.nbr[tok]
-        i, j, k = _ROTATE[self.refe[tok]]
-        p, a, b = v[i], v[j], v[k]
-        n_ab, n_bp, n_pa = nb[i], nb[j], nb[k]
-        c1 = len(self.elems)
-        c2 = c1 + 1
-        self.elems += [(p, a, mid), (p, mid, b)]
-        self.refe += [2, 1]          # edges (p, a) and (b, p), opposite the new vertex
-        self.gen += [self.gen[tok] + 1] * 2
-        self.root += [self.root[tok]] * 2
-        self.nbr += [[n_ab, c2, n_pa], [n_ab, n_bp, c1]]
-        self.alive[tok] = False
-        self.alive += [True, True]
-        for n, c in ((n_pa, c1), (n_bp, c2)):
-            if n >= 0:
-                row = self.nbr[n]
-                row[row.index(tok)] = c
-        self.children[tok] = (c1, c2)
-        return c1, c2
+    # entry: T(e) where its chain starts, else the element across the chain
+    # edge below, which refines e
+    entry = np.full(edges.shape[0], -1)
+    start = chain[own[chain] == least[chain]]
+    entry[start] = least[start]
+    climb = kids[least[kids] == least[kid_parent]]
+    refowner = np.empty(edges.shape[0], np.int64)
+    refowner[ref] = ids
+    entry[parent[climb]] = across[refowner[climb]]
+    x = entry[bis]
+    side = owners[bis]
+    q = np.where(side[:, 0] == x, side[:, 1], side[:, 0])
+    has_q = q >= 0
+    again = has_q & (ref[q] != bis)     # q split on its own edge: its child holds e
+    mids = nv + np.arange(nb)
 
-    def bisect_conforming(self, tok):
-        """Bisect `tok`, recursively pre-bisecting incompatible neighbours."""
-        nbr, refe, alive = self.nbr, self.refe, self.alive
-        stack = [tok]
-        while stack:
-            t = stack[-1]
-            if not alive[t]:
-                stack.pop()
-                continue
-            partner = nbr[t][refe[t]]
-            if partner >= 0 and nbr[partner][refe[partner]] != t:
-                if len(stack) > len(self.elems):
-                    raise MeshError("completion does not terminate: incompatible "
-                                    "refinement-edge labeling")
-                stack.append(partner)
-                continue
-            stack.pop()
-            v, (_, j, k) = self.elems[t], _ROTATE[refe[t]]
-            va, vb = self.verts[v[j]], self.verts[v[k]]
-            mid = len(self.verts)
-            self.verts.append((0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1])))
-            c1, c2 = self._split(t, mid)
-            if partner >= 0:
-                d1, d2 = self._split(partner, mid)
-                # the partner runs the shared edge the other way: d2 holds the
-                # half that c1 holds, d1 the half of c2
-                nbr[c1][0], nbr[d2][0] = d2, c1
-                nbr[c2][0], nbr[d1][0] = d1, c2
+    # the splits in order, two children each: per edge its entry element,
+    # then the element across, which is q or, split again, q's child
+    # (p, a, mq) holding q's edge (p, a) or (p, mq, b) holding (b, p)
+    n_q = has_q.astype(np.int64)
+    at_x = np.arange(nb) + np.cumsum(n_q) - n_q
+    at_q = at_x[has_q] + 1
+    tri = np.empty((nb + n_q.sum(), 3), np.int64)
+    tri[at_x], tri[at_q] = elems[x], elems[q[has_q]]
+    local = np.empty(tri.shape[0], np.int64)
+    local[at_x], local[at_q] = refe[x], refe[q[has_q]]
+    qa = q[again]
+    p, a, b = _rotated(elems[qa], refe[qa])
+    mq = nv + rank[ref[qa]]
+    c1 = bis[again] == elem_edges[qa, (refe[qa] + 2) % 3]
+    tri[at_x[again] + 1] = np.where(c1[:, None], np.stack([p, a, mq], 1), np.stack([p, mq, b], 1))
+    local[at_x[again] + 1] = np.where(c1, 2, 1)
+    root = np.empty(tri.shape[0], np.int64)
+    root[at_x], root[at_q] = x, q[has_q]
+    gen = mesh.generation[root] + 1
+    gen[at_x[again] + 1] += 1
+    mid = np.empty(tri.shape[0], np.int64)
+    mid[at_x], mid[at_q] = mids, mids[has_q]
+    p, a, b = _rotated(tri, local)
+    children = np.stack([np.stack([p, a, mid], 1), np.stack([p, mid, b], 1)], 1).reshape(-1, 3)
 
-    def freeze(self):
-        """Produce the new Mesh plus (refined_set, ancestor array)."""
-        mesh, ne_old = self.mesh, self.ne_old
-        alive = np.array(self.alive)
-        tokens = np.flatnonzero(alive)
+    # survivors: input elements never split, children not split again
+    keep_old = np.ones(ne, bool)
+    keep_old[root] = False
+    keep_new = np.ones(children.shape[0], bool)
+    first = np.empty(ne, np.int64)              # each split element's first child
+    first[x], first[q[has_q & ~again]] = 2 * at_x, 2 * at_x[has_q & ~again] + 2
+    keep_new[first[qa] + 1 - c1] = False
+    ancestor = np.concatenate([ids[keep_old], np.repeat(root, 2)[keep_new]])
+    # the boundary: single-owner edges, each bisected one in two halves
+    bnd = owners[:, 1] < 0
+    cut = bis[bnd[bis]]
+    halves = np.stack([edges[cut].ravel(), np.repeat(mids[bnd[bis]], 2)], 1)
+    vertices = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[edges[bis, 0]]
+                                                     + mesh.vertices[edges[bis, 1]])])
+    return Mesh(vertices, np.concatenate([elems[keep_old], children[keep_new]]),
+                np.concatenate([refe[keep_old], np.tile([2, 1], tri.shape[0])[keep_new]]),
+                np.concatenate([mesh.generation[keep_old], np.repeat(gen, 2)[keep_new]]),
+                mesh.region[ancestor],
+                _unique_edges(np.concatenate([edges[bnd & (rank < 0)], halves]),
+                              vertices.shape[0])[0]), ancestor
 
-        def rows(old, new):
-            """The input mesh's rows followed by those of the appended tokens."""
-            return np.concatenate([old, np.array(new, old.dtype).reshape((-1,) + old.shape[1:])])
 
-        elements = rows(mesh.elements, self.elems[ne_old:])[tokens]
-        # a split never changes which slots of a surviving element lie on the
-        # boundary, so the input mesh's neighbour array serves for old tokens
-        t, local = np.nonzero(rows(mesh.element_neighbors(), self.nbr[ne_old:])[tokens] < 0)
-        pairs = np.sort(elements[t[:, None], np.array(_EDGE_VERTS)[local]], axis=1)
-        ancestor = rows(np.arange(ne_old), self.root[ne_old:])[tokens]
-        new_mesh = Mesh(rows(mesh.vertices, self.verts[mesh.n_vertices:]), elements,
-                        rows(mesh.refinement_edge, self.refe[ne_old:])[tokens],
-                        rows(mesh.generation, self.gen[ne_old:])[tokens],
-                        mesh.region[ancestor], _unique_edges(pairs, len(self.verts))[0])
-        refined = np.flatnonzero(~alive[:ne_old]).tolist()
-        return new_mesh, refined, ancestor
+def _count(name, value, least):
+    """`value` as an int, or a MeshError unless it is an integer >= `least`."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise MeshError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _marked_ids(marked, n):
+    """The sorted unique element ids listed in `marked`, all checked."""
+    if not isinstance(marked, np.ndarray):
+        marked = list(marked)
+    ids = np.asarray(marked).ravel()
+    if ids.dtype.kind == "b":
+        raise MeshError("marked is a boolean mask; pass element ids (np.flatnonzero(mask))")
+    if ids.size and ids.dtype.kind not in "iu":
+        entries = ids.tolist() if isinstance(marked, np.ndarray) else marked
+        bad = next((v for v in entries if not isinstance(v, (int, np.integer))), entries[0])
+        raise MeshError(f"marked entry {bad!r} is not an integer element id")
+    if np.any(ids[1:] <= ids[:-1]):
+        ids = np.unique(ids)
+    if ids.size and (ids[0] < 0 or ids[-1] >= n):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise MeshError(f"marked element id {bad} out of range for {n} elements")
+    return ids.astype(np.int64)
 
 
 def refine(mesh, marked, b=1):
@@ -418,27 +487,31 @@ def refine(mesh, marked, b=1):
 
     Completion bisections count: a marked element split as a side effect of a
     neighbour's completion still gets its remaining rounds applied to its
-    children.
+    children.  Round k bisects each marked element's descendants k - 1
+    generations down that are still unsplit.
     """
-    if b < 1:
-        raise MeshError("b must be a positive integer")
-    targets = sorted(set(int(t) for t in marked))
-    if targets and (targets[0] < 0 or targets[-1] >= mesh.n_elements):
-        raise MeshError("marked element id out of range")
-    if not targets:
-        return RefineResult(mesh, set(), np.arange(mesh.n_elements))
-    work = _RefineWork(mesh)
-    for _ in range(b):
-        for tok in targets:
-            if work.alive[tok]:
-                work.bisect_conforming(tok)
-        targets = sorted(c for tok in targets for c in work.children[tok])
-    return RefineResult(*work.freeze())
+    b = _count("b", b, 1)
+    targets = _marked_ids(marked, mesh.n_elements)
+    ancestor = np.arange(mesh.n_elements)
+    if not targets.size:
+        return RefineResult(mesh, set(), ancestor)
+    is_marked = np.zeros(mesh.n_elements, bool)
+    is_marked[targets] = True
+    new = mesh
+    for k in range(b):
+        if k:
+            targets = np.flatnonzero(is_marked[ancestor]
+                                     & (new.generation - mesh.generation[ancestor] == k))
+        if targets.size:
+            new, parent = _bisect_round(new, targets)
+            ancestor = ancestor[parent]
+    refined = np.flatnonzero(np.bincount(ancestor, minlength=mesh.n_elements) != 1)
+    return RefineResult(new, refined.tolist(), ancestor)
 
 
 def uniform_refine(mesh, rounds=1):
-    for _ in range(rounds):
-        mesh = refine(mesh, range(mesh.n_elements)).mesh
+    for _ in range(_count("rounds", rounds, 0)):
+        mesh = refine(mesh, np.arange(mesh.n_elements)).mesh
     return mesh
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import hypothesis
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 
 from afemeig import Coefficients, build_initial, build_space, uniform_refine
 
+# "suite" for the tier-1 run; CI runs the mesh tests again under "ci", a
+# deeper search for the properties that leave max_examples to the profile
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
-hypothesis.settings.load_profile("suite")
+hypothesis.settings.register_profile("ci", deadline=None, max_examples=500)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 
 def square_mesh(rounds=0):

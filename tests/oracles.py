@@ -3,6 +3,8 @@
 - `validate_mesh`: the conformity invariants of a mesh (finite vertices,
   positive areas, at most two owners per edge, stored boundary equal to the
   single-owner edges);
+- `reference_refine`: newest-vertex bisection one element at a time, with
+  stack-based completion, the reference numbering `refine` must reproduce;
 - `monomial_integral`: exact reference-triangle integrals for the quadrature
   tests, and `gauss_legendre`: a Gauss-Legendre rule on [0, 1] for edge
   integrals;
@@ -31,7 +33,7 @@ from scipy.sparse.linalg import spsolve
 from afemeig.estimator import _indicators
 from afemeig.fem import assemble_mass, assemble_stiffness, shape_gradients, shape_values
 from afemeig.gap import GapError, _GapWorkspace
-from afemeig.mesh import MeshError
+from afemeig.mesh import _EDGE_VERTS, _ROTATE, Mesh, MeshError, RefineResult, _unique_edges
 
 
 def validate_mesh(mesh):
@@ -45,6 +47,127 @@ def validate_mesh(mesh):
     stored = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1).tolist()}
     if stored != derived:
         raise MeshError("boundary edges do not match single-owner edges (open boundary?)")
+
+
+# ---------------------------------------------------------------------------
+# sequential bisection
+
+
+class _RefineWork:
+    """Mutable append-only refinement workspace over the neighbour array.
+
+    Element "tokens" are never reused: bisecting a token marks it dead and
+    appends two children.  Tokens < ne_old are the elements of the input
+    mesh; ``root`` maps every token to its input-mesh ancestor.  ``nbr[t][i]``
+    is the token across local edge ``i`` of `t` (-1 on the boundary).  The
+    completion stack of a terminating labeling never holds a token twice, so
+    a stack taller than the token count means an incompatible labeling.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.ne_old = mesh.n_elements
+        self.verts = mesh.vertices.tolist()
+        self.elems = mesh.elements.tolist()
+        self.refe = mesh.refinement_edge.tolist()
+        self.gen = mesh.generation.tolist()
+        self.nbr = mesh.element_neighbors().tolist()
+        self.alive = [True] * self.ne_old
+        self.root = list(range(self.ne_old))
+        self.children = {}
+
+    def _split(self, tok, mid):
+        """Replace `tok` by its two children across its refinement edge,
+        using existing midpoint vertex id `mid`.  Each child's local edge 0
+        (its half of the bisected edge) still points at tok's neighbour
+        there; the caller links it to the partner's child."""
+        v, nb = self.elems[tok], self.nbr[tok]
+        i, j, k = _ROTATE[self.refe[tok]]
+        p, a, b = v[i], v[j], v[k]
+        n_ab, n_bp, n_pa = nb[i], nb[j], nb[k]
+        c1 = len(self.elems)
+        c2 = c1 + 1
+        self.elems += [(p, a, mid), (p, mid, b)]
+        self.refe += [2, 1]          # edges (p, a) and (b, p), opposite the new vertex
+        self.gen += [self.gen[tok] + 1] * 2
+        self.root += [self.root[tok]] * 2
+        self.nbr += [[n_ab, c2, n_pa], [n_ab, n_bp, c1]]
+        self.alive[tok] = False
+        self.alive += [True, True]
+        for n, c in ((n_pa, c1), (n_bp, c2)):
+            if n >= 0:
+                row = self.nbr[n]
+                row[row.index(tok)] = c
+        self.children[tok] = (c1, c2)
+        return c1, c2
+
+    def bisect_conforming(self, tok):
+        """Bisect `tok`, recursively pre-bisecting incompatible neighbours."""
+        nbr, refe, alive = self.nbr, self.refe, self.alive
+        stack = [tok]
+        while stack:
+            t = stack[-1]
+            if not alive[t]:
+                stack.pop()
+                continue
+            partner = nbr[t][refe[t]]
+            if partner >= 0 and nbr[partner][refe[partner]] != t:
+                if len(stack) > len(self.elems):
+                    raise MeshError("completion does not terminate: incompatible "
+                                    "refinement-edge labeling")
+                stack.append(partner)
+                continue
+            stack.pop()
+            v, (_, j, k) = self.elems[t], _ROTATE[refe[t]]
+            va, vb = self.verts[v[j]], self.verts[v[k]]
+            mid = len(self.verts)
+            self.verts.append((0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1])))
+            c1, c2 = self._split(t, mid)
+            if partner >= 0:
+                d1, d2 = self._split(partner, mid)
+                # the partner runs the shared edge the other way: d2 holds the
+                # half that c1 holds, d1 the half of c2
+                nbr[c1][0], nbr[d2][0] = d2, c1
+                nbr[c2][0], nbr[d1][0] = d1, c2
+
+    def freeze(self):
+        """Produce the new Mesh plus (refined_set, ancestor array)."""
+        mesh, ne_old = self.mesh, self.ne_old
+        alive = np.array(self.alive)
+        tokens = np.flatnonzero(alive)
+
+        def rows(old, new):
+            """The input mesh's rows followed by those of the appended tokens."""
+            return np.concatenate([old, np.array(new, old.dtype).reshape((-1,) + old.shape[1:])])
+
+        elements = rows(mesh.elements, self.elems[ne_old:])[tokens]
+        # a split never changes which slots of a surviving element lie on the
+        # boundary, so the input mesh's neighbour array serves for old tokens
+        t, local = np.nonzero(rows(mesh.element_neighbors(), self.nbr[ne_old:])[tokens] < 0)
+        pairs = np.sort(elements[t[:, None], np.array(_EDGE_VERTS)[local]], axis=1)
+        ancestor = rows(np.arange(ne_old), self.root[ne_old:])[tokens]
+        new_mesh = Mesh(rows(mesh.vertices, self.verts[mesh.n_vertices:]), elements,
+                        rows(mesh.refinement_edge, self.refe[ne_old:])[tokens],
+                        rows(mesh.generation, self.gen[ne_old:])[tokens],
+                        mesh.region[ancestor], _unique_edges(pairs, len(self.verts))[0])
+        refined = np.flatnonzero(~alive[:ne_old]).tolist()
+        return new_mesh, refined, ancestor
+
+
+def reference_refine(mesh, marked, b=1):
+    """`refine` one bisection at a time: each round bisects its targets in
+    ascending token order, each with stack-based completion, and the next
+    round's targets are the children of every target of this one."""
+    targets = sorted(set(int(t) for t in marked))
+    if not targets:
+        return RefineResult(mesh, set(), np.arange(mesh.n_elements))
+    work = _RefineWork(mesh)
+    for _ in range(b):
+        for tok in targets:
+            if work.alive[tok]:
+                work.bisect_conforming(tok)
+        targets = sorted(c for tok in targets for c in work.children[tok])
+    return RefineResult(*work.freeze())
 
 
 def monomial_integral(a, b):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afemeig import MeshError, RefineResult, build_initial, refine, uniform_refine
+from afemeig import (MeshError, RefineResult, build_initial, harmonic_oscillator, refine,
+                     uniform_refine)
 from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh, from_json
 
 from conftest import lshape_mesh, square_mesh
-from oracles import validate_mesh
+from oracles import reference_refine, validate_mesh
 
 
 def test_build_square_diagonal_refinement_edges():
@@ -136,6 +137,30 @@ def test_bisect_children_halve_area():
     m2 = refine(m, [2]).mesh
     # children of every bisected parent have half its area
     assert np.isclose(sorted(m2.signed_areas())[0], areas[2] / 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: refine(m, [2.7]), "marked entry 2.7 is not an integer"),
+    (lambda m: refine(m, np.array([0.0, 1.0])), "marked entry 0.0 is not an integer"),
+    (lambda m: refine(m, np.ones(m.n_elements, bool)), "boolean mask"),
+    (lambda m: refine(m, [-1]), "id -1 out of range for 4 elements"),
+    (lambda m: refine(m, [0], b=2.5), "b must be an integer >= 1, got 2.5"),
+    (lambda m: refine(m, [0], b=0), "b must be an integer >= 1, got 0"),
+    (lambda m: uniform_refine(m, -2), "rounds must be an integer >= 0, got -2"),
+    (lambda m: uniform_refine(m, 1.0), "rounds must be an integer >= 0, got 1.0"),
+], ids=["float", "float-array", "mask", "negative", "b-float", "b-zero", "rounds-negative",
+        "rounds-float"])
+def test_refine_rejects_bad_arguments(call, message):
+    with pytest.raises(MeshError, match=message):
+        call(square_mesh(1))
+
+
+def test_refine_accepts_id_containers():
+    m = square_mesh(1)
+    want = reference_refine(m, [1, 3])
+    for marked in ([3, 1, 3], {1, 3}, range(1, 4, 2), np.array([[1], [3]], np.int32),
+                   (np.int64(1), np.int64(3))):
+        _assert_same_refinement(refine(m, marked), want)
 
 
 def test_refine_empty_marked_is_identity():
@@ -274,6 +299,47 @@ def test_refine_conformity_property(raw_marks, rounds):
     assert marked <= res.refined_set
 
 
+def _assert_same_refinement(got, want):
+    """`got` and `want` agree byte for byte: every mesh array, the ancestor
+    array and the refined set."""
+    for name in ("vertices", "elements", "refinement_edge", "generation", "region",
+                 "boundary_edges"):
+        g, w = getattr(got.mesh, name), getattr(want.mesh, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes(), name
+    assert got.ancestor.dtype == want.ancestor.dtype
+    assert got.ancestor.tobytes() == want.ancestor.tobytes()
+    assert got.refined_set == want.refined_set
+
+
+_FUZZ_MESHES = {
+    "square": lambda: square_mesh(1),
+    "lshape": lambda: lshape_mesh(),
+    "oscillator": lambda: harmonic_oscillator().initial_mesh(),
+    "tied-fan": lambda: build_initial(*_tied_fans(1)),
+}
+
+
+# the number of examples follows the Hypothesis profile (see conftest.py)
+@given(st.sampled_from(sorted(_FUZZ_MESHES)), st.sampled_from([1, 2, 3]),
+       st.lists(st.one_of(st.just("uniform"), st.floats(0.02, 0.5)), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_refine_matches_reference_bisector(name, b, steps, seed):
+    # each step marks a random share of the elements, or all of them, and
+    # refines the previous step's mesh, so later steps see mixed generations
+    mesh, rng = _FUZZ_MESHES[name](), np.random.default_rng(seed)
+    for share in steps:
+        if share == "uniform":
+            marked = np.arange(mesh.n_elements)
+        else:
+            size = max(1, int(share * mesh.n_elements))
+            marked = rng.choice(mesh.n_elements, size=size, replace=False)
+        got = refine(mesh, marked, b=b)
+        _assert_same_refinement(got, reference_refine(mesh, marked, b=b))
+        mesh = got.mesh
+        if mesh.n_elements > 3000:
+            break
+
+
 def test_generation_increments():
     m = square_mesh()
     res = refine(m, {0, 1})
@@ -318,6 +384,7 @@ def test_vtk_export(tmp_path):
 _FAN_VERTS = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2), (-0.5, math.sqrt(3) / 2),
               (-1, 0), (-0.5, -math.sqrt(3) / 2), (0.5, -math.sqrt(3) / 2)]
 _FAN_TRIS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 6, 1)]
+_FAN_RIM = [(1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)]
 
 
 def test_incompatible_labeling_detected_and_repaired():
@@ -331,10 +398,9 @@ def test_incompatible_labeling_detected_and_repaired():
 def test_incompatible_labeling_fails_fast():
     # on the fan above, label each triangle with the spoke it shares with the
     # next one: completion then cycles, and must stop with an error
-    rim = [(1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)]
     zeros = np.zeros(6, np.int64)
     # local edge 1 is (v2, v0), the spoke to the next triangle
-    m = Mesh(_FAN_VERTS, _FAN_TRIS, np.ones(6, np.int64), zeros, zeros, rim)
+    m = Mesh(_FAN_VERTS, _FAN_TRIS, np.ones(6, np.int64), zeros, zeros, _FAN_RIM)
     start = time.perf_counter()
     for tok in range(m.n_elements):
         with pytest.raises(MeshError, match="does not terminate"):
@@ -342,6 +408,21 @@ def test_incompatible_labeling_fails_fast():
     with pytest.raises(MeshError, match="does not terminate"):
         refine(m, range(m.n_elements), b=2)
     assert time.perf_counter() - start < 1.0
+
+
+def test_incompatible_labeling_fails_fast_at_scale():
+    # 2,000 copies of the cyclic fan above, side by side
+    n = 2000
+    verts = np.concatenate([np.array(_FAN_VERTS) + (2.5 * k, 0.0) for k in range(n)])
+    tris = np.concatenate([np.array(_FAN_TRIS) + 7 * k for k in range(n)])
+    rim = np.concatenate([np.array(_FAN_RIM) + 7 * k for k in range(n)])
+    zeros = np.zeros(6 * n, np.int64)
+    m = Mesh(verts, tris, np.ones(6 * n, np.int64), zeros, zeros, rim)
+    for b in (1, 2):
+        start = time.perf_counter()
+        with pytest.raises(MeshError, match="does not terminate"):
+            refine(m, range(m.n_elements), b=b)
+        assert time.perf_counter() - start < 1.0
 
 
 # twelve integer points on the circle of radius 5: every spoke has length
@@ -405,6 +486,9 @@ def _randomly_refined_lshape(b, rounds):
 @pytest.mark.parametrize("b, rounds, digest", [
     (1, 12, "d67712873ca550f9762c1c9cabf1b3d32c4e638899ef0b4ca8c68924a6b779cf"),
     (2, 5, "7dbb853a7b289378440390dfd84ed8123f9cf28bf47cd82089f3896442284f5c"),
+    # round k + 1 bisects the children of every round-k target, also of a
+    # target that completion had split in an earlier round
+    (3, 4, "5527c4fd6b3d88669fdd69af56bfe689a9c62a6122f42fc0569e5621b74b1d33"),
 ])
 def test_refine_output_is_pinned(b, rounds, digest):
     assert _mesh_digest(_randomly_refined_lshape(b, rounds)) == digest
@@ -415,6 +499,7 @@ def test_refine_output_is_pinned(b, rounds, digest):
 @pytest.mark.parametrize("b, rounds, digest", [
     (1, 12, "2e838d191b95a597cbddc879e45501faf65b7fcc0f2dedeaf637afcca801a50d"),
     (2, 5, "631524b4a710b0f8ae929251f4aa990368276c58727eff4011c8eec657fda7ad"),
+    (3, 4, "c355eccf0df951a8b0abe5b7241ed325611f3a34d99665cb4c385fc4b4e6dbbb"),
 ])
 def test_edge_table_is_pinned(b, rounds, digest):
     assert _digest(_randomly_refined_lshape(b, rounds).edge_table()) == digest
