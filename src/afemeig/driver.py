@@ -67,6 +67,15 @@ class AfemConfig:
     seed: int = 2357
 
     def __post_init__(self):
+        for name in ("degree", "bisections", "cluster_index", "multiplicity",
+                     "first_n", "max_dof", "max_iterations"):
+            value = getattr(self, name)
+            # bool is an int to Python, and a float counts only if integral
+            if isinstance(value, (bool, np.bool_)) or not (
+                    isinstance(value, (int, np.integer))
+                    or isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if self.multiplicity < 1 or self.cluster_index < 1:

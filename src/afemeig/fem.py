@@ -247,6 +247,18 @@ class ElementRule:
         xq += np.ascontiguousarray(v0)
         return xq.transpose(1, 0, 2)
 
+    def points_on(self, elements):
+        """x and y of the points of the given elements, (2, nq, n): the values
+        of ``xq`` with each coordinate contiguous."""
+        v0, B, _, _ = self.space.geometry()
+        v0, B = v0[elements], B[elements]
+        out = np.empty((2, self.pts.shape[0], B.shape[0]))
+        for i in range(2):
+            np.multiply.outer(self.pts[:, 0], B[:, i, 0], out=out[i])
+            out[i] += np.multiply.outer(self.pts[:, 1], B[:, i, 1])
+            out[i] += v0[:, i]
+        return out
+
     @cached_property
     def grads(self):
         gref = shape_gradients(self.space.degree, self.pts)   # (nb, nq, 2)

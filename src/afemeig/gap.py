@@ -13,24 +13,34 @@ which sidesteps the Gram cancellation that would otherwise floor tiny
 distances at sqrt(machine eps).  The gap is the max of the two directed
 distances, each computed by the same formula with the roles swapped.
 
-`gap_energy` measures every cluster of a window from one workspace: the rule,
-its points and every exact and discrete member are evaluated once, and the
-Grams of all members are BLAS products of which each cluster's Grams are
-diagonal blocks.  Each exact member is one call per row that returns its
-values and gradient together (see `ExactEigenspace`).  Every Gram comes from
-one subdivided element rule of degree 2k+2, which for constant A and
-quadratic c (every built-in problem) makes the discrete Grams S and SM equal
-V^T K V and V^T M V up to rounding.  A P1 gradient is constant on each
-element and kept with a point axis of length one; a product with it sums the
-other factor over the element's points first.
+`gap_energy` measures every cluster of a window from one workspace, in two
+passes over the mesh in blocks of whole elements of at most `BLOCK_POINTS`
+quadrature points.  The first pass evaluates every exact and discrete member
+on a block and adds the block's share of the a- and b-Grams of all members,
+of which each cluster's Grams are diagonal blocks; the directions come from
+those Grams.  The second pass evaluates the members again and integrates the
+residuals of every cluster and direction pointwise, all from one product of
+their coefficients with the block's fields.  The workspace thus holds one
+block's fields, never the mesh's: its memory is bounded by the block, not the
+mesh, and each pass stays in cache.  Each exact member is one call per block
+that returns its values and gradient together (see `ExactEigenspace`).  Every
+Gram comes from one subdivided element rule of degree 2k+2, which for
+constant A and quadratic c (every built-in problem) makes the discrete Grams
+S and SM equal V^T K V and V^T M V up to rounding.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .fem import shape_gradients
+
+# quadrature points per block of elements: a block's fields, (3, members,
+# points) numbers, stay in cache, and no array of the workspace grows with
+# the mesh beyond the cluster vectors themselves
+BLOCK_POINTS = 8192
 
 
 @dataclass
@@ -50,100 +60,79 @@ class GapError(RuntimeError):
     pass
 
 
-def _gram(left, right):
-    """(i, j) sums over points and elements of left[i] * right[j].
-
-    Both are (members, points, ne); a right side with one point (constant on
-    each element) meets the left side summed over its points.
-    """
-    if right.shape[1] != left.shape[1]:
-        left = left.sum(axis=1, keepdims=True)
-    return left.reshape(len(left), -1) @ right.reshape(len(right), -1).T
-
-
 class _GapWorkspace:
-    """Quadrature data and Grams of every member of a window's clusters.
+    """Grams of every member of a window's clusters and the residual norms of
+    their maximizing directions.
 
-    Each side is (values, x gradients, y gradients), arrays of shape
-    (members, nq, ne): point-major, so per-element data broadcasts along the
-    contiguous axis.  The P1 discrete gradients have one point.  G, B, P, S
-    and SM pair every member with every other; cluster i owns the block
-    ``blocks[i]`` of both sides.
+    G, B, P, S and SM pair every member with every other; cluster i owns the
+    block ``blocks[i]`` of both sides.  Fields are evaluated one block of
+    elements at a time, as (3, members, nq, n) arrays of values, x and y
+    gradients: exact members first, then discrete ones, point-major so that
+    per-element data broadcasts along the contiguous axis.
     """
 
     def __init__(self, exact, discrete, space, coeffs, subdivision=1):
-        V = np.column_stack([cl.vectors for cl in discrete])
-        if V.shape[0] != space.ndofs:
+        self.V = np.column_stack([cl.vectors for cl in discrete])
+        if self.V.shape[0] != space.ndofs:
             raise GapError("cluster vectors do not live on the given space")
         stops = np.cumsum([cl.q for cl in discrete])
         self.blocks = [slice(stop - cl.q, stop) for stop, cl in zip(stops, discrete)]
+        self.basis = [(ci, j, fn) for ci, eigenspace in enumerate(exact)
+                      for j, fn in enumerate(eigenspace.basis)]
+        self.space, self.coeffs = space, coeffs
+        self.rule = space.rule(2 * space.degree + 2, subdivision)
 
-        rule = space.rule(2 * space.degree + 2, subdivision)
-        xq = rule.xq.transpose(1, 0, 2)         # (nq, ne, 2), the rule's own layout
-        nq, ne = xq.shape[:2]
-        flat = xq.reshape(-1, 2)
-        # the members first: a call's temporaries set the workspace's memory
-        # peak, so neither the weights nor the last call's output outlive it
-        basis = [(ci, j, fn) for ci, eigenspace in enumerate(exact)
-                 for j, fn in enumerate(eigenspace.basis)]
-        u = np.empty((3, len(basis), nq, ne))
-        for i, (ci, j, fn) in enumerate(basis):
-            out = np.asarray(fn(flat), float)
-            if out.shape != (3, nq * ne):
-                raise GapError(f"exact[{ci}].basis[{j}] returned shape "
-                               f"{out.shape}, expected (3, {nq * ne})")
-            u[:, i] = out.reshape(3, nq, ne)
-            del out
-        self.exact = tuple(u)
-        self.w = rule.wts[:, None] * rule.det[None, :]
-        self.wc = self.w * coeffs.c_at(xq)
-        self.A = np.ascontiguousarray(
-            coeffs.a_matrix_for(space.mesh.region).transpose(1, 2, 0))   # (2, 2, ne)
+        m = len(self.basis)
+        a_gram, b_gram = 0.0, 0.0
+        for weights, w, Z in self._fields():
+            z = Z.reshape(3, Z.shape[1], -1)
+            za = _energy_weighted(weights, Z).reshape(z.shape)
+            a_gram = a_gram + (za @ z.transpose(0, 2, 1)).sum(axis=0)
+            b_gram = b_gram + (z[0] * w.ravel()) @ z[0].T
+        self.G, self.P, self.S = a_gram[:m, :m], a_gram[:m, m:], a_gram[m:, m:]
+        self.B, self.SM = b_gram[:m, :m], b_gram[m:, m:]
 
-        # discrete gradients from element data: reference gradients mapped by
-        # Binv^T, at one point on P1, where they are constant on each element
-        local = V.T[:, space.element_dofs.T]                        # (m, nb, ne)
+    def _fields(self):
+        """Per block of elements: the weights of the a-form, see
+        `_energy_weighted`, w (nq, n) and the fields of every member,
+        (3, members, nq, n)."""
+        rule, space, coeffs = self.rule, self.space, self.coeffs
+        nq, m = rule.wts.size, len(self.basis)
+        # P1 gradients are constant on each element: map them at one point
         gref = shape_gradients(space.degree, rule.pts if space.degree > 1 else rule.pts[:1])
-        r0, r1 = gref[..., 0].T @ local, gref[..., 1].T @ local
-        Binv = rule.Binv.transpose(1, 2, 0)
-        self.discrete = (rule.vals.T @ local, Binv[0, 0] * r0 + Binv[1, 0] * r1,
-                         Binv[0, 1] * r0 + Binv[1, 1] * r1)
-        del rule, xq, flat, u
+        step = max(1, BLOCK_POINTS // nq)
+        for start in range(0, space.mesh.n_elements, step):
+            blk = slice(start, start + step)
+            xy = rule.points_on(blk)
+            n = xy.shape[2]
+            flat = xy.reshape(2, -1).T       # (nq n, 2) with contiguous columns
+            Z = np.empty((3, m + self.V.shape[1], nq, n))
+            for i, (ci, j, fn) in enumerate(self.basis):
+                out = np.asarray(fn(flat), float)
+                if out.shape != (3, nq * n):
+                    raise GapError(f"exact[{ci}].basis[{j}] returned shape "
+                                   f"{out.shape}, expected (3, {nq * n})")
+                Z[:, i] = out.reshape(3, nq, n)
+            # discrete fields from element data: reference gradients mapped by Binv^T
+            local = self.V.T[:, space.element_dofs[blk].T]      # (members, nb, n)
+            r0, r1 = gref[..., 0].T @ local, gref[..., 1].T @ local
+            Binv = rule.Binv[blk].transpose(1, 2, 0)
+            Z[0, m:] = rule.vals.T @ local
+            Z[1, m:] = Binv[0, 0] * r0 + Binv[1, 0] * r1
+            Z[2, m:] = Binv[0, 1] * r0 + Binv[1, 1] * r1
 
-        (uv, ux, uy), (vv, vx, vy) = self.exact, self.discrete
-        wv = self.w if vx.shape[1] == nq else self.w.sum(axis=0, keepdims=True)
-        cu = self.wc * uv
-        self.G, self.P = _gram(cu, uv), _gram(cu, vv)
-        del cu
-        self.S = _gram(self.wc * vv, vv)
-        for i, (ug, vg) in enumerate(((ux, vx), (uy, vy))):
-            flux = self._flux(i, ux, uy, self.w)
-            self.G += _gram(flux, ug)
-            self.P += _gram(flux, vg)
-            del flux
-            self.S += _gram(self._flux(i, vx, vy, wv), vg)
-        self.B = _gram(self.w * uv, uv)
-        self.SM = _gram(self.w * vv, vv)
+            w = rule.wts[:, None] * rule.det[blk]
+            c = coeffs.c_at(flat)
+            wc = w * (c if np.isscalar(c) else c.reshape(nq, n))
+            if isinstance(coeffs.a, dict):
+                A = coeffs.a_matrix_for(space.mesh.region[blk])
+                yield (wc, w * A[:, 0, 0], w * A[:, 0, 1], w * A[:, 1, 1]), w, Z
+            else:
+                yield (wc, coeffs.a * w), w, Z
 
-    def _flux(self, i, gx, gy, w):
-        """Component i of w * A grad for gradient components (m, n, ne)."""
-        flux = self.A[i, 0] * gx
-        flux += self.A[i, 1] * gy
-        flux *= w
-        return flux
-
-    def _residual_norm(self, i, alpha, beta):
-        """|| sum alpha_j u_j - sum beta_l v_l ||_a over cluster i, pointwise."""
-        blk = self.blocks[i]
-        rv, rx, ry = (np.tensordot(alpha, u[blk], 1) - np.tensordot(beta, v[blk], 1)
-                      for u, v in zip(self.exact, self.discrete))
-        total = np.vdot(self.wc * rv, rv)
-        for j, r in enumerate((rx, ry)):
-            total += np.vdot(self._flux(j, rx, ry, self.w), r)
-        return float(np.sqrt(max(total, 0.0)))
-
-    def directed(self, i, reverse=False):
-        """Distance from cluster i's exact space to its discrete one (or back)."""
+    def _direction(self, i, reverse):
+        """Coefficients on every member (exact, then discrete) of the residual
+        of cluster i's direction of largest projection error."""
         blk = self.blocks[i]
         G, B, P, S, SM = (M[blk, blk] for M in (self.G, self.B, self.P, self.S, self.SM))
         from_a, from_b, cross, to_a = (S, SM, P.T, G) if reverse else (G, B, P, S)
@@ -156,7 +145,45 @@ class _GapWorkspace:
         _, W = sla.eigh(D, 0.5 * (from_b + from_b.T))
         alpha = W[:, -1]   # b-normalized maximizer of the projection error
         c = sol @ alpha
-        return self._residual_norm(i, c, alpha) if reverse else self._residual_norm(i, alpha, c)
+        m = len(self.basis)
+        coef = np.zeros(m + self.V.shape[1])
+        coef[blk], coef[m:][blk] = (c, -alpha) if reverse else (alpha, -c)
+        return coef
+
+    @cached_property
+    def distances(self):
+        """(forward, reverse) directed distance of every cluster: the a-norm
+        of each residual sum alpha_j u_j - sum beta_l v_l, integrated
+        pointwise in one pass for every cluster and direction."""
+        C = np.column_stack([self._direction(i, reverse)
+                             for i in range(len(self.blocks)) for reverse in (False, True)])
+        total = np.zeros(C.shape[1])
+        for weights, w, Z in self._fields():
+            R = (C.T @ Z.reshape(3, len(C), -1)).reshape(3, C.shape[1], *w.shape)
+            total += np.einsum("jkqe,jkqe->k", _energy_weighted(weights, R), R)
+        d = np.sqrt(np.maximum(total, 0.0))
+        return [(float(d[2 * i]), float(d[2 * i + 1])) for i in range(len(self.blocks))]
+
+    def directed(self, i, reverse=False):
+        """Distance from cluster i's exact space to its discrete one (or back)."""
+        return self.distances[i][reverse]
+
+
+def _energy_weighted(weights, Z):
+    """The a-form's left factor of fields Z (3, k, nq, n): c w times the
+    values and w A times the gradient.  `weights` is (c w, w A_xx, w A_xy,
+    w A_yy), or (c w, a w) for A = a I, each (nq, n)."""
+    out = np.empty_like(Z)
+    np.multiply(Z[0], weights[0], out=out[0])
+    if len(weights) == 2:
+        np.multiply(Z[1:], weights[1], out=out[1:])
+    else:
+        _, xx, xy, yy = weights
+        np.multiply(Z[1], xx, out=out[1])
+        out[1] += xy * Z[2]
+        np.multiply(Z[2], yy, out=out[2])
+        out[2] += xy * Z[1]
+    return out
 
 
 def gap_energy(exact, discrete, space, coeffs, subdivision=1):
@@ -167,4 +194,4 @@ def gap_energy(exact, discrete, space, coeffs, subdivision=1):
     if any(e.dim != d.q for e, d in zip(exact, discrete)):
         raise GapError("spaces must have equal dimension")
     ws = _GapWorkspace(exact, discrete, space, coeffs, subdivision)
-    return [max(ws.directed(i), ws.directed(i, reverse=True)) for i in range(len(exact))]
+    return [max(fwd, rev) for fwd, rev in ws.distances]

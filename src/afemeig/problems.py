@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import hermite
 
 from .fem import Coefficients
 from .gap import ExactEigenspace
@@ -70,13 +69,19 @@ def square_laplace():
     )
 
 
-def _hermite_1d(n):
-    """Norm of the Hermite function psi_n and the physicists' H_n and H_n'
-    coefficients, for `hermval`."""
-    coeff = np.zeros(n + 1)
-    coeff[n] = 1.0
-    return (1.0 / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi)),
-            coeff, hermite.hermder(coeff))
+def _hermite_norm(n):
+    return 1.0 / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
+
+
+def _hermite(n, t):
+    """Physicists' H_n(t) and H_n'(t) = 2n H_{n-1}(t) by the three-term
+    recurrence H_{k+1} = 2t H_k - 2k H_{k-1}."""
+    if n == 0:
+        return np.ones_like(t), np.zeros_like(t)
+    prev, h = np.ones_like(t), 2.0 * t
+    for k in range(1, n):
+        prev, h = h, 2.0 * t * h - 2.0 * k * prev
+    return h, 2.0 * n * prev
 
 
 def harmonic_oscillator(box_half_width=5.5):
@@ -91,19 +96,26 @@ def harmonic_oscillator(box_half_width=5.5):
     L = float(box_half_width)
 
     def member(nx, ny):
-        # psi_nx(x) psi_ny(y): the Hermite factors and the Gaussian once per call
-        normx, hx, dhx = _hermite_1d(nx)
-        normy, hy, dhy = _hermite_1d(ny)
-        norm = normx * normy
+        # psi_nx(x) psi_ny(y), with psi_n = H_n exp(-t^2/2) / sqrt(2^n n! sqrt(pi))
+        norm = _hermite_norm(nx) * _hermite_norm(ny)
 
         def fn(p):
-            x, y = p[:, 0], p[:, 1]
-            px, py = hermite.hermval(x, hx), hermite.hermval(y, hy)
-            e = np.exp(-0.5 * (x * x + y * y))
-            g = norm * e
-            return np.stack([norm * px * py * e,
-                             (hermite.hermval(x, dhx) - x * px) * py * g,
-                             px * (hermite.hermval(y, dhy) - y * py) * g])
+            x, y = np.ascontiguousarray(p[:, 0]), np.ascontiguousarray(p[:, 1])
+            (hx, dx), (hy, dy) = _hermite(nx, x), _hermite(ny, y)
+            g = x * x
+            g += y * y
+            g *= -0.5
+            np.exp(g, out=g)
+            g *= norm
+            dx -= x * hx            # psi_n' = (H_n' - t H_n) exp(-t^2/2)
+            dy -= y * hy
+            hy *= g
+            out = np.empty((3, x.size))
+            np.multiply(hx, hy, out=out[0])
+            np.multiply(dx, hy, out=out[1])
+            hx *= g
+            np.multiply(hx, dy, out=out[2])
+            return out
 
         return fn
 

@@ -15,6 +15,9 @@
   every interior edge counted once, by a plain loop over edges;
 - `brute_force_distance`: a Monte-Carlo lower bound on the directed
   eigenspace distance;
+- `reference_gap`: the gaps and Grams of a window from whole-mesh arrays,
+  every member at every point of the mesh at once, which the blocked
+  workspace of `afemeig.gap` must reproduce;
 - `directed_distance_from_grams`: the directed distance from Gram data
   alone, and `reverse_distance_bound`: d(Y, X) <= d(X, Y) / (1 - d(X, Y));
 - `energy_norm` and `b_norm`: norms through the assembled matrices;
@@ -345,6 +348,96 @@ def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
     alpha /= scale[:, None]
     d2 = np.einsum("si,ij,sj->s", alpha, D, alpha)
     return float(np.sqrt(max(np.max(d2), 0.0)))
+
+
+def _gram(left, right):
+    """(i, j) sums over points and elements of left[i] * right[j].
+
+    Both are (members, points, ne); a right side with one point (constant on
+    each element) meets the left side summed over its points.
+    """
+    if right.shape[1] != left.shape[1]:
+        left = left.sum(axis=1, keepdims=True)
+    return left.reshape(len(left), -1) @ right.reshape(len(right), -1).T
+
+
+class _WholeMeshGap:
+    """Quadrature data and Grams of every member of a window's clusters, on
+    the whole mesh at once.
+
+    Each side is (values, x gradients, y gradients), arrays of shape
+    (members, nq, ne); the P1 discrete gradients have one point.  The
+    residual of each direction is integrated on its own cluster's members.
+    """
+
+    def __init__(self, exact, discrete, space, coeffs, subdivision=1):
+        V = np.column_stack([cl.vectors for cl in discrete])
+        stops = np.cumsum([cl.q for cl in discrete])
+        self.blocks = [slice(stop - cl.q, stop) for stop, cl in zip(stops, discrete)]
+        rule = space.rule(2 * space.degree + 2, subdivision)
+        xq = rule.xq.transpose(1, 0, 2)         # (nq, ne, 2)
+        nq, ne = xq.shape[:2]
+        flat = xq.reshape(-1, 2)
+        basis = [fn for eigenspace in exact for fn in eigenspace.basis]
+        self.exact = tuple(np.stack([np.asarray(fn(flat), float).reshape(3, nq, ne)
+                                     for fn in basis], axis=1))
+        self.w = rule.wts[:, None] * rule.det[None, :]
+        self.wc = self.w * coeffs.c_at(xq)
+        self.A = np.ascontiguousarray(
+            coeffs.a_matrix_for(space.mesh.region).transpose(1, 2, 0))   # (2, 2, ne)
+        local = V.T[:, space.element_dofs.T]                        # (m, nb, ne)
+        gref = shape_gradients(space.degree, rule.pts if space.degree > 1 else rule.pts[:1])
+        r0, r1 = gref[..., 0].T @ local, gref[..., 1].T @ local
+        Binv = rule.Binv.transpose(1, 2, 0)
+        self.discrete = (rule.vals.T @ local, Binv[0, 0] * r0 + Binv[1, 0] * r1,
+                         Binv[0, 1] * r0 + Binv[1, 1] * r1)
+
+        (uv, ux, uy), (vv, vx, vy) = self.exact, self.discrete
+        wv = self.w if vx.shape[1] == nq else self.w.sum(axis=0, keepdims=True)
+        cu = self.wc * uv
+        self.G, self.P = _gram(cu, uv), _gram(cu, vv)
+        self.S = _gram(self.wc * vv, vv)
+        for i, (ug, vg) in enumerate(((ux, vx), (uy, vy))):
+            flux = self._flux(i, ux, uy, self.w)
+            self.G += _gram(flux, ug)
+            self.P += _gram(flux, vg)
+            self.S += _gram(self._flux(i, vx, vy, wv), vg)
+        self.B = _gram(self.w * uv, uv)
+        self.SM = _gram(self.w * vv, vv)
+
+    def _flux(self, i, gx, gy, w):
+        """Component i of w * A grad for gradient components (m, n, ne)."""
+        return (self.A[i, 0] * gx + self.A[i, 1] * gy) * w
+
+    def _residual_norm(self, i, alpha, beta):
+        """|| sum alpha_j u_j - sum beta_l v_l ||_a over cluster i, pointwise."""
+        blk = self.blocks[i]
+        rv, rx, ry = (np.tensordot(alpha, u[blk], 1) - np.tensordot(beta, v[blk], 1)
+                      for u, v in zip(self.exact, self.discrete))
+        total = np.vdot(self.wc * rv, rv)
+        for j, r in enumerate((rx, ry)):
+            total += np.vdot(self._flux(j, rx, ry, self.w), r)
+        return float(np.sqrt(max(total, 0.0)))
+
+    def directed(self, i, reverse=False):
+        blk = self.blocks[i]
+        G, B, P, S, SM = (M[blk, blk] for M in (self.G, self.B, self.P, self.S, self.SM))
+        from_a, from_b, cross, to_a = (S, SM, P.T, G) if reverse else (G, B, P, S)
+        sol = np.linalg.solve(to_a, cross.T)
+        D = from_a - cross @ sol
+        _, W = sla.eigh(0.5 * (D + D.T), 0.5 * (from_b + from_b.T))
+        alpha = W[:, -1]
+        c = sol @ alpha
+        return self._residual_norm(i, c, alpha) if reverse else self._residual_norm(i, alpha, c)
+
+
+def reference_gap(exact, discrete, space, coeffs, subdivision=1):
+    """Gaps of a window's clusters and the Grams (G, B, P, S, SM) of all
+    their members, from whole-mesh arrays: the result `gap_energy` and its
+    blocked workspace must reproduce to rounding."""
+    ws = _WholeMeshGap(exact, discrete, space, coeffs, subdivision)
+    gaps = [max(ws.directed(i), ws.directed(i, reverse=True)) for i in range(len(exact))]
+    return gaps, {name: getattr(ws, name) for name in ("G", "B", "P", "S", "SM")}
 
 
 def directed_distance_from_grams(from_a, cross, to_a, from_b):

@@ -100,6 +100,22 @@ def test_config_validation():
         run_afem_first_n(AfemConfig())
 
 
+@pytest.mark.parametrize("name", ["bisections", "max_dof", "max_iterations",
+                                  "cluster_index", "multiplicity", "first_n", "degree"])
+@pytest.mark.parametrize("value", [2.5, float("nan"), True, "2"])
+def test_config_rejects_non_integer_counts(name, value, solve_calls):
+    # the field is named before any solve, not at the first refine
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_afem(AfemConfig(**{"problem": "square", "max_dof": 200, name: value}))
+    assert solve_calls == []
+
+
+def test_config_takes_integral_floats_as_ints():
+    cfg = AfemConfig(max_dof=5e4, bisections=np.int64(2), degree=2.0)
+    assert (cfg.max_dof, cfg.bisections, cfg.degree) == (50_000, 2, 2)
+    assert all(type(v) is int for v in (cfg.max_dof, cfg.bisections, cfg.degree))
+
+
 # -- trace bookkeeping -------------------------------------------------------
 
 

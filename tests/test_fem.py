@@ -65,6 +65,15 @@ def test_rule_weights_sum_to_domain_area(mesh, area):
         assert rule.xq.shape == (mesh.n_elements, 4 * triangle_rule(4)[1].size, 2)
 
 
+def test_block_points_equal_rule_points():
+    # the gap oracle's per-block points are the rule's own, bit for bit
+    mesh = refine(lshape_mesh(1), {0, 5, 9}).mesh
+    rule = build_space(mesh, 2).rule(6, 1)
+    for blk in (slice(0, 1), slice(3, 10), slice(0, mesh.n_elements + 5)):
+        xy = rule.points_on(blk)
+        assert np.array_equal(xy.transpose(2, 1, 0), rule.xq[blk])
+
+
 # The seven 2x2 maps of the package, as the einsum each replaced.  Each case
 # gives the operands at the shapes of its call site and the broadcast form of
 # the matrix that _matvec2 takes.  ``gm`` is made as the gap workspace makes

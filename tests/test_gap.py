@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import afemeig.driver
+import afemeig.gap
 from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness,
-                     build_space, gap_energy, get_problem, run_afem, run_afem_first_n,
-                     solve_smallest, square_laplace, uniform_refine)
+                     build_initial, build_space, gap_energy, get_problem, run_afem,
+                     run_afem_first_n, solve_smallest, square_laplace, uniform_refine)
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
 from afemeig.gap import ExactEigenspace, GapError, _GapWorkspace
+from afemeig.quadrature import triangle_rule_subdivided
 
 from conftest import square_mesh
 from oracles import (brute_force_distance, directed_distance_from_grams,
-                     reverse_distance_bound)
+                     reference_gap, reverse_distance_bound)
 
 
 @pytest.fixture(scope="module")
@@ -101,16 +104,88 @@ def test_window_gaps_equal_gaps_alone(name, degree, subdivision):
     np.testing.assert_allclose(window, alone, rtol=1e-13, atol=0)
 
 
-def test_exact_members_evaluated_once_per_row(monkeypatch):
-    # every exact member of the window is called once per row, value and
-    # gradient together; members outside the window are never called
-    calls = {}
+def _window_clusters(exact, space, co):
+    """The discrete clusters of the window of `exact`, from one solve."""
+    stops = np.cumsum([e.dim for e in exact])
+    vals, vecs = solve_smallest(assemble_stiffness(space, co), assemble_mass(space),
+                                int(stops[-1]))
+    return [EigenCluster(vals[stop - e.dim:stop],
+                         np.column_stack([space.expand(vecs[:, k])
+                                          for k in range(stop - e.dim, stop)]))
+            for stop, e in zip(stops, exact)]
+
+
+def _anisotropic_square():
+    # two material regions with a full, different A on each: the square's
+    # sines are no eigenfunctions of it, but their gap is still defined
+    prob = square_laplace()
+    mesh = build_initial(prob.vertices, prob.triangles, region=[0, 1])
+    co = Coefficients(a={0: [[2.0, 0.5], [0.5, 1.0]], 1: [[1.0, -0.3], [-0.3, 0.5]]},
+                      c=lambda p: 1.0 + p[:, 0] * p[:, 1])
+    return prob.exact_clusters, mesh, co
+
+
+@pytest.mark.parametrize("subdivision", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", ["square", "oscillator", "anisotropic"])
+def test_blocked_gaps_equal_whole_mesh_gaps(monkeypatch, name, degree, subdivision):
+    # a block of one element, of seven, and one block for the whole mesh all
+    # give the gaps and Grams of the whole-mesh workspace, to rounding
+    if name == "anisotropic":
+        exact, mesh, co = _anisotropic_square()
+    else:
+        prob = get_problem(name)
+        exact, mesh, co = prob.exact_clusters, prob.initial_mesh(), prob.coefficients
+    space = build_space(uniform_refine(mesh, 5), degree)
+    clusters = _window_clusters(exact, space, co)
+    gaps, grams = reference_gap(exact, clusters, space, co, subdivision)
+    nq = triangle_rule_subdivided(2 * degree + 2, subdivision)[1].size
+    for elements in (1, 7, space.mesh.n_elements + 1):
+        monkeypatch.setattr(afemeig.gap, "BLOCK_POINTS", elements * nq)
+        np.testing.assert_allclose(gap_energy(exact, clusters, space, co, subdivision),
+                                   gaps, rtol=1e-12, atol=0)
+        ws = _GapWorkspace(exact, clusters, space, co, subdivision)
+        for key, ref in grams.items():
+            assert np.abs(getattr(ws, key) - ref).max() <= 1e-12 * np.abs(ref).max(), key
+
+
+def test_gap_memory_does_not_grow_with_the_mesh():
+    # the peak of one call on meshes of 16k and 65k elements: the workspace
+    # holds one block's fields, so only the cluster vectors grow with the mesh
+    prob = get_problem("oscillator")
+    exact = prob.exact_clusters[:2]
+    mesh = uniform_refine(prob.initial_mesh(), 12)
+    rng = np.random.default_rng(3)
+    peaks, sizes = [], []
+    for _ in range(2):
+        space = build_space(mesh, 1)
+        W = m_orthonormalize(rng.standard_normal((space.n_free, 3)), assemble_mass(space))
+        clusters = [EigenCluster(np.ones(1), space.expand(W[:, 0])[:, None]),
+                    EigenCluster(np.ones(2), np.column_stack([space.expand(W[:, 1]),
+                                                              space.expand(W[:, 2])]))]
+        tracemalloc.start()
+        try:
+            gap_energy(exact, clusters, space, prob.coefficients)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(mesh.n_elements)
+        mesh = uniform_refine(mesh, 2)
+    assert sizes[1] == 4 * sizes[0] >= 16_000
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_exact_members_evaluated_twice_per_point(monkeypatch):
+    # every exact member of the window is evaluated on every quadrature point
+    # of a row exactly twice, value and gradient together: once for the Grams
+    # and once for the residuals; members outside the window are never called
+    points = {}
 
     def counted(key, fn):
         def call(p):
-            calls[key] += 1
+            points[key] += len(p)
             return fn(p)
-        calls[key] = 0
+        points[key] = 0
         return call
 
     def problem(name):
@@ -124,10 +199,11 @@ def test_exact_members_evaluated_once_per_row(monkeypatch):
     tr = run_afem_first_n(AfemConfig(problem="oscillator", degree=1, first_n=3,
                                      max_dof=1500))
     assert len(tr) >= 3
-    window = {key: n for key, n in calls.items() if key[0] < 2}
+    nq = triangle_rule_subdivided(4, 1)[1].size
+    window = {key: n for key, n in points.items() if key[0] < 2}
     assert len(window) == 3   # clusters 1 and 2: three members
-    assert set(window.values()) == {len(tr)}
-    assert all(n == 0 for key, n in calls.items() if key[0] >= 2)
+    assert set(window.values()) == {2 * nq * sum(tr.n_elements)}
+    assert all(n == 0 for key, n in points.items() if key[0] >= 2)
 
 
 @pytest.mark.parametrize("rows", [
