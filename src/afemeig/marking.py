@@ -1,14 +1,22 @@
-"""Dörfler (bulk) marking with minimal cardinality.
+"""Dörfler (bulk) marking, minimal up to whole tie classes.
 
 Elements are sorted by indicator descending (ties broken by ascending id) and
-the shortest prefix reaching theta * total is marked; prefixes nest, so the
-marked set is monotone in theta and the outcome is a pure, deterministic
-function of its inputs.
+the shortest prefix reaching theta * total is found.  Every element whose
+indicator ties with the smallest one of that prefix, to within a relative
+TIE_REL_TOL, is marked with it, so a cut never splits a class of indicators
+that agree only to round-off (symmetric meshes produce such classes): which
+members get marked would otherwise depend on the BLAS build and thread count.
+The marked set is {eta^2 >= (1 - TIE_REL_TOL) * cut value}, so it is monotone
+in theta and a pure, deterministic function of the indicator values.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# indicators within this relative distance of the cut value are one class;
+# round-off between congruent elements is 1e-14, real differences far larger
+TIE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -19,10 +27,11 @@ class MarkResult:
 
 
 def dorfler_mark(indicators, theta):
-    """Minimal-cardinality subset with sum(eta2[marked]) >= theta * total.
+    """Subset with sum(eta2[marked]) >= theta * total, minimal up to tie classes.
 
     `indicators` is an IndicatorField or a raw nonnegative array of per-element
-    eta^2 values.  A zero total yields an empty, converged result.
+    eta^2 values.  `achieved_fraction` is the marked share of the total.  A
+    zero total yields an empty, converged result.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -32,11 +41,14 @@ def dorfler_mark(indicators, theta):
     if np.any(eta2 < 0):
         raise ValueError("negative indicator")
     order = np.lexsort((np.arange(eta2.size), -eta2))
-    csum = np.cumsum(eta2[order])
+    descending = eta2[order]
+    csum = np.cumsum(descending)
     total = csum[-1] if eta2.size else 0.0
     if total <= 0.0:
         return MarkResult(converged=True)
     k = int(np.searchsorted(csum, theta * total, side="left"))
     k = min(k, eta2.size - 1)
-    return MarkResult(marked=frozenset(order[:k + 1].tolist()),
-                      achieved_fraction=float(csum[k] / total))
+    cut = (1.0 - TIE_REL_TOL) * descending[k]
+    count = int(np.searchsorted(-descending, -cut, side="right"))
+    return MarkResult(marked=frozenset(order[:count].tolist()),
+                      achieved_fraction=float(csum[count - 1] / total))

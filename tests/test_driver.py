@@ -226,12 +226,14 @@ def test_plot_text_is_escaped(tmp_path):
     assert {"a<b", "x&y", "y>0"} <= set(texts)
 
 
-def test_tiny_theta_marks_single_element():
+def test_tiny_theta_marks_the_top_tie_class():
     cfg = AfemConfig(problem="square", degree=1, theta=1e-9, cluster_index=1,
                      multiplicity=1, max_iterations=1, compute_gap=False)
     tr = run_afem(cfg)
     assert len(tr) == 2
-    assert tr.marked[0] == 1       # minimal Dörfler prefix is one max element
+    # the minimal Dörfler prefix is one largest indicator, and the symmetric
+    # square's 8 congruent elements tie with it, so the class is marked whole
+    assert tr.marked[0] == 8
     assert tr.marked[1] == 0       # final row records no further marking
 
 

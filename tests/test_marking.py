@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from afemeig import dorfler_mark
+from afemeig.marking import TIE_REL_TOL
 
 finite_eta = st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
                       min_size=1, max_size=60)
@@ -19,11 +20,15 @@ def _check_dorfler(eta2, theta, result):
         return
     marked_sum = math.fsum(eta2[i] for i in result.marked)
     assert marked_sum >= theta * total * (1 - 1e-12)
-    # minimality: dropping the smallest marked indicator breaks the property
-    if len(result.marked) > 1:
-        smallest = min(result.marked, key=lambda i: (eta2[i], -i))
-        rest = math.fsum(eta2[i] for i in result.marked if i != smallest)
-        assert rest < theta * total * (1 + 1e-12)
+    # minimality up to ties: dropping the smallest marked class, the marked
+    # indicators within the tie tolerance of the smallest one, breaks the
+    # property, and nothing unmarked ties with the marked ones
+    smallest = min(eta2[i] for i in result.marked)
+    tie = smallest * (1 + 2 * TIE_REL_TOL)
+    rest = math.fsum(eta2[i] for i in result.marked if eta2[i] > tie)
+    assert rest < theta * total * (1 + 1e-12)
+    assert all(eta2[i] < smallest for i in range(len(eta2)) if i not in result.marked)
+    assert result.achieved_fraction == pytest.approx(marked_sum / total, rel=1e-12)
 
 
 def test_worked_examples():
@@ -34,6 +39,19 @@ def test_worked_examples():
     assert dorfler_mark(eta, 0.25).marked == {0}
     # theta just below 1 takes everything
     assert dorfler_mark(eta, 1 - 1e-12).marked == {0, 1, 2, 3}
+
+
+def test_a_tie_class_is_marked_whole():
+    # the minimal prefix {0, 1} ends inside the class {1, 2, 3}, whose members
+    # agree to round-off; the whole class is marked, and the reported fraction
+    # is the marked one
+    eta = np.array([4.0, 2.0, 2.0 * (1 - 1e-14), 2.0 * (1 + 1e-14), 1.0])
+    res = dorfler_mark(eta, 0.5)
+    assert res.marked == {0, 1, 2, 3}
+    assert res.achieved_fraction == pytest.approx(10.0 / 11.0)
+    # a relative difference above the tolerance is not a tie
+    eta[2] = 2.0 * (1 - 10 * TIE_REL_TOL)
+    assert dorfler_mark(eta, 0.5).marked == {0, 1, 3}
 
 
 def test_zero_total_converged():
