@@ -46,17 +46,21 @@ def _fix_signs(vectors):
 
 
 def m_orthonormalize(vectors, M):
-    """Modified Gram-Schmidt in the M inner product (two passes)."""
+    """Cholesky QR in the M inner product, two passes.
+
+    Each pass factors the Gram matrix V^T M V = R^T R and replaces V by
+    V R^-1; the second pass removes what the first left of round-off.  The
+    columns keep their order and span: column j spans what the first j
+    input columns span.
+    """
     V = np.array(vectors, float, copy=True)
-    for j in range(V.shape[1]):
-        w = V[:, j]
-        for _ in range(2):
-            for i in range(j):
-                w -= (V[:, i] @ (M @ w)) * V[:, i]
-        nrm = np.sqrt(w @ (M @ w))
-        if nrm <= 0 or not np.isfinite(nrm):
-            raise EigensolverError("breakdown while b-orthonormalizing eigenvectors")
-        V[:, j] = w / nrm
+    for _ in range(2):
+        try:
+            R = sla.cholesky(V.T @ (M @ V), lower=False)
+        except (sla.LinAlgError, ValueError) as exc:
+            raise EigensolverError(
+                "breakdown while b-orthonormalizing eigenvectors") from exc
+        V = sla.solve_triangular(R, V.T, trans="T", lower=False).T
     return V
 
 

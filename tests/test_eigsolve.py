@@ -130,6 +130,28 @@ def test_m_orthonormalize():
     assert np.allclose(W.T @ W, np.eye(3), atol=1e-13)
 
 
+def test_m_orthonormalize_many_columns():
+    # 57 eigenvectors of a 961-dof pencil, as a wide cluster window asks for;
+    # Cholesky QR in two passes leaves them M-orthonormal to round-off
+    _, K, M = _laplace_system(10)
+    assert K.shape[0] == 961
+    _, V = solve_smallest(K, M, 57)
+    rng = np.random.default_rng(4)
+    for W in (V, V @ rng.standard_normal((57, 57)), rng.standard_normal((961, 57))):
+        W = m_orthonormalize(W, M)
+        assert np.abs(W.T @ (M @ W) - np.eye(57)).max() < 1e-12
+
+
+def test_m_orthonormalize_breakdown_raises():
+    M = sp.identity(6, format="csr")
+    V = np.random.default_rng(2).standard_normal((6, 3))
+    for bad in (0.0, np.nan):
+        W = V.copy()
+        W[:, 1] = bad
+        with pytest.raises(EigensolverError, match="breakdown"):
+            m_orthonormalize(W, M)
+
+
 def test_solver_input_validation():
     K = sp.identity(4, format="csr")
     with pytest.raises(ValueError):
@@ -204,3 +226,20 @@ def test_warm_start_on_a_refined_mesh_matches_cold_and_dense():
                      subset_by_index=[0, nev - 1])
     np.testing.assert_allclose(warm, cold, rtol=1e-12)
     np.testing.assert_allclose(warm, dense, rtol=1e-12)
+
+
+@pytest.mark.parametrize("problem, degree, rounds", [
+    ("square", 2, 8), ("oscillator", 1, 9)])
+def test_sparse_path_matches_dense(problem, degree, rounds):
+    # the factored shift-invert path on P2, and on the oscillator's variable-c
+    # pencil, against a dense solve of the same pencil
+    from afemeig import get_problem
+    prob = get_problem(problem)
+    space = build_space(uniform_refine(prob.initial_mesh(), rounds), degree)
+    K, M = assemble_stiffness(space, prob.coefficients), assemble_mass(space)
+    assert 260 < K.shape[0] < 3000
+    nev = 6
+    vals, _ = solve_smallest(K, M, nev)
+    dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                     subset_by_index=[0, nev - 1])
+    np.testing.assert_allclose(vals, dense, rtol=1e-12)
