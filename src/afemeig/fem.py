@@ -302,7 +302,11 @@ def assemble_stiffness(space, coeffs, apply_dirichlet=True):
         if cq != 0.0:
             local += cq * np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]
     else:
-        local += np.einsum("bq,dq,eq,q->ebd", rule.vals, rule.vals, cq, rule.wts)
+        # one (ne, nq) @ (nq, nb*nb) product; a four-operand einsum took a
+        # third of a variable-c assembly
+        nb = rule.vals.shape[0]
+        basis = np.einsum("bq,dq,q->qbd", rule.vals, rule.vals, rule.wts)
+        local += (cq @ basis.reshape(-1, nb * nb)).reshape(-1, nb, nb)
     local *= rule.det[:, None, None]
     del rule, flux   # free the gradients before the CSR build, which sets peak memory
     return _to_csr(space, local, apply_dirichlet)

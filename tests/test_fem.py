@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from afemeig import (Coefficients, MeshError, assemble_mass, assemble_stiffness, build_space,
-                     gap_energy, refine, square_laplace)
+                     gap_energy, harmonic_oscillator, refine, square_laplace, uniform_refine)
 from afemeig.eigsolve import EigenCluster
 from afemeig.estimator import _indicators
 from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, shape_values
@@ -308,6 +308,24 @@ def test_region_matrix_assembly_matches_scalar():
             np.testing.assert_array_equal(K[0], K[1])
             np.testing.assert_array_equal(ind[0], ind[1])
             assert gap[0] == gap[1]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_variable_c_mass_term_matches_the_einsum(degree):
+    # the variable-c mass term is one (ne, nq) @ (nq, nb*nb) product; it sums
+    # in another order than the four-operand einsum it replaced
+    from afemeig import fem
+    coeffs = harmonic_oscillator().coefficients
+    space = build_space(uniform_refine(harmonic_oscillator().initial_mesh(), 8), degree)
+    rule = fem._assembly_rule(space, coeffs)
+    flux = _matvec2(coeffs.a_matrix_for(space.mesh.region)[:, None, None], rule.grads)
+    local = np.einsum("ebqi,edqi,q->ebd", flux, rule.grads, rule.wts)
+    local += np.einsum("bq,dq,eq,q->ebd", rule.vals, rule.vals, coeffs.c_on(rule),
+                       rule.wts)
+    local *= rule.det[:, None, None]
+    want = fem._to_csr(space, local, True).toarray()
+    got = assemble_stiffness(space, coeffs).toarray()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_matrixmarket_export(tmp_path, laplace_coeffs):
