@@ -19,6 +19,7 @@ silently tracking something else.
 import csv
 import io
 import json
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ class AfemConfig:
 
     def __post_init__(self):
         for name in ("degree", "bisections", "cluster_index", "multiplicity",
-                     "first_n", "max_dof", "max_iterations"):
+                     "first_n", "max_dof", "max_iterations", "seed"):
             value = getattr(self, name)
             # bool is an int to Python, and a float counts only if integral
             if isinstance(value, (bool, np.bool_)) or not (
@@ -76,6 +77,16 @@ class AfemConfig:
                     or isinstance(value, float) and value.is_integer()):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
+        for name in ("theta", "eig_tol"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            setattr(self, name, float(value))
+        if not isinstance(self.compute_gap, (bool, np.bool_)):
+            raise ValueError(f"compute_gap must be True or False, got {self.compute_gap!r}")
+        self.compute_gap = bool(self.compute_gap)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if self.multiplicity < 1 or self.cluster_index < 1:

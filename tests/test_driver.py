@@ -101,13 +101,38 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name", ["bisections", "max_dof", "max_iterations",
-                                  "cluster_index", "multiplicity", "first_n", "degree"])
+                                  "cluster_index", "multiplicity", "first_n", "degree",
+                                  "seed"])
 @pytest.mark.parametrize("value", [2.5, float("nan"), True, "2"])
 def test_config_rejects_non_integer_counts(name, value, solve_calls):
     # the field is named before any solve, not at the first refine
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         run_afem(AfemConfig(**{"problem": "square", "max_dof": 200, name: value}))
     assert solve_calls == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # a negative seed passed every check and failed at the first Lanczos solve
+    (dict(seed=-1), "seed must be >= 0"),
+    # a string threshold raised a bare TypeError from the range comparison
+    (dict(theta="0.5"), "theta must be a real number"),
+    (dict(eig_tol="1e-10"), "eig_tol must be a real number"),
+    (dict(theta=True), "theta must be a real number"),
+    # the string "no" is truthy and used to run the gap
+    (dict(compute_gap="no"), "compute_gap must be True or False"),
+    (dict(compute_gap=1), "compute_gap must be True or False"),
+])
+def test_config_rejects_bad_seed_reals_and_flags(kwargs, message, solve_calls):
+    with pytest.raises(ValueError, match=message):
+        run_afem(AfemConfig(problem="square", max_dof=3000, **kwargs))
+    assert solve_calls == []
+
+
+def test_config_normalizes_numpy_scalars():
+    cfg = AfemConfig(theta=np.float32(0.25), eig_tol=np.int64(0), seed=np.int64(7),
+                     compute_gap=np.bool_(False))
+    assert [type(v) for v in (cfg.theta, cfg.eig_tol, cfg.seed, cfg.compute_gap)] == \
+        [float, float, int, bool]
 
 
 def test_config_takes_integral_floats_as_ints():
