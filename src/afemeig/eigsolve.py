@@ -98,9 +98,9 @@ def solve_smallest(K, M, nev, tol=1e-10, seed=2357, start=None):
         # K is SPD: a minimum-degree ordering of K + K^T with diagonal pivots
         # fills 30-60 % of what the default unsymmetric LU does.  relax=1
         # turns off SuperLU's relaxed supernodes: on the final square-p2
-        # matrix (n = 28k, one BLAS thread) the factor took 0.65 s with them
-        # and 0.15 s without, with L+U nonzero counts 14 apart, and 33 solves
-        # took 0.31 s against 0.14 s.  panel_size=10 instead of the default
+        # matrix (n = 28k, one BLAS thread) the factor took 0.58 s with them
+        # and 0.12 s without, with L+U nonzero counts 14 apart, and 33 solves
+        # took 0.30 s against 0.14 s.  panel_size=10 instead of the default
         # 20 cut the 18 factors of that run from 0.46 to 0.42 s (median of 7).
         try:
             lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",

@@ -302,8 +302,7 @@ def assemble_stiffness(space, coeffs, apply_dirichlet=True):
         if cq != 0.0:
             local += cq * np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]
     else:
-        # one (ne, nq) @ (nq, nb*nb) product; a four-operand einsum took a
-        # third of a variable-c assembly
+        # one BLAS product (ne, nq) @ (nq, nb*nb) over all elements
         nb = rule.vals.shape[0]
         basis = np.einsum("bq,dq,q->qbd", rule.vals, rule.vals, rule.wts)
         local += (cq @ basis.reshape(-1, nb * nb)).reshape(-1, nb, nb)

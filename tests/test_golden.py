@@ -139,11 +139,11 @@ def test_integer_columns_do_not_depend_on_the_blas_thread_count():
               "cluster_index=2, multiplicity=2, max_dof=2000)); "
               "print([row[:4] for row in tr.rows])")
     src = str(pathlib.Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                   MKL_NUM_THREADS=threads, PYTHONPATH=path)
         outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
                                       capture_output=True, text=True,
                                       check=True).stdout)
