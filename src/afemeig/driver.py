@@ -262,7 +262,7 @@ class _Discretization:
 
 def _mark_elements(config, ind):
     if config.marking == "uniform":
-        return frozenset(range(ind.eta2.size)), False
+        return np.arange(ind.eta2.size), False
     res = dorfler_mark(ind, config.theta)
     return res.marked, res.converged
 

@@ -15,6 +15,14 @@ subtracts the L2 projection of R_T onto P_{k-1}(T).  A is constant on each
 element and grad u affine there (P1, P2), so J_E is affine along E: its
 integral is taken in closed form from the end values, and its oscillation
 against P_k(E) is identically zero.
+
+No gradient is formed at quadrature points.  u at the points of the degree
+2k+2 rule is a product of the element coefficients with the reference shape
+values; the P2 term div(A grad u) is sum_b u_b (B^-1 A B^-T : Hess_ref
+phi_b), with the metric of `fem._metric`; the vertex fluxes of the jumps are
+one 2x2 map by A B^-T of the reference gradients at the vertices.
+`FeSpace.rule` supplies the weights and determinants, and maps its points
+only for a source f or a variable c.
 """
 
 from dataclasses import dataclass
@@ -22,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import _matvec2, shape_gradients, shape_hessians
+from .fem import _flux_map, _matvec2, _metric, shape_gradients, shape_hessians
 from .quadrature import triangle_rule
 
 _REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -63,40 +71,49 @@ def _tri_projector(degree_poly, rule_degree):
     return proj  # (nq, nq), maps point values to projected point values
 
 
-def _interior_terms(space, coeffs, vectors, lams, sources, rule_degree):
+def _interior_terms(space, coeffs, local, lams, sources, rule_degree):
+    """h_T^2 ||R_T||^2 and its oscillation per element, member by member:
+    u at the points is a product of the element coefficients `local`
+    (members, ne, nb) with the reference values, and the rule's points are
+    mapped only for a source or a variable c."""
     mesh = space.mesh
     rule = space.rule(rule_degree)
-    h2 = mesh.diameters() ** 2
-    href = shape_hessians(space.degree)
+    # h_T^2, the longest edge squared, times det B, which scales the weights
+    _, B, det, _ = space.geometry()
+    edges = (B[..., 0], B[..., 1], B[..., 1] - B[..., 0])
+    weight = np.max([np.einsum("ei,ei->e", e, e) for e in edges], axis=0) * det
     cq = coeffs.c_on(rule)
-    amat = coeffs.a_matrix_for(mesh.region)
     proj = _tri_projector(space.degree - 1, rule_degree)
+    if space.degree == 2:
+        # div(A grad u) = sum_b u_b (B^-1 A B^-T : Hess_ref phi_b), constant on each element
+        href = shape_hessians(2)
+        hess = np.stack([href[:, 0, 0], href[:, 0, 1] + href[:, 1, 0], href[:, 1, 1]])
+        div_table = _metric(space, coeffs) @ hess                # (ne, nb)
     eta2 = np.zeros(mesh.n_elements)
     osc2 = np.zeros(mesh.n_elements)
-    for m in range(vectors.shape[1]):
-        local = vectors[:, m][space.element_dofs]
-        uq = np.einsum("eb,bq->eq", local, rule.vals)
+    for m, lm in enumerate(local):
+        uq = lm @ rule.vals
         if sources is not None:
             r0 = np.asarray(sources[m](rule.xq.reshape(-1, 2)), float).reshape(uq.shape)
         else:
             r0 = lams[m] * uq
-        if href.any():   # P2: div(A grad u) = A : Hess(u), constant on each element
-            hess = np.einsum("eki,ekl,elj->eij", rule.Binv,
-                             np.einsum("eb,bij->eij", local, href), rule.Binv)
-            r0 = r0 + np.einsum("eij,eij->e", amat, hess)[:, None]
+        if space.degree == 2:
+            r0 = r0 + np.einsum("eb,eb->e", lm, div_table)[:, None]
         R = r0 - cq * uq
-        Rbar = R @ proj.T
-        eta2 += h2 * rule.det * np.einsum("eq,q->e", R ** 2, rule.wts)
-        osc2 += h2 * rule.det * np.einsum("eq,q->e", (R - Rbar) ** 2, rule.wts)
+        eta2 += weight * ((R * R) @ rule.wts)
+        D = R - R @ proj.T
+        osc2 += weight * ((D * D) @ rule.wts)
     return eta2, osc2
 
 
-def _edge_terms(space, coeffs, vectors):
+def _edge_terms(space, coeffs, local):
     """Squared jump indicator accumulated per element, in closed form.
 
     A is constant and grad u affine on each element, so J_E is affine along
     the edge and int_E J^2 ds = |E| (J_a^2 + J_a J_b + J_b^2) / 3 from its
-    values at the end points a and b.
+    values at the end points a and b.  The members' reference gradients at
+    the three vertices are one product of `local` (members, ne, nb) with
+    the reference table, and their fluxes one 2x2 map by A B^-T.
     """
     mesh = space.mesh
     edges, _, owners, owner_local = mesh.edge_table()
@@ -104,19 +121,17 @@ def _edge_terms(space, coeffs, vectors):
     e_int, own, loc = edges[interior], owners[interior], owner_local[interior]
     tang = mesh.vertices[e_int[:, 1]] - mesh.vertices[e_int[:, 0]]
     normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)   # |E| nu
-    _, _, _, Binv = space.geometry()
-    gvert = _matvec2(Binv.transpose(0, 2, 1)[:, None, None],
-                     shape_gradients(space.degree, _REF_VERTICES))   # (ne, nb, 3, 2)
-    grads = np.einsum("emb,ebvi->mevi",
-                      vectors[space.element_dofs].transpose(0, 2, 1), gvert)
-    flux = coeffs.apply_a(mesh.region, grads)                # (nmem, ne, 3, 2)
+    gref = shape_gradients(space.degree, _REF_VERTICES)     # (nb, 3, 2)
+    grads = (local @ gref.reshape(gref.shape[0], -1)).reshape(*local.shape[:2], 3, 2)
+    flux = _matvec2(_flux_map(space, coeffs)[:, None], grads)
+    flux = flux.reshape(len(local), -1, 2)     # (members, ne * 3, 2): row 3 * element + vertex
 
     ends = []   # each owner's flux at a and at b; local edge l joins l+1, l+2
     for side in (0, 1):
         el, l = own[:, side], loc[:, side]
         after = (l + 1) % 3
         at_a = np.where(mesh.elements[el, after] == e_int[:, 0], after, (l + 2) % 3)
-        ends.append((flux[:, el, at_a], flux[:, el, 3 - l - at_a]))
+        ends.append((flux[:, 3 * el + at_a], flux[:, 3 * el + 3 - l - at_a]))
     ja, jb = (np.einsum("mei,ei->me", f0 - f1, normal) for f0, f1 in zip(*ends))
     eta_edge = np.sum(ja * ja + ja * jb + jb * jb, axis=0) / 3.0   # |E| int_E J^2 ds
     # each interior edge contributes fully to both owners
@@ -133,9 +148,9 @@ def _indicators(space, coeffs, vectors, lams=None, sources=None):
         raise ValueError("one eigenvalue per cluster member required")
     if sources is not None and len(sources) != vectors.shape[1]:
         raise ValueError("one source field per solution vector required")
-    rule_degree = 2 * space.degree + 2
-    eta_i, osc_i = _interior_terms(space, coeffs, vectors, lams, sources, rule_degree)
-    eta_e = _edge_terms(space, coeffs, vectors)
+    local = vectors.T[:, space.element_dofs]       # (members, ne, nb)
+    eta_i, osc_i = _interior_terms(space, coeffs, local, lams, sources, 2 * space.degree + 2)
+    eta_e = _edge_terms(space, coeffs, local)
     return IndicatorField(eta2=eta_i + eta_e, osc2=osc_i)
 
 

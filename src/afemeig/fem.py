@@ -3,23 +3,27 @@
 Coefficient vectors are always full-length (one entry per dof, including
 constrained ones); the assembled matrices are restricted to free dofs when
 ``apply_dirichlet`` is set, which keeps them symmetric positive definite for
-the Cholesky-based eigensolver.  Assembly accumulates per-element blocks into
-COO triplets and lets the CSR conversion sum duplicates, which is
-deterministic for a fixed mesh.
+the Cholesky-based eigensolver.  Assembly renumbers the per-element blocks'
+COO triplets to the kept dofs and converts them to CSR once, which sums
+duplicates deterministically for a fixed mesh.
 
-Every element quadrature loop takes its points, weights, geometry and physical
-shape gradients from one kernel, `FeSpace.rule`.
+A is constant on each element and the map from the reference triangle
+affine, so the stiffness and mass blocks need no quadrature points: each is
+one product of per-element data, the metric B^-1 A B^-T and det B, with
+exact reference integrals of the shape functions (`_reference_tables`).
+Only the integrals of point data, a variable c, the load, the energy error
+and the gap, take points, weights and geometry from `FeSpace.rule`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import MeshError
-from .quadrature import triangle_rule_subdivided
+from .quadrature import triangle_rule, triangle_rule_subdivided
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,6 @@ class Coefficients:
     def c_on(self, rule):
         """c at an ElementRule's points, which are mapped only for a callable c."""
         return self.c_at(rule.xq) if callable(self.c) else float(self.c)
-
-    def apply_a(self, region, grads):
-        """A grad u for grads (m, ne, nq, 2) on elements with tags `region`."""
-        return _matvec2(self.a_matrix_for(region)[:, None], grads)
 
 
 def _matvec2(M, v):
@@ -273,50 +273,96 @@ def build_space(mesh, degree):
 # assembly
 
 
-def _assembly_rule(space, coeffs):
-    # exact to degree 2k for piecewise-constant A and constant c; a variable c
-    # gets 2k+2 so polynomial c (oscillator) is still integrated exactly
-    k = space.degree
-    return space.rule(2 * k + 2 if callable(coeffs.c) else 2 * k)
+@lru_cache(maxsize=None)
+def _reference_tables(degree):
+    """Exact integrals over the reference triangle, flattened over (b, d):
+    the mass table int phi_b phi_d, (nb*nb,), and the stiffness tables
+    int d_i phi_b d_j phi_d for ij = xx, xy + yx and yy, (3, nb*nb).
+
+    Every table is symmetric in (b, d) bit for bit, so an element block that
+    is their product with per-element weights is too.
+    """
+    pts, wts = triangle_rule(2 * degree)
+    vals, grads = shape_values(degree, pts), shape_gradients(degree, pts)
+    mass = np.einsum("bq,dq,q->bd", vals, vals, wts)
+    s = np.einsum("bqi,dqj,q->ijbd", grads, grads, wts)
+    tables = np.stack([mass, s[0, 0], s[0, 1] + s[1, 0], s[1, 1]])
+    tables = 0.5 * (tables + tables.transpose(0, 2, 1))
+    tables = tables.reshape(4, -1)
+    tables.flags.writeable = False
+    return tables[0], tables[1:]
+
+
+def _flux_map(space, coeffs):
+    """A B^-T on every element, (ne, 2, 2): it maps the reference gradient
+    of a function to its physical flux A grad u."""
+    _, _, _, Binv = space.geometry()
+    # row j of the product is A times row j of B^-1, a column of A B^-T
+    return _matvec2(coeffs.a_matrix_for(space.mesh.region)[:, None], Binv).transpose(0, 2, 1)
+
+
+def _metric(space, coeffs):
+    """The entries xx, xy and yy of B^-1 A B^-T on every element, (ne, 3):
+    (A grad u) . grad v is their product with those of the symmetric part
+    of (grad_ref u)(grad_ref v)^T, xy counted once."""
+    _, _, _, Binv = space.geometry()
+    F = _flux_map(space, coeffs)
+    out = np.empty((Binv.shape[0], 3))
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        np.multiply(Binv[:, i, 0], F[:, 0, j], out=out[:, k])
+        out[:, k] += Binv[:, i, 1] * F[:, 1, j]
+    return out
 
 
 def _to_csr(space, local, apply_dirichlet):
-    nb = space.element_dofs.shape[1]
-    rows = np.repeat(space.element_dofs, nb, axis=1).ravel()
-    cols = np.tile(space.element_dofs, (1, nb)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(space.ndofs, space.ndofs)).tocsr()
+    """CSR matrix of the element blocks local (ne, nb*nb), on the free dofs
+    or on every dof.  The triplets are renumbered first, so constrained rows
+    and columns never enter the matrix."""
     if apply_dirichlet:
-        mat = mat[space.free_dofs][:, space.free_dofs]
-    mat.sum_duplicates()
-    return mat
+        n = space.n_free
+        number = np.full(space.ndofs, -1, np.int32)
+        number[space.free_dofs] = np.arange(n, dtype=np.int32)
+    else:
+        n = space.ndofs
+        number = np.arange(n, dtype=np.int32)
+    dofs = number[space.element_dofs]
+    nb = dofs.shape[1]
+    rows = np.repeat(dofs, nb, axis=1).ravel()
+    cols = np.tile(dofs, (1, nb)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
+                         shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(space, coeffs, apply_dirichlet=True):
-    """Sparse matrix of a(phi_j, phi_i) = (A grad, grad) + (c .,.)."""
-    rule = _assembly_rule(space, coeffs)
-    flux = _matvec2(coeffs.a_matrix_for(space.mesh.region)[:, None, None], rule.grads)
-    local = np.einsum("ebqi,edqi,q->ebd", flux, rule.grads, rule.wts)
-    cq = coeffs.c_on(rule)
-    if np.isscalar(cq):
-        if cq != 0.0:
-            local += cq * np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]
+    """Sparse matrix of a(phi_j, phi_i) = (A grad, grad) + (c .,.).
+
+    Every element block is one product of the element's weights, det B
+    times the metric and c, with the reference tables.  A constant c takes
+    the mass table; a variable c is taken at the points of the degree 2k+2
+    rule, exact for the oscillator's quadratic c, against the table of
+    w_q phi_b(x_q) phi_d(x_q).
+    """
+    mass, stiff = _reference_tables(space.degree)
+    if callable(coeffs.c):
+        rule = space.rule(2 * space.degree + 2)
+        cq = coeffs.c_on(rule)
+        c_table = np.einsum("bq,dq,q->qbd", rule.vals, rule.vals, rule.wts)
+        c_table = c_table.reshape(rule.wts.size, -1)
     else:
-        # one BLAS product (ne, nq) @ (nq, nb*nb) over all elements
-        nb = rule.vals.shape[0]
-        basis = np.einsum("bq,dq,q->qbd", rule.vals, rule.vals, rule.wts)
-        local += (cq @ basis.reshape(-1, nb * nb)).reshape(-1, nb, nb)
-    local *= rule.det[:, None, None]
-    del rule, flux   # free the gradients before the CSR build, which sets peak memory
-    return _to_csr(space, local, apply_dirichlet)
+        cq = np.full((space.mesh.n_elements, 1), float(coeffs.c))
+        c_table = mass[None]
+    _, _, det, _ = space.geometry()
+    weights = np.hstack([_metric(space, coeffs), cq]) * det[:, None]
+    return _to_csr(space, weights @ np.vstack([stiff, c_table]), apply_dirichlet)
 
 
 def assemble_mass(space, apply_dirichlet=True):
-    """Sparse matrix of b(phi_j, phi_i) = (phi_j, phi_i)."""
-    rule = space.rule(2 * space.degree)
-    local = (np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]
-             * rule.det[:, None, None])
-    return _to_csr(space, local, apply_dirichlet)
+    """Sparse matrix of b(phi_j, phi_i) = (phi_j, phi_i): det B times the
+    reference mass table on every element."""
+    mass, _ = _reference_tables(space.degree)
+    _, _, det, _ = space.geometry()
+    return _to_csr(space, det[:, None] * mass, apply_dirichlet)
 
 
 def assemble_load(space, f, apply_dirichlet=True):

@@ -11,6 +11,9 @@
 - `evaluate` (with the element search `_locate`): point values and gradients
   of a finite element function;
 - `export_matrixmarket`: MatrixMarket dump of an assembled matrix;
+- `quadrature_matrices`: stiffness and mass matrices from physical gradients
+  at quadrature points, restricted by slicing the full matrix, which the
+  reference-table assembly of `afemeig.fem` must reproduce;
 - `edge_jump_total`: the edge-jump estimator total of a P1 function with
   every interior edge counted once, by a plain loop over edges;
 - `brute_force_distance`: a Monte-Carlo lower bound on the directed
@@ -249,6 +252,30 @@ def export_matrixmarket(matrix, path):
 
 # ---------------------------------------------------------------------------
 # norms and projections
+
+
+def quadrature_matrices(space, coeffs, apply_dirichlet=True):
+    """(stiffness, mass) summed over the points of the degree 2k+2 rule,
+    exact for constant A and a c of degree up to 2: A times the physical
+    shape gradients, by einsum, against the gradients; the full matrices
+    are sliced to the free dofs when `apply_dirichlet` is set."""
+    rule = space.rule(2 * space.degree + 2)
+    A = coeffs.a_matrix_for(space.mesh.region)
+    flux = np.einsum("eij,ebqj->ebqi", A, rule.grads)
+    stiff = np.einsum("ebqi,edqi,q->ebd", flux, rule.grads, rule.wts)
+    cq = np.broadcast_to(coeffs.c_at(rule.xq), rule.xq.shape[:2])
+    stiff += np.einsum("bq,dq,eq,q->ebd", rule.vals, rule.vals, cq, rule.wts)
+    mass = np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]
+    nb = space.element_dofs.shape[1]
+    rows = np.repeat(space.element_dofs, nb, axis=1).ravel()
+    cols = np.tile(space.element_dofs, (1, nb)).ravel()
+    out = []
+    for local in (stiff, mass):
+        local = np.broadcast_to(local * rule.det[:, None, None], stiff.shape)
+        mat = sp.coo_matrix((local.ravel(), (rows, cols)),
+                            shape=(space.ndofs, space.ndofs)).tocsr()
+        out.append(mat[space.free_dofs][:, space.free_dofs] if apply_dirichlet else mat)
+    return tuple(out)
 
 
 def _quadratic_form(space, matrix_full, vec):

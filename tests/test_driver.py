@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import afemeig.driver
 from afemeig import (AfemConfig, ClusterIdentityError, run_afem, run_afem_first_n,
                      run_afem_source)
 from afemeig.driver import (emit_plot, export_trace, fit_slope, read_trace,
@@ -340,12 +341,25 @@ def test_window_past_closed_forms_records_nan_gap(entry, kw):
     assert np.all(np.isfinite(tr.series("eta2")))
 
 
-def test_uniform_marking_marks_everything():
+def test_uniform_marking_marks_everything(monkeypatch):
+    # refine gets every element id as one sorted array, which it takes as is
+    seen = []
+    real = afemeig.driver.refine
+
+    def spy(mesh, marked, *args):
+        seen.append((mesh.n_elements, marked))
+        return real(mesh, marked, *args)
+
+    monkeypatch.setattr(afemeig.driver, "refine", spy)
     cfg = AfemConfig(problem="square", degree=1, cluster_index=1,
                      multiplicity=1, max_dof=800, marking="uniform",
                      compute_gap=False)
     tr = run_afem(cfg)
     assert all(m == ne for m, ne in zip(tr.marked[:-1], tr.n_elements[:-1]))
+    assert len(seen) == len(tr) - 1
+    for n, marked in seen:
+        assert isinstance(marked, np.ndarray)
+        np.testing.assert_array_equal(marked, np.arange(n))
 
 
 # -- source mode -------------------------------------------------------------

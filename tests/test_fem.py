@@ -11,9 +11,9 @@ from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, sha
 from afemeig.mesh import build_initial
 from afemeig.quadrature import triangle_rule, triangle_rule_subdivided
 
-from conftest import lshape_mesh, sine_solution, square_mesh
-from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket,
-                     galerkin_project, gauss_legendre, monomial_integral)
+from conftest import lshape_mesh, perturbed, sine_solution, square_mesh, two_region_square
+from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket, galerkin_project,
+                     gauss_legendre, monomial_integral, quadrature_matrices)
 
 
 REF_TRIANGLE = build_initial([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -74,28 +74,27 @@ def test_block_points_equal_rule_points():
         assert np.array_equal(xy.transpose(2, 1, 0), rule.xq[blk])
 
 
-# The seven 2x2 maps of the package, as the einsum each replaced.  Each case
-# gives the operands at the shapes of its call site and the broadcast form of
-# the matrix that _matvec2 takes.  ``gm`` is made as the gap workspace makes
-# its gradients and ``gv`` as the estimator makes its vertex gradients, by
-# einsums whose outputs are not C-ordered.
+# The 2x2 maps of the package, each as the einsum it computes, and three
+# more broadcast forms.  Each case gives the operands at the shapes of its
+# call site and the broadcast form of the matrix that _matvec2 takes.  ``gv``
+# is made as the estimator makes its reference vertex gradients, and ``gm``
+# by an einsum whose output is not C-ordered.
 _MATVEC2_CASES = {
     "eij,qj->eqi": lambda d: (d["B"], d["pts"], d["B"][:, None]),               # rule.xq
     "eji,bqj->ebqi": lambda d: (d["Binv"], d["gref"], d["BinvT"][:, None, None]),  # rule.grads
-    "eij,meqj->meqi": lambda d: (d["A"], d["gm"], d["A"][:, None]),             # gap fluxes
-    "eij,ebqj->ebqi": lambda d: (d["A"], d["grads"], d["A"][:, None, None]),    # region flux
     "nij,nj->ni": lambda d: (d["Binv"], d["rel"], d["Binv"]),                   # prolongate
-    "eji,bvj->ebvi": lambda d: (d["Binv"], d["gref_vert"],
-                                d["BinvT"][:, None, None]),                     # vertex gradients
-    "eij,mevj->mevi": lambda d: (d["A"], d["gv"], d["A"][:, None]),             # vertex fluxes
+    "eij,ekj->eki": lambda d: (d["A"], d["Binv"], d["A"][:, None]),             # flux map
+    "eij,mevj->mevi": lambda d: (d["F"], d["gv"], d["F"][:, None]),             # vertex fluxes
+    "eij,meqj->meqi": lambda d: (d["A"], d["gm"], d["A"][:, None]),
+    "eij,ebqj->ebqi": lambda d: (d["A"], d["grads"], d["A"][:, None, None]),
+    "eji,bvj->ebvi": lambda d: (d["Binv"], d["gref_vert"], d["BinvT"][:, None, None]),
 }
 
 
 @pytest.mark.parametrize("subscripts", list(_MATVEC2_CASES))
 def test_matvec2_equals_einsum(subscripts):
-    # the trace digests rely on _matvec2 reproducing the einsum bit for bit,
-    # and on its output keeping the layout of v when it has v's shape: the
-    # einsum reductions that read a flux sum in an order set by its layout
+    # _matvec2 computes every entry as the einsum does, bit for bit, and its
+    # output keeps the layout of v when it has v's shape, as ``a * v`` would
     mesh = lshape_mesh(8)
     mesh = refine(mesh, range(0, mesh.n_elements, 3)).mesh
     rng = np.random.default_rng(8)
@@ -107,9 +106,7 @@ def test_matvec2_equals_einsum(subscripts):
         _, B, _, Binv = space.geometry()
         gref_vert = shape_gradients(degree, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         local = rng.standard_normal((ne, gref_vert.shape[0], 2))
-        gv = np.einsum("emb,ebvi->mevi", local.transpose(0, 2, 1),
-                       np.einsum("eji,bvj->ebvi", Binv, gref_vert))
-        assert not gv.flags.c_contiguous
+        gv = (local.transpose(2, 0, 1) @ gref_vert.reshape(-1, 6)).reshape(2, ne, 3, 2)
         for rule in ((4, 0), (6, 0), (4, 1)):   # 6, 12 and 24 points
             pts, _ = triangle_rule_subdivided(*rule)
             gref = shape_gradients(degree, pts)
@@ -117,8 +114,8 @@ def test_matvec2_equals_einsum(subscripts):
             gm = np.einsum("ebl,ebqi->leqi", local, grads)
             assert not gm.flags.c_contiguous
             data = dict(B=B, Binv=Binv, BinvT=Binv.transpose(0, 2, 1), A=A, pts=pts,
-                        gref=gref, grads=grads, gm=gm, rel=rng.standard_normal((ne, 2)),
-                        gref_vert=gref_vert, gv=gv)
+                        F=A @ Binv.transpose(0, 2, 1), gref=gref, grads=grads, gm=gm,
+                        rel=rng.standard_normal((ne, 2)), gref_vert=gref_vert, gv=gv)
             M, v, M_bcast = _MATVEC2_CASES[subscripts](data)
             out = _matvec2(M_bcast, v)
             np.testing.assert_array_equal(out, np.einsum(subscripts, M, v))
@@ -310,22 +307,32 @@ def test_region_matrix_assembly_matches_scalar():
             assert gap[0] == gap[1]
 
 
+_ASSEMBLY_COEFFS = {
+    "scalar": Coefficients(a=1.7, c=0.0),
+    "constant-c": Coefficients(a=0.6, c=2.5),
+    "A-table": Coefficients(a={0: [[2.0, 0.5], [0.5, 1.0]], 1: [[1.0, -0.3], [-0.3, 3.0]]}),
+    "oscillator": harmonic_oscillator().coefficients,
+}
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "perturbed"])
+@pytest.mark.parametrize("apply_dirichlet", [True, False], ids=["free", "all"])
+@pytest.mark.parametrize("case", list(_ASSEMBLY_COEFFS))
 @pytest.mark.parametrize("degree", [1, 2])
-def test_variable_c_mass_term_matches_the_einsum(degree):
-    # the variable-c mass term is one (ne, nq) @ (nq, nb*nb) product; it sums
-    # in another order than the four-operand einsum it replaced
-    from afemeig import fem
-    coeffs = harmonic_oscillator().coefficients
-    space = build_space(uniform_refine(harmonic_oscillator().initial_mesh(), 8), degree)
-    rule = fem._assembly_rule(space, coeffs)
-    flux = _matvec2(coeffs.a_matrix_for(space.mesh.region)[:, None, None], rule.grads)
-    local = np.einsum("ebqi,edqi,q->ebd", flux, rule.grads, rule.wts)
-    local += np.einsum("bq,dq,eq,q->ebd", rule.vals, rule.vals, coeffs.c_on(rule),
-                       rule.wts)
-    local *= rule.det[:, None, None]
-    want = fem._to_csr(space, local, True).toarray()
-    got = assemble_stiffness(space, coeffs).toarray()
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+def test_variable_c_mass_term_matches_the_einsum(degree, case, apply_dirichlet, mesh):
+    # stiffness and mass from the metric and the reference tables equal the
+    # per-point einsum of physical gradients, sliced from the full matrix; on
+    # the perturbed mesh no two elements share or mirror a Jacobian
+    coeffs = _ASSEMBLY_COEFFS[case]
+    base = two_region_square(3)
+    space = build_space(base if mesh == "uniform" else perturbed(base), degree)
+    want = quadrature_matrices(space, coeffs, apply_dirichlet)
+    got = (assemble_stiffness(space, coeffs, apply_dirichlet),
+           assemble_mass(space, apply_dirichlet))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        g, w = g.toarray(), w.toarray()
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
 def test_matrixmarket_export(tmp_path, laplace_coeffs):
