@@ -116,26 +116,28 @@ def _edge_terms(space, coeffs, local):
     the reference table, and their fluxes one 2x2 map by A B^-T.
     """
     mesh = space.mesh
-    edges, _, owners, owner_local = mesh.edge_table()
+    _, _, owners, owner_local = mesh.edge_table()
     interior = owners[:, 1] >= 0
-    e_int, own, loc = edges[interior], owners[interior], owner_local[interior]
-    tang = mesh.vertices[e_int[:, 1]] - mesh.vertices[e_int[:, 0]]
-    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)   # |E| nu
     gref = shape_gradients(space.degree, _REF_VERTICES)     # (nb, 3, 2)
     grads = (local @ gref.reshape(gref.shape[0], -1)).reshape(*local.shape[:2], 3, 2)
     flux = _matvec2(_flux_map(space, coeffs)[:, None], grads)
     flux = flux.reshape(len(local), -1, 2)     # (members, ne * 3, 2): row 3 * element + vertex
 
-    ends = []   # each owner's flux at a and at b; local edge l joins l+1, l+2
-    for side in (0, 1):
-        el, l = own[:, side], loc[:, side]
-        after = (l + 1) % 3
-        at_a = np.where(mesh.elements[el, after] == e_int[:, 0], after, (l + 2) % 3)
-        ends.append((flux[:, 3 * el + at_a], flux[:, 3 * el + 3 - l - at_a]))
-    ja, jb = (np.einsum("mei,ei->me", f0 - f1, normal) for f0, f1 in zip(*ends))
+    # Local edge l joins local vertices l+1 and l+2.  Both owners are
+    # counterclockwise, so they run their shared edge in opposite directions:
+    # owner 0 from a to b, owner 1 from b to a.
+    (el0, el1), (l0, l1) = owners[interior].T, owner_local[interior].T
+    a0, b0 = 3 * el0 + (l0 + 1) % 3, 3 * el0 + (l0 + 2) % 3
+    a1, b1 = 3 * el1 + (l1 + 2) % 3, 3 * el1 + (l1 + 1) % 3
+    vertex = mesh.elements.ravel()
+    tang = mesh.vertices[vertex[b0]] - mesh.vertices[vertex[a0]]
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)   # |E| nu
+    ja, jb = (np.einsum("mei,ei->me", flux[:, i0] - flux[:, i1], normal)
+              for i0, i1 in ((a0, a1), (b0, b1)))
     eta_edge = np.sum(ja * ja + ja * jb + jb * jb, axis=0) / 3.0   # |E| int_E J^2 ds
     # each interior edge contributes fully to both owners
-    return np.bincount(own.T.ravel(), np.tile(eta_edge, 2), minlength=mesh.n_elements)
+    return np.bincount(np.concatenate([el0, el1]), np.tile(eta_edge, 2),
+                       minlength=mesh.n_elements)
 
 
 def _indicators(space, coeffs, vectors, lams=None, sources=None):
