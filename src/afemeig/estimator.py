@@ -72,10 +72,8 @@ def _tri_projector(degree_poly, rule_degree):
 
 
 def _interior_terms(space, coeffs, local, lams, sources, rule_degree):
-    """h_T^2 ||R_T||^2 and its oscillation per element, member by member:
-    u at the points is a product of the element coefficients `local`
-    (members, ne, nb) with the reference values, and the rule's points are
-    mapped only for a source or a variable c."""
+    """h_T^2 ||R_T||^2 and its oscillation per element, member by member,
+    from the element coefficients `local` (members, ne, nb)."""
     mesh = space.mesh
     rule = space.rule(rule_degree)
     # h_T^2, the longest edge squared, times det B, which scales the weights
@@ -111,9 +109,7 @@ def _edge_terms(space, coeffs, local):
 
     A is constant and grad u affine on each element, so J_E is affine along
     the edge and int_E J^2 ds = |E| (J_a^2 + J_a J_b + J_b^2) / 3 from its
-    values at the end points a and b.  The members' reference gradients at
-    the three vertices are one product of `local` (members, ne, nb) with
-    the reference table, and their fluxes one 2x2 map by A B^-T.
+    values at the end points a and b.
     """
     mesh = space.mesh
     _, _, owners, owner_local = mesh.edge_table()

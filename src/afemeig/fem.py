@@ -302,9 +302,10 @@ def _flux_map(space, coeffs):
 
 
 def _metric(space, coeffs):
-    """The entries xx, xy and yy of B^-1 A B^-T on every element, (ne, 3):
-    (A grad u) . grad v is their product with those of the symmetric part
-    of (grad_ref u)(grad_ref v)^T, xy counted once."""
+    """The entries xx, xy and yy of the symmetric B^-1 A B^-T on every
+    element, (ne, 3).  For reference gradients g of u and h of v,
+    (A grad u) . grad v is their dot product with
+    (g_x h_x, g_x h_y + g_y h_x, g_y h_y)."""
     _, _, _, Binv = space.geometry()
     F = _flux_map(space, coeffs)
     out = np.empty((Binv.shape[0], 3))
@@ -337,11 +338,8 @@ def _to_csr(space, local, apply_dirichlet):
 def assemble_stiffness(space, coeffs, apply_dirichlet=True):
     """Sparse matrix of a(phi_j, phi_i) = (A grad, grad) + (c .,.).
 
-    Every element block is one product of the element's weights, det B
-    times the metric and c, with the reference tables.  A constant c takes
-    the mass table; a variable c is taken at the points of the degree 2k+2
-    rule, exact for the oscillator's quadratic c, against the table of
-    w_q phi_b(x_q) phi_d(x_q).
+    A variable c is taken at the points of the degree 2k+2 rule, exact for
+    the oscillator's quadratic c, against the table w_q phi_b(x_q) phi_d(x_q).
     """
     mass, stiff = _reference_tables(space.degree)
     if callable(coeffs.c):
