@@ -20,9 +20,9 @@ No gradient is formed at quadrature points.  u at the points of the degree
 2k+2 rule is a product of the element coefficients with the reference shape
 values; the P2 term div(A grad u) is sum_b u_b (B^-1 A B^-T : Hess_ref
 phi_b), with the metric of `fem._metric`; the vertex fluxes of the jumps are
-one 2x2 map by A B^-T of the reference gradients at the vertices.
-`FeSpace.rule` supplies the weights and determinants, and maps its points
-only for a source f or a variable c.
+one 2x2 map by A B^-T of the reference gradients at the vertices; h_T
+comes from the Jacobian B.  `FeSpace.rule` supplies the weights, and maps
+its points only for a source f or a variable c.
 """
 
 from dataclasses import dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from afemeig import (Coefficients, MeshError, assemble_mass, assemble_stiffness, build_space,
-                     gap_energy, harmonic_oscillator, refine, square_laplace, uniform_refine)
+                     gap_energy, harmonic_oscillator, refine, square_laplace)
 from afemeig.eigsolve import EigenCluster
 from afemeig.estimator import _indicators
 from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, shape_values
