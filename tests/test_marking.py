@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from afemeig import dorfler_mark
@@ -19,14 +20,17 @@ def _check_dorfler(eta2, theta, result):
         assert result.converged and not result.marked
         return
     marked_sum = math.fsum(eta2[i] for i in result.marked)
-    assert marked_sum >= theta * total * (1 - 1e-12)
+    # theta * total in exact arithmetic: in floats it underflows to 0 for a
+    # subnormal total, such as eta2 = [5e-324]
+    bound = Fraction(theta) * Fraction(total)
+    assert marked_sum >= bound * (1 - Fraction(1, 10 ** 12))
     # minimality up to ties: dropping the smallest marked class, the marked
     # indicators within the tie tolerance of the smallest one, breaks the
     # property, and nothing unmarked ties with the marked ones
     smallest = min(eta2[i] for i in result.marked)
     tie = smallest * (1 + 2 * TIE_REL_TOL)
     rest = math.fsum(eta2[i] for i in result.marked if eta2[i] > tie)
-    assert rest < theta * total * (1 + 1e-12)
+    assert rest < bound * (1 + Fraction(1, 10 ** 12))
     assert all(eta2[i] < smallest for i in range(len(eta2)) if i not in result.marked)
     assert result.achieved_fraction == pytest.approx(marked_sum / total, rel=1e-12)
 
@@ -69,6 +73,7 @@ def test_input_validation():
 
 
 @given(finite_eta, thetas)
+@example([5e-324], 0.5)
 def test_dorfler_property_and_minimality(eta2, theta):
     res = dorfler_mark(np.array(eta2), theta)
     _check_dorfler(eta2, theta, res)
