@@ -210,7 +210,10 @@ def trace_to_csv_text(trace):
 def read_trace(path):
     """Load a trace CSV back; float repr round-trips bit-exactly."""
     with open(path, newline="") as fh:
-        header, *body = csv.reader(fh)
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file, no trace header")
+    header, *body = rows
     n = len(_COUNTS)
     rows = [tuple(map(int, r[:n])) + tuple(map(float, r[n:])) for r in body]
     trace = AfemTrace(rows=rows, cluster_sizes=[()] * len(rows))
@@ -238,8 +241,13 @@ def emit_plot(trace, path, series=("eta2", "gap2"), x_field="n_dofs",
 
 def fit_slope(trace, y_field, x_field="n_dofs", window=6):
     """Least-squares slope of log y vs log x over the last `window` rows."""
+    if isinstance(window, (bool, np.bool_)) or not isinstance(window, (int, np.integer)) \
+            or window < 3:
+        raise ValueError(f"window must be an integer >= 3, got {window!r}")
     x = np.asarray(trace.series(x_field) if isinstance(trace, AfemTrace) else trace, float)
     y = np.asarray(y_field if not isinstance(y_field, str) else trace.series(y_field), float)
+    if x.shape != y.shape:
+        raise ValueError(f"x has shape {x.shape} and y {y.shape}: they must pair row by row")
     x, y = x[-window:], y[-window:]
     if x.size < 3:
         raise ValueError("need at least 3 points in the window")

@@ -21,8 +21,9 @@ No gradient is formed at quadrature points.  u at the points of the degree
 values; the P2 term div(A grad u) is sum_b u_b (B^-1 A B^-T : Hess_ref
 phi_b), with the metric of `fem._metric`; the vertex fluxes of the jumps are
 one 2x2 map by A B^-T of the reference gradients at the vertices; h_T
-comes from the Jacobian B.  `FeSpace.rule` supplies the weights, and maps
-its points only for a source f or a variable c.
+comes from the Jacobian B.  `FeSpace.rule` supplies the weights, and
+`ElementRule.points_on` the points, mapped only for a source f or a
+variable c.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import _flux_map, _matvec2, _metric, shape_gradients, shape_hessians
+from .fem import (_element_major, _flux_map, _matvec2, _metric, shape_gradients,
+                  shape_hessians)
 from .quadrature import triangle_rule
 
 _REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -80,7 +82,8 @@ def _interior_terms(space, coeffs, local, lams, sources, rule_degree):
     _, B, det, _ = space.geometry()
     edges = (B[..., 0], B[..., 1], B[..., 1] - B[..., 0])
     weight = np.max([np.einsum("ei,ei->e", e, e) for e in edges], axis=0) * det
-    cq = coeffs.c_on(rule)
+    xy = rule.points_on(slice(None)) if callable(coeffs.c) or sources is not None else None
+    cq = _element_major(coeffs.c_at, xy) if callable(coeffs.c) else float(coeffs.c)
     proj = _tri_projector(space.degree - 1, rule_degree)
     if space.degree == 2:
         # div(A grad u) = sum_b u_b (B^-1 A B^-T : Hess_ref phi_b), constant on each element
@@ -92,7 +95,7 @@ def _interior_terms(space, coeffs, local, lams, sources, rule_degree):
     for m, lm in enumerate(local):
         uq = lm @ rule.vals
         if sources is not None:
-            r0 = np.asarray(sources[m](rule.xq.reshape(-1, 2)), float).reshape(uq.shape)
+            r0 = _element_major(sources[m], xy)
         else:
             r0 = lams[m] * uq
         if space.degree == 2:

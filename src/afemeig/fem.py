@@ -11,12 +11,16 @@ A is constant on each element and the map from the reference triangle
 affine, so the stiffness and mass blocks need no quadrature points: each is
 one product of per-element data, the metric B^-1 A B^-T and det B, with
 exact reference integrals of the shape functions (`_reference_tables`).
-Only the integrals of point data, a variable c, the load, the energy error
-and the gap, take points, weights and geometry from `FeSpace.rule`.
+Only the integrals of point data, a variable c, the load, the estimator's
+residual, the energy error and the gap, take quadrature points: an
+`ElementRule` has one map from reference to physical points, `points_on`,
+and one kernel for the values and gradients of finite element functions
+there, `fields_on`.  The energy error and the gap weigh such fields by one
+a-form (`_energy_weights`, `_energy_weighted`).
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -83,10 +87,6 @@ class Coefficients:
                 raise MeshError("coefficient c is negative")
             return vals
         return float(self.c)
-
-    def c_on(self, rule):
-        """c at an ElementRule's points, which are mapped only for a callable c."""
-        return self.c_at(rule.xq) if callable(self.c) else float(self.c)
 
 
 def _matvec2(M, v):
@@ -213,7 +213,7 @@ class FeSpace:
 
     def rule(self, degree, subdivision=0):
         """Quadrature data of the degree rule, optionally subdivided, on every
-        element.  Not cached: the gradient arrays are as large as the mesh."""
+        element."""
         return ElementRule(self, *triangle_rule_subdivided(degree, subdivision))
 
     def expand(self, free_vector):
@@ -227,8 +227,10 @@ class ElementRule:
     """One quadrature rule mapped to every element of a space.
 
     ``wts`` (nq,), ``det`` (ne,), ``Binv`` (ne, 2, 2) and the reference shape
-    values ``vals`` (nb, nq) are set at once; the physical points ``xq``
-    (ne, nq, 2) and shape gradients ``grads`` (ne, nb, nq, 2) on first use.
+    values ``vals`` (nb, nq) are set at once.  Physical data are made per
+    slice of elements, point-major so that per-element data broadcast along
+    the contiguous axis: the points by `points_on` and the fields of finite
+    element functions by `fields_on`.
     """
 
     def __init__(self, space, pts, wts):
@@ -237,19 +239,11 @@ class ElementRule:
         self.wts = wts
         _, _, self.det, self.Binv = space.geometry()
         self.vals = shape_values(space.degree, pts)
-
-    @cached_property
-    def xq(self):
-        # stored point-major, so the long element axis is the inner loop;
-        # the (ne, nq, 2) view holds the same values
-        v0, B, _, _ = self.space.geometry()
-        xq = _matvec2(B, self.pts[:, None])
-        xq += np.ascontiguousarray(v0)
-        return xq.transpose(1, 0, 2)
+        # P1 gradients are constant on each element: map them at one point
+        self._gref = shape_gradients(space.degree, pts if space.degree > 1 else pts[:1])
 
     def points_on(self, elements):
-        """x and y of the points of the given elements, (2, nq, n): the values
-        of ``xq`` with each coordinate contiguous."""
+        """x and y of the points of the given elements, (2, nq, n)."""
         v0, B, _, _ = self.space.geometry()
         v0, B = v0[elements], B[elements]
         out = np.empty((2, self.pts.shape[0], B.shape[0]))
@@ -259,10 +253,28 @@ class ElementRule:
             out[i] += v0[:, i]
         return out
 
-    @cached_property
-    def grads(self):
-        gref = shape_gradients(self.space.degree, self.pts)   # (nb, nq, 2)
-        return _matvec2(self.Binv.transpose(0, 2, 1)[:, None, None], gref)
+    def fields_on(self, elements, V, out=None):
+        """Value, d/dx and d/dy of each column of V (ndofs, k) at the points
+        of the given elements, (3, k, nq, n), written to `out` if given.
+        The reference gradients are mapped by B^-T: at every point for P2,
+        once per element for P1."""
+        local = V.T[:, self.space.element_dofs[elements].T]     # (k, nb, n)
+        r0, r1 = self._gref[..., 0].T @ local, self._gref[..., 1].T @ local
+        Binv = self.Binv[elements].transpose(1, 2, 0)
+        if out is None:
+            out = np.empty((3, local.shape[0], self.wts.size, local.shape[2]))
+        out[0] = self.vals.T @ local
+        out[1] = Binv[0, 0] * r0 + Binv[1, 0] * r1
+        out[2] = Binv[0, 1] * r0 + Binv[1, 1] * r1
+        return out
+
+
+def _element_major(fn, xy):
+    """fn, from (m, 2) points to (m,) values, at the points xy (2, nq, ne)
+    of `ElementRule.points_on`, as a C-contiguous (ne, nq) array: the layout
+    in which the products over the points sum."""
+    values = np.asarray(fn(xy.reshape(2, -1).T), float).reshape(xy.shape[1:])
+    return np.ascontiguousarray(values.T)
 
 
 def build_space(mesh, degree):
@@ -344,7 +356,7 @@ def assemble_stiffness(space, coeffs, apply_dirichlet=True):
     mass, stiff = _reference_tables(space.degree)
     if callable(coeffs.c):
         rule = space.rule(2 * space.degree + 2)
-        cq = coeffs.c_on(rule)
+        cq = _element_major(coeffs.c_at, rule.points_on(slice(None)))
         c_table = np.einsum("bq,dq,q->qbd", rule.vals, rule.vals, rule.wts)
         c_table = c_table.reshape(rule.wts.size, -1)
     else:
@@ -366,7 +378,7 @@ def assemble_mass(space, apply_dirichlet=True):
 def assemble_load(space, f, apply_dirichlet=True):
     """Load vector b(f, phi_i) for a callable source f(points)->(m,)."""
     rule = space.rule(2 * space.degree + 2)
-    fq = np.asarray(f(rule.xq.reshape(-1, 2)), float).reshape(rule.xq.shape[:2])
+    fq = _element_major(f, rule.points_on(slice(None)))
     local = np.einsum("bq,eq,q->eb", rule.vals, fq, rule.wts) * rule.det[:, None]
     rhs = np.zeros(space.ndofs)
     np.add.at(rhs, space.element_dofs.ravel(), local.ravel())
@@ -374,7 +386,7 @@ def assemble_load(space, f, apply_dirichlet=True):
 
 
 # ---------------------------------------------------------------------------
-# prolongation and energy error
+# prolongation and the a-form at quadrature points
 
 
 def prolongate(coarse_space, fine_space, ancestor, vec):
@@ -405,17 +417,44 @@ def prolongate(coarse_space, fine_space, ancestor, vec):
     return np.einsum("nb,bn->n", local, vals)
 
 
+def _energy_weights(rule, coeffs, elements, flat):
+    """The weights of the a-form at the points `flat` (nq n, 2) of the given
+    elements, see `_energy_weighted`, and the quadrature weights w (nq, n)."""
+    w = rule.wts[:, None] * rule.det[elements]
+    c = coeffs.c_at(flat)
+    wc = w * (c if np.isscalar(c) else c.reshape(w.shape))
+    if isinstance(coeffs.a, dict):
+        A = coeffs.a_matrix_for(rule.space.mesh.region[elements])
+        return (wc, w * A[:, 0, 0], w * A[:, 0, 1], w * A[:, 1, 1]), w
+    return (wc, coeffs.a * w), w
+
+
+def _energy_weighted(weights, Z):
+    """The a-form's left factor of fields Z (3, k, nq, n): c w times the
+    values and w A times the gradient.  `weights` is (c w, w A_xx, w A_xy,
+    w A_yy), or (c w, a w) for A = a I, each (nq, n)."""
+    out = np.empty_like(Z)
+    np.multiply(Z[0], weights[0], out=out[0])
+    if len(weights) == 2:
+        np.multiply(Z[1:], weights[1], out=out[1:])
+    else:
+        _, xx, xy, yy = weights
+        np.multiply(Z[1], xx, out=out[1])
+        out[1] += xy * Z[2]
+        np.multiply(Z[2], yy, out=out[2])
+        out[2] += xy * Z[1]
+    return out
+
+
 def energy_error(space, coeffs, vec, fn):
     """|| w - u_h ||_a by quadrature against an analytic w, given as one
-    callable from (m, 2) points to the (3, m) rows of w, dw/dx and dw/dy."""
+    callable from (m, 2) points to the (3, m) rows of w, dw/dx and dw/dy:
+    the a-form, as the gap integrates it, of w minus the fields of u_h at
+    the points of the degree 2k+2 rule."""
     rule = space.rule(2 * space.degree + 2)
-    xq = rule.xq
-    w = np.asarray(fn(xq.reshape(-1, 2)), float).reshape(3, *xq.shape[:2])
-    dval, dgrad = w[0], w[1:].transpose(1, 2, 0)
-    local = np.asarray(vec, float)[space.element_dofs]
-    dval -= np.einsum("eb,bq->eq", local, rule.vals)
-    dgrad -= np.einsum("eb,ebqi->eqi", local, rule.grads)
-    agrad2 = np.einsum("eqi,eij,eqj->eq", dgrad, coeffs.a_matrix_for(space.mesh.region), dgrad)
-    cq = coeffs.c_at(xq)
-    dens = agrad2 + cq * dval ** 2
-    return float(np.sqrt(np.einsum("eq,q,e->", dens, rule.wts, rule.det)))
+    every = slice(None)
+    flat = rule.points_on(every).reshape(2, -1).T
+    uh = rule.fields_on(every, np.asarray(vec, float)[:, None])[:, 0]
+    d = np.asarray(fn(flat), float).reshape(uh.shape) - uh
+    weights, _ = _energy_weights(rule, coeffs, every, flat)
+    return float(np.sqrt(np.sum(_energy_weighted(weights, d) * d)))

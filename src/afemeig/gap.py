@@ -23,10 +23,12 @@ residuals of every cluster and direction pointwise, all from one product of
 their coefficients with the block's fields.  The workspace thus holds one
 block's fields, never the mesh's: its memory is bounded by the block, not the
 mesh, and each pass stays in cache.  Each exact member is one call per block
-that returns its values and gradient together (see `ExactEigenspace`).  Every
-Gram comes from one subdivided element rule of degree 2k+2, which for
-constant A and quadratic c (every built-in problem) makes the discrete Grams
-S and SM equal V^T K V and V^T M V up to rounding.
+that returns its values and gradient together (see `ExactEigenspace`), at
+the points of `ElementRule.points_on`; the discrete members come from
+`ElementRule.fields_on`, and both are weighed by the a-form of
+`fem.energy_error`.  Every Gram comes from one subdivided element rule of
+degree 2k+2, which for constant A and quadratic c (every built-in problem)
+makes the discrete Grams S and SM equal V^T K V and V^T M V up to rounding.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .fem import shape_gradients
+from .fem import _energy_weighted, _energy_weights
 
 # quadrature points per block of elements: a block's fields, (3, members,
 # points) numbers, stay in cache, and no array of the workspace grows with
@@ -67,8 +69,9 @@ class _GapWorkspace:
     G, B, P, S and SM pair every member with every other; cluster i owns the
     block ``blocks[i]`` of both sides.  Fields are evaluated one block of
     elements at a time, as (3, members, nq, n) arrays of values, x and y
-    gradients: exact members first, then discrete ones, point-major so that
-    per-element data broadcasts along the contiguous axis.
+    gradients: exact members first, then discrete ones from
+    `ElementRule.fields_on`, point-major so that per-element data broadcasts
+    along the contiguous axis.
     """
 
     def __init__(self, exact, discrete, space, coeffs, subdivision=1):
@@ -94,12 +97,10 @@ class _GapWorkspace:
 
     def _fields(self):
         """Per block of elements: the weights of the a-form, see
-        `_energy_weighted`, w (nq, n) and the fields of every member,
+        `fem._energy_weighted`, w (nq, n) and the fields of every member,
         (3, members, nq, n)."""
-        rule, space, coeffs = self.rule, self.space, self.coeffs
+        rule, space = self.rule, self.space
         nq, m = rule.wts.size, len(self.basis)
-        # P1 gradients are constant on each element: map them at one point
-        gref = shape_gradients(space.degree, rule.pts if space.degree > 1 else rule.pts[:1])
         step = max(1, BLOCK_POINTS // nq)
         for start in range(0, space.mesh.n_elements, step):
             blk = slice(start, start + step)
@@ -113,22 +114,9 @@ class _GapWorkspace:
                     raise GapError(f"exact[{ci}].basis[{j}] returned shape "
                                    f"{out.shape}, expected (3, {nq * n})")
                 Z[:, i] = out.reshape(3, nq, n)
-            # discrete fields from element data: reference gradients mapped by Binv^T
-            local = self.V.T[:, space.element_dofs[blk].T]      # (members, nb, n)
-            r0, r1 = gref[..., 0].T @ local, gref[..., 1].T @ local
-            Binv = rule.Binv[blk].transpose(1, 2, 0)
-            Z[0, m:] = rule.vals.T @ local
-            Z[1, m:] = Binv[0, 0] * r0 + Binv[1, 0] * r1
-            Z[2, m:] = Binv[0, 1] * r0 + Binv[1, 1] * r1
-
-            w = rule.wts[:, None] * rule.det[blk]
-            c = coeffs.c_at(flat)
-            wc = w * (c if np.isscalar(c) else c.reshape(nq, n))
-            if isinstance(coeffs.a, dict):
-                A = coeffs.a_matrix_for(space.mesh.region[blk])
-                yield (wc, w * A[:, 0, 0], w * A[:, 0, 1], w * A[:, 1, 1]), w, Z
-            else:
-                yield (wc, coeffs.a * w), w, Z
+            rule.fields_on(blk, self.V, out=Z[:, m:])
+            weights, w = _energy_weights(rule, self.coeffs, blk, flat)
+            yield weights, w, Z
 
     def _direction(self, i, reverse):
         """Coefficients on every member (exact, then discrete) of the residual
@@ -163,27 +151,6 @@ class _GapWorkspace:
             total += np.einsum("jkqe,jkqe->k", _energy_weighted(weights, R), R)
         d = np.sqrt(np.maximum(total, 0.0))
         return [(float(d[2 * i]), float(d[2 * i + 1])) for i in range(len(self.blocks))]
-
-    def directed(self, i, reverse=False):
-        """Distance from cluster i's exact space to its discrete one (or back)."""
-        return self.distances[i][reverse]
-
-
-def _energy_weighted(weights, Z):
-    """The a-form's left factor of fields Z (3, k, nq, n): c w times the
-    values and w A times the gradient.  `weights` is (c w, w A_xx, w A_xy,
-    w A_yy), or (c w, a w) for A = a I, each (nq, n)."""
-    out = np.empty_like(Z)
-    np.multiply(Z[0], weights[0], out=out[0])
-    if len(weights) == 2:
-        np.multiply(Z[1:], weights[1], out=out[1:])
-    else:
-        _, xx, xy, yy = weights
-        np.multiply(Z[1], xx, out=out[1])
-        out[1] += xy * Z[2]
-        np.multiply(Z[2], yy, out=out[2])
-        out[2] += xy * Z[1]
-    return out
 
 
 def gap_energy(exact, discrete, space, coeffs, subdivision=1):

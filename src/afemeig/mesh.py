@@ -139,19 +139,6 @@ class Mesh:
         self._cache["edge_table"] = (edges, elem_edges, owners, owner_local)
         return self._cache["edge_table"]
 
-    def element_neighbors(self):
-        """(ne, 3) neighbour element id across each local edge, -1 on boundary."""
-        if "neighbors" in self._cache:
-            return self._cache["neighbors"]
-        edges, elem_edges, owners, owner_local = self.edge_table()
-        nbr = -np.ones((self.n_elements, 3), dtype=np.int64)
-        for s in range(2):
-            mask = owners[:, s] >= 0
-            other = owners[mask, 1 - s]
-            nbr[owners[mask, s], owner_local[mask, s]] = other
-        self._cache["neighbors"] = nbr
-        return nbr
-
     def shape_regularity(self):
         """max over elements of diameter / inscribed-ball diameter."""
         lens = self.edge_lengths()
@@ -199,14 +186,12 @@ class Mesh:
 class RefineResult:
     """Outcome of a refine() call.
 
-    refined_set -- ids of old-mesh elements that are no longer present
-    ancestor    -- (ne_new,) old-mesh ancestor id of every new element
-                   (itself for elements carried over unchanged)
+    ancestor -- (ne_new,) old-mesh ancestor id of every new element
+                (itself for elements carried over unchanged)
     """
 
-    def __init__(self, mesh, refined_set, ancestor):
+    def __init__(self, mesh, ancestor):
         self.mesh = mesh
-        self.refined_set = frozenset(refined_set)
         self.ancestor = np.asarray(ancestor, dtype=np.int64)
 
 
@@ -494,7 +479,7 @@ def refine(mesh, marked, b=1):
     targets = _marked_ids(marked, mesh.n_elements)
     ancestor = np.arange(mesh.n_elements)
     if not targets.size:
-        return RefineResult(mesh, set(), ancestor)
+        return RefineResult(mesh, ancestor)
     is_marked = np.zeros(mesh.n_elements, bool)
     is_marked[targets] = True
     new = mesh
@@ -505,8 +490,7 @@ def refine(mesh, marked, b=1):
         if targets.size:
             new, parent = _bisect_round(new, targets)
             ancestor = ancestor[parent]
-    refined = np.flatnonzero(np.bincount(ancestor, minlength=mesh.n_elements) != 1)
-    return RefineResult(new, refined.tolist(), ancestor)
+    return RefineResult(new, ancestor)
 
 
 def uniform_refine(mesh, rounds=1):
@@ -514,16 +498,3 @@ def uniform_refine(mesh, rounds=1):
         mesh = refine(mesh, np.arange(mesh.n_elements)).mesh
     return mesh
 
-
-def from_json(source):
-    """Build a mesh from the JSON exchange format (string, path, or dict)."""
-    if isinstance(source, dict):
-        obj = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        obj = json.loads(source)
-    else:
-        with open(source) as fh:
-            obj = json.load(fh)
-    return build_initial(np.array(obj["vertices"], float),
-                         np.array(obj["elements"], np.int64),
-                         boundary=obj.get("boundary"), region=obj.get("region"))

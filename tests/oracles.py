@@ -3,17 +3,24 @@
 - `validate_mesh`: the conformity invariants of a mesh (finite vertices,
   positive areas, at most two owners per edge, stored boundary equal to the
   single-owner edges);
+- `element_neighbors`: the element across each local edge;
 - `reference_refine`: newest-vertex bisection one element at a time, with
-  stack-based completion, the reference numbering `refine` must reproduce;
+  stack-based completion, the reference numbering `refine` must reproduce,
+  and `refined_set`: the input elements a refinement split, from its
+  ancestor array;
 - `monomial_integral`: exact reference-triangle integrals for the quadrature
   tests, and `gauss_legendre`: a Gauss-Legendre rule on [0, 1] for edge
   integrals;
 - `evaluate` (with the element search `_locate`): point values and gradients
   of a finite element function;
 - `export_matrixmarket`: MatrixMarket dump of an assembled matrix;
+- `rule_points` and `rule_gradients`: the physical points and shape
+  gradients of an element rule on the whole mesh, one einsum each, which
+  `ElementRule.points_on` and `ElementRule.fields_on` must reproduce;
 - `quadrature_matrices`: stiffness and mass matrices from physical gradients
   at quadrature points, restricted by slicing the full matrix, which the
   reference-table assembly of `afemeig.fem` must reproduce;
+- `per_point_energy_error`: the energy error by einsums over those arrays;
 - `edge_jump_total`: the edge-jump estimator total of a P1 function with
   every interior edge counted once, by a plain loop over edges;
 - `brute_force_distance`: a Monte-Carlo lower bound on the directed
@@ -40,6 +47,16 @@ from afemeig.estimator import _indicators
 from afemeig.fem import assemble_mass, assemble_stiffness, shape_gradients, shape_values
 from afemeig.gap import GapError, _GapWorkspace
 from afemeig.mesh import _EDGE_VERTS, _ROTATE, Mesh, MeshError, RefineResult, _unique_edges
+
+
+def element_neighbors(mesh):
+    """(ne, 3) neighbour element id across each local edge, -1 on boundary."""
+    _, _, owners, owner_local = mesh.edge_table()
+    nbr = -np.ones((mesh.n_elements, 3), dtype=np.int64)
+    for s in range(2):
+        mask = owners[:, s] >= 0
+        nbr[owners[mask, s], owner_local[mask, s]] = owners[mask, 1 - s]
+    return nbr
 
 
 def validate_mesh(mesh):
@@ -77,7 +94,7 @@ class _RefineWork:
         self.elems = mesh.elements.tolist()
         self.refe = mesh.refinement_edge.tolist()
         self.gen = mesh.generation.tolist()
-        self.nbr = mesh.element_neighbors().tolist()
+        self.nbr = element_neighbors(mesh).tolist()
         self.alive = [True] * self.ne_old
         self.root = list(range(self.ne_old))
         self.children = {}
@@ -137,7 +154,7 @@ class _RefineWork:
                 nbr[c2][0], nbr[d1][0] = d1, c2
 
     def freeze(self):
-        """Produce the new Mesh plus (refined_set, ancestor array)."""
+        """Produce the new Mesh plus its ancestor array."""
         mesh, ne_old = self.mesh, self.ne_old
         alive = np.array(self.alive)
         tokens = np.flatnonzero(alive)
@@ -149,15 +166,14 @@ class _RefineWork:
         elements = rows(mesh.elements, self.elems[ne_old:])[tokens]
         # a split never changes which slots of a surviving element lie on the
         # boundary, so the input mesh's neighbour array serves for old tokens
-        t, local = np.nonzero(rows(mesh.element_neighbors(), self.nbr[ne_old:])[tokens] < 0)
+        t, local = np.nonzero(rows(element_neighbors(mesh), self.nbr[ne_old:])[tokens] < 0)
         pairs = np.sort(elements[t[:, None], np.array(_EDGE_VERTS)[local]], axis=1)
         ancestor = rows(np.arange(ne_old), self.root[ne_old:])[tokens]
         new_mesh = Mesh(rows(mesh.vertices, self.verts[mesh.n_vertices:]), elements,
                         rows(mesh.refinement_edge, self.refe[ne_old:])[tokens],
                         rows(mesh.generation, self.gen[ne_old:])[tokens],
                         mesh.region[ancestor], _unique_edges(pairs, len(self.verts))[0])
-        refined = np.flatnonzero(~alive[:ne_old]).tolist()
-        return new_mesh, refined, ancestor
+        return new_mesh, ancestor
 
 
 def reference_refine(mesh, marked, b=1):
@@ -166,7 +182,7 @@ def reference_refine(mesh, marked, b=1):
     round's targets are the children of every target of this one."""
     targets = sorted(set(int(t) for t in marked))
     if not targets:
-        return RefineResult(mesh, set(), np.arange(mesh.n_elements))
+        return RefineResult(mesh, np.arange(mesh.n_elements))
     work = _RefineWork(mesh)
     for _ in range(b):
         for tok in targets:
@@ -174,6 +190,12 @@ def reference_refine(mesh, marked, b=1):
                 work.bisect_conforming(tok)
         targets = sorted(c for tok in targets for c in work.children[tok])
     return RefineResult(*work.freeze())
+
+
+def refined_set(result):
+    """Ids of the input elements that a refinement split: those that are not
+    the ancestor of exactly one output element."""
+    return frozenset(np.flatnonzero(np.bincount(result.ancestor) != 1).tolist())
 
 
 def monomial_integral(a, b):
@@ -191,12 +213,11 @@ def gauss_legendre(npoints):
 # point evaluation
 
 
-def _locate(space, point, start=0, max_steps=None):
-    """Element containing `point` via neighbour walk with brute-force fallback
-    (the walk can stall on non-convex domains)."""
+def _locate(space, nbr, point, start=0, max_steps=None):
+    """Element containing `point` via a walk over the neighbours `nbr`, with
+    brute-force fallback (the walk can stall on non-convex domains)."""
     mesh = space.mesh
     v0, _, _, Binv = space.geometry()
-    nbr = mesh.element_neighbors()
     t = start
     steps = max_steps or (2 * int(np.sqrt(mesh.n_elements)) + 16)
     for _ in range(steps):
@@ -229,9 +250,10 @@ def evaluate(space, coefficient_vector, points):
     values = np.full(n, np.nan)
     grads = np.full((n, 2), np.nan)
     inside = np.zeros(n, dtype=bool)
+    nbr = element_neighbors(space.mesh)
     t_prev = 0
     for i, p in enumerate(points):
-        t = _locate(space, p, start=t_prev)
+        t = _locate(space, nbr, p, start=t_prev)
         if t < 0:
             continue
         t_prev = t
@@ -254,6 +276,18 @@ def export_matrixmarket(matrix, path):
 # norms and projections
 
 
+def rule_points(rule):
+    """Physical points of `rule` on every element, (ne, nq, 2): v0 + B x."""
+    v0, B, _, _ = rule.space.geometry()
+    return np.einsum("eij,qj->eqi", B, rule.pts) + v0[:, None]
+
+
+def rule_gradients(rule):
+    """Physical shape gradients of `rule` on every element, (ne, nb, nq, 2):
+    B^-T times the reference gradients."""
+    return np.einsum("eji,bqj->ebqi", rule.Binv, shape_gradients(rule.space.degree, rule.pts))
+
+
 def quadrature_matrices(space, coeffs, apply_dirichlet=True):
     """(stiffness, mass) summed over the points of the degree 2k+2 rule,
     exact for constant A and a c of degree up to 2: A times the physical
@@ -261,9 +295,10 @@ def quadrature_matrices(space, coeffs, apply_dirichlet=True):
     are sliced to the free dofs when `apply_dirichlet` is set."""
     rule = space.rule(2 * space.degree + 2)
     A = coeffs.a_matrix_for(space.mesh.region)
-    flux = np.einsum("eij,ebqj->ebqi", A, rule.grads)
-    stiff = np.einsum("ebqi,edqi,q->ebd", flux, rule.grads, rule.wts)
-    cq = np.broadcast_to(coeffs.c_at(rule.xq), rule.xq.shape[:2])
+    xq, grads = rule_points(rule), rule_gradients(rule)
+    flux = np.einsum("eij,ebqj->ebqi", A, grads)
+    stiff = np.einsum("ebqi,edqi,q->ebd", flux, grads, rule.wts)
+    cq = np.broadcast_to(coeffs.c_at(xq), xq.shape[:2])
     stiff += np.einsum("bq,dq,eq,q->ebd", rule.vals, rule.vals, cq, rule.wts)
     mass = np.einsum("bq,dq,q->bd", rule.vals, rule.vals, rule.wts)[None]
     nb = space.element_dofs.shape[1]
@@ -305,11 +340,11 @@ def galerkin_project(space, coeffs, fn):
     right-hand side a(w, phi_i) is integrated with the degree 2k+2 rule.
     """
     rule = space.rule(2 * space.degree + 2)
-    xq = rule.xq
+    xq = rule_points(rule)
     w = np.asarray(fn(xq.reshape(-1, 2)), float).reshape(3, *xq.shape[:2])
     wval, wgrad = w[0], w[1:].transpose(1, 2, 0)
     aw = np.einsum("eij,eqj->eqi", coeffs.a_matrix_for(space.mesh.region), wgrad)
-    local = np.einsum("ebqi,eqi,q->eb", rule.grads, aw, rule.wts)
+    local = np.einsum("ebqi,eqi,q->eb", rule_gradients(rule), aw, rule.wts)
     cq = coeffs.c_at(xq)
     if not (np.isscalar(cq) and cq == 0.0):
         local += np.einsum("bq,eq,q->eb", rule.vals, wval * cq, rule.wts)
@@ -318,6 +353,22 @@ def galerkin_project(space, coeffs, fn):
     np.add.at(rhs, space.element_dofs.ravel(), local.ravel())
     K = assemble_stiffness(space, coeffs)
     return space.expand(spsolve(K, rhs[space.free_dofs]))
+
+
+def per_point_energy_error(space, coeffs, vec, fn):
+    """|| w - u_h ||_a at the points of the degree 2k+2 rule, by einsums over
+    whole-mesh arrays of points and physical gradients; `fn` as in
+    `afemeig.fem.energy_error`."""
+    rule = space.rule(2 * space.degree + 2)
+    xq = rule_points(rule)
+    w = np.asarray(fn(xq.reshape(-1, 2)), float).reshape(3, *xq.shape[:2])
+    dval, dgrad = w[0], w[1:].transpose(1, 2, 0)
+    local = np.asarray(vec, float)[space.element_dofs]
+    dval -= np.einsum("eb,bq->eq", local, rule.vals)
+    dgrad -= np.einsum("eb,ebqi->eqi", local, rule_gradients(rule))
+    agrad2 = np.einsum("eqi,eij,eqj->eq", dgrad, coeffs.a_matrix_for(space.mesh.region), dgrad)
+    dens = agrad2 + coeffs.c_at(xq) * dval ** 2
+    return float(np.sqrt(np.einsum("eq,q,e->", dens, rule.wts, rule.det)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +412,7 @@ def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
     """Monte-Carlo lower bound on the directed distance.
 
     Samples b-unit coefficient directions on the exact side and takes the max
-    Gram projection error; approaches `_GapWorkspace.directed(0)` from below
+    Gram projection error; approaches `_GapWorkspace.distances[0][0]` from below
     as the sample count grows, and matches it for one-dimensional spaces.
     """
     if n_samples < 1000:
@@ -402,7 +453,7 @@ class _WholeMeshGap:
         stops = np.cumsum([cl.q for cl in discrete])
         self.blocks = [slice(stop - cl.q, stop) for stop, cl in zip(stops, discrete)]
         rule = space.rule(2 * space.degree + 2, subdivision)
-        xq = rule.xq.transpose(1, 0, 2)         # (nq, ne, 2)
+        xq = rule_points(rule).transpose(1, 0, 2)         # (nq, ne, 2)
         nq, ne = xq.shape[:2]
         flat = xq.reshape(-1, 2)
         basis = [fn for eigenspace in exact for fn in eigenspace.basis]
@@ -497,14 +548,15 @@ def reverse_distance_bound(d_forward):
 def _patch_h1_norms(space, coeffs, diff):
     """|| . ||_{1, omega_T} of a vector FE function, per element."""
     rule = space.rule(2 * space.degree)
+    grads = rule_gradients(rule)
     per_elem = np.zeros(space.mesh.n_elements)
     for m in range(diff.shape[1]):
         local = diff[:, m][space.element_dofs]
         uq = np.einsum("eb,bq->eq", local, rule.vals)
-        gq = np.einsum("eb,ebqi->eqi", local, rule.grads)
+        gq = np.einsum("eb,ebqi->eqi", local, grads)
         dens = uq ** 2 + np.einsum("eqi,eqi->eq", gq, gq)
         per_elem += rule.det * np.einsum("eq,q->e", dens, rule.wts)
-    nbr = space.mesh.element_neighbors()
+    nbr = element_neighbors(space.mesh)
     patch = per_elem.copy()
     for j in range(3):
         has = nbr[:, j] >= 0

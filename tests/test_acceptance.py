@@ -22,7 +22,7 @@ from afemeig.gap import _GapWorkspace
 from afemeig.mesh import refine, uniform_refine
 
 from conftest import lshape_mesh, sine_solution, sine_source, square_mesh
-from oracles import brute_force_distance, reverse_distance_bound, validate_mesh
+from oracles import brute_force_distance, refined_set, reverse_distance_bound, validate_mesh
 
 LAM2 = 5 * math.pi ** 2
 
@@ -215,8 +215,8 @@ def test_criterion_9_mesh_fuzz():
         except Exception:
             ok = False
             break
-        ok &= marked <= res.refined_set
-        ok &= res.refined_set <= set(range(mesh.n_elements))
+        ok &= marked <= refined_set(res)
+        ok &= refined_set(res) <= set(range(mesh.n_elements))
         mesh = res.mesh
         total_marked += len(marked)
         ratios.append((mesh.n_elements - n0) / total_marked)
@@ -285,12 +285,12 @@ def test_criterion_11_gap_oracle():
         V = np.column_stack([space.expand(W[:, 0]), space.expand(W[:, 1])])
         cl = EigenCluster(vals[1:3], V)
         ws = _GapWorkspace([exact], [cl], space, co)
-        d = ws.directed(0)
+        d = ws.distances[0][0]
         bf = brute_force_distance(exact, cl, space, co, 100_000, seed=trial)
         rel = abs(bf - d) / d
         worst = max(worst, rel)
         ok &= rel <= 1e-3
-        rev = ws.directed(0, reverse=True)
+        rev = ws.distances[0][1]
         ok &= rev <= reverse_distance_bound(d) + 1e-8
     _criterion(11, "directed distance vs 1e5-sample oracle within 1e-3; "
                    "reverse-distance bound holds",

@@ -67,8 +67,19 @@ def test_fit_slope_constant_and_errors():
     assert fit_slope(x, np.full(4, 3.0), window=4) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
         fit_slope(x, np.array([1.0, -1.0, 1.0, 1.0]), window=4)
-    with pytest.raises(ValueError):
-        fit_slope(x[:2], x[:2], window=2)
+    with pytest.raises(ValueError, match="need at least 3 points"):
+        fit_slope(x[:2], x[:2], window=3)
+    # a window below 3 or not an integer used to fit every row (0) or all
+    # but the first rows (-2)
+    for window in (2, 0, -2, 3.0, True, None):
+        with pytest.raises(ValueError, match="window must be an integer >= 3"):
+            fit_slope(x, x, window=window)
+    assert fit_slope(x, x, window=np.int64(3)) == pytest.approx(1.0, abs=1e-12)
+    # x and y of unequal lengths used to pair by their last rows
+    longer = np.array([0.5, 0.75, 1.0, 2, 4, 8, 16, 32])
+    for a, b in ((longer, 1.0 / x), (x, 1.0 / longer)):
+        with pytest.raises(ValueError, match="must pair row by row"):
+            fit_slope(a, b, window=3)
     # a NaN gap2 row or an overflowed value used to give a nan slope
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="slope fit needs finite positive data"):
@@ -159,6 +170,13 @@ def test_trace_csv_round_trip(tmp_path, small_cluster2_trace):
     again = read_trace(path)
     assert trace_to_csv_text(again) == path.read_text()
     assert again.lambdas == [tuple(map(float, r)) for r in small_cluster2_trace.lambdas]
+
+
+def test_read_trace_of_an_empty_file_names_it(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: empty file, no trace header")):
+        read_trace(path)
 
 
 @pytest.mark.parametrize("name", ["lambda_0", "lambda_3", "lambda_01", "lambda_x",

@@ -13,7 +13,8 @@ from afemeig.quadrature import triangle_rule, triangle_rule_subdivided
 
 from conftest import lshape_mesh, perturbed, sine_solution, square_mesh, two_region_square
 from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket, galerkin_project,
-                     gauss_legendre, monomial_integral, quadrature_matrices)
+                     gauss_legendre, monomial_integral, per_point_energy_error,
+                     quadrature_matrices, rule_gradients, rule_points)
 
 
 REF_TRIANGLE = build_initial([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -45,15 +46,17 @@ def test_rule_p1_gradients_are_barycentric():
     # grad lambda_i = rot90(v_k - v_j) / (2 |T|) for (i, j, k) cyclic, with
     # the signed area; the mesh mixes element sizes and orientations
     mesh = refine(lshape_mesh(1), {0, 5, 9}).mesh
-    rule = build_space(mesh, 1).rule(2)
+    space = build_space(mesh, 1)
+    rule = space.rule(2)
+    fields = rule.fields_on(slice(None), np.eye(space.ndofs))   # (3, ndofs, nq, ne)
     v = mesh.vertices[mesh.elements]                             # (ne, 3, 2)
     area2 = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
              - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1]))
     for i in range(3):
         edge = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
         expected = np.stack([-edge[:, 1], edge[:, 0]], axis=1) / area2[:, None]
-        got = rule.grads[:, i]                                   # (ne, nq, 2)
-        assert np.abs(got - expected[:, None, :]).max() <= 1e-12 * np.abs(expected).max()
+        got = fields[1:, mesh.elements[:, i], :, np.arange(mesh.n_elements)]   # (ne, 2, nq)
+        assert np.abs(got - expected[:, :, None]).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("mesh, area", [(square_mesh(3), 1.0), (lshape_mesh(2), 3.0)])
@@ -62,26 +65,81 @@ def test_rule_weights_sum_to_domain_area(mesh, area):
         rule = build_space(mesh, degree).rule(4, 1)
         assert np.sum(rule.wts) * rule.det.sum() == pytest.approx(area, rel=1e-14)
         # one subdivision: the base rule on each of four sub-triangles
-        assert rule.xq.shape == (mesh.n_elements, 4 * triangle_rule(4)[1].size, 2)
+        assert rule.points_on(slice(None)).shape == (2, 4 * triangle_rule(4)[1].size,
+                                                     mesh.n_elements)
 
 
 def test_block_points_equal_rule_points():
-    # the gap oracle's per-block points are the rule's own, bit for bit
+    # the points of any block of elements are the per-point map v0 + B x of
+    # the whole mesh, bit for bit
     mesh = refine(lshape_mesh(1), {0, 5, 9}).mesh
     rule = build_space(mesh, 2).rule(6, 1)
     for blk in (slice(0, 1), slice(3, 10), slice(0, mesh.n_elements + 5)):
         xy = rule.points_on(blk)
-        assert np.array_equal(xy.transpose(2, 1, 0), rule.xq[blk])
+        assert np.array_equal(xy.transpose(2, 1, 0), rule_points(rule)[blk])
 
 
-# The 2x2 maps of the package, each as the einsum it computes, and three
-# more broadcast forms.  Each case gives the operands at the shapes of its
-# call site and the broadcast form of the matrix that _matvec2 takes.  ``gv``
+@pytest.mark.parametrize("degree", [1, 2])
+def test_fields_on_a_block_equals_the_whole_mesh_call(degree):
+    # the fields of a block of two or more elements are those of the
+    # whole-mesh call bit for bit, also when written into a slice of a larger
+    # array, and they are the per-point einsum of the physical gradients.  A
+    # one-element block agrees to rounding only: OpenBLAS hands a matrix
+    # product with one row or column to its matrix-vector kernel, which sums
+    # in another order.
+    mesh = perturbed(two_region_square(3))
+    ne = mesh.n_elements
+    space = build_space(mesh, degree)
+    rule = space.rule(2 * degree + 2, 1)
+    V = np.random.default_rng(degree).standard_normal((space.ndofs, 3))
+    whole = rule.fields_on(slice(None), V)
+    assert whole.shape == (3, 3, rule.wts.size, ne)
+    for blk in (slice(0, 2), slice(3, 10), slice(ne - 2, ne + 5), slice(5, ne + 5)):
+        np.testing.assert_array_equal(rule.fields_on(blk, V), whole[..., blk])
+        Z = np.full((3, 5) + whole[..., blk].shape[2:], np.nan)
+        rule.fields_on(blk, V, out=Z[:, 2:])
+        np.testing.assert_array_equal(Z[:, 2:], whole[..., blk])
+    for e in (0, ne - 1):
+        one = rule.fields_on(slice(e, e + 1), V)
+        assert np.abs(one - whole[..., e:e + 1]).max() <= 1e-15 * np.abs(whole).max()
+    local = V[space.element_dofs]                               # (ne, nb, k)
+    want = np.concatenate([np.einsum("ebk,bq->kqe", local, rule.vals)[None],
+                           np.einsum("ebk,ebqi->ikqe", local, rule_gradients(rule))])
+    assert np.abs(whole - want).max() <= 1e-13 * np.abs(want).max()
+
+
+_ENERGY_A = {"scalar": 1.7,
+             "A-table": {0: [[2.0, 0.5], [0.5, 1.0]], 1: [[1.0, -0.3], [-0.3, 3.0]]}}
+_ENERGY_C = {"constant-c": 2.5, "callable-c": lambda p: 1.0 + p[:, 0] ** 2 + p[:, 0] * p[:, 1]}
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "perturbed"])
+@pytest.mark.parametrize("c", list(_ENERGY_C))
+@pytest.mark.parametrize("a", list(_ENERGY_A))
+@pytest.mark.parametrize("degree", [1, 2])
+def test_energy_error_matches_the_per_point_einsum(degree, a, c, mesh):
+    # the a-norm of a closed form minus the fields of a discrete function
+    # equals the einsum over whole-mesh arrays of points and gradients
+    coeffs = Coefficients(a=_ENERGY_A[a], c=_ENERGY_C[c])
+    base = two_region_square(3)
+    space = build_space(base if mesh == "uniform" else perturbed(base), degree)
+    vec = sine_solution(space.dof_coords)[0]
+    vec += 0.05 * np.random.default_rng(degree).standard_normal(space.ndofs)
+    got = energy_error(space, coeffs, vec, sine_solution)
+    assert got == pytest.approx(per_point_energy_error(space, coeffs, vec, sine_solution),
+                                rel=1e-12)
+
+
+# The 2x2 maps of the package, each as the einsum it computes, and five
+# more broadcast forms, two of them the whole-mesh physical points and shape
+# gradients of `oracles.rule_points` and `oracles.rule_gradients`.  Each
+# case gives the operands at the shapes of its call site and the broadcast
+# form of the matrix that _matvec2 takes.  ``gv``
 # is made as the estimator makes its reference vertex gradients, and ``gm``
 # by an einsum whose output is not C-ordered.
 _MATVEC2_CASES = {
-    "eij,qj->eqi": lambda d: (d["B"], d["pts"], d["B"][:, None]),               # rule.xq
-    "eji,bqj->ebqi": lambda d: (d["Binv"], d["gref"], d["BinvT"][:, None, None]),  # rule.grads
+    "eij,qj->eqi": lambda d: (d["B"], d["pts"], d["B"][:, None]),
+    "eji,bqj->ebqi": lambda d: (d["Binv"], d["gref"], d["BinvT"][:, None, None]),
     "nij,nj->ni": lambda d: (d["Binv"], d["rel"], d["Binv"]),                   # prolongate
     "eij,ekj->eki": lambda d: (d["A"], d["Binv"], d["A"][:, None]),             # flux map
     "eij,mevj->mevi": lambda d: (d["F"], d["gv"], d["F"][:, None]),             # vertex fluxes

@@ -53,7 +53,7 @@ def test_distance_zero_when_exact_in_space():
     exact = ExactEigenspace(1.0, [fn])
     v = fn(space.dof_coords)[0]
     cluster = EigenCluster(np.array([1.0]), v[:, None])
-    assert _GapWorkspace([exact], [cluster], space, co).directed(0) <= 1e-10
+    assert _GapWorkspace([exact], [cluster], space, co).distances[0][0] <= 1e-10
     # identical spans make the full gap vanish as well
     assert gap_energy([exact], [cluster], space, co)[0] <= 1e-10
 
@@ -223,7 +223,7 @@ def test_member_of_wrong_shape_rejected(cluster2_setup, rows):
 def test_brute_force_bounds_directed(cluster2_setup):
     prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    d = _GapWorkspace([exact], [cluster], space, co).directed(0)
+    d = _GapWorkspace([exact], [cluster], space, co).distances[0][0]
     bf = brute_force_distance(exact, cluster, space, co, 100_000)
     assert bf <= d + 1e-12
     assert bf == pytest.approx(d, rel=1e-3)
@@ -236,7 +236,7 @@ def test_brute_force_exact_for_q1(cluster2_setup):
     vals, vecs = solve_smallest(K, M, 1)
     cl1 = EigenCluster(vals[:1], space.expand(vecs[:, 0])[:, None])
     exact = prob.exact_clusters[0]
-    d = _GapWorkspace([exact], [cl1], space, co).directed(0)
+    d = _GapWorkspace([exact], [cl1], space, co).distances[0][0]
     bf = brute_force_distance(exact, cl1, space, co, 1000)
     assert bf == pytest.approx(d, rel=1e-12)
 
@@ -250,7 +250,7 @@ def test_gap_is_max_of_directions(cluster2_setup):
     prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
     ws = _GapWorkspace([exact], [cluster], space, co)
-    fwd, rev = ws.directed(0), ws.directed(0, reverse=True)
+    fwd, rev = ws.distances[0]
     delta = gap_energy([exact], [cluster], space, co)[0]
     assert delta == max(fwd, rev)
     # d(Y, X) <= d(X, Y) / (1 - d(X, Y)) for equal dimensions and d < 1
@@ -304,11 +304,11 @@ def test_random_perturbed_instances_agree_with_oracle():
         V = np.column_stack([space.expand(W[:, 0]), space.expand(W[:, 1])])
         cl = EigenCluster(vals[1:3], V)
         ws = _GapWorkspace([exact], [cl], space, co)
-        d = ws.directed(0)
+        d = ws.distances[0][0]
         bf = brute_force_distance(exact, cl, space, co, 100_000, seed=trial)
         assert bf == pytest.approx(d, rel=1e-3)
         if d < 1.0:
-            assert ws.directed(0, reverse=True) <= reverse_distance_bound(d) + 1e-8
+            assert ws.distances[0][1] <= reverse_distance_bound(d) + 1e-8
 
 
 def test_gap_monotone_under_refinement():

@@ -9,7 +9,7 @@ from afemeig import (AfemConfig, MeshError, build_space, get_problem, harmonic_o
                      lshape_laplace, run_afem, square_laplace)
 from afemeig.mesh import uniform_refine
 
-from oracles import validate_mesh
+from oracles import rule_points, validate_mesh
 
 _SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
            "elements": [[0, 1, 2], [0, 2, 3]],
@@ -21,7 +21,7 @@ def _exact_grams(prob, rounds=10):
     mesh = uniform_refine(prob.initial_mesh(), rounds)
     space = build_space(mesh, 1)
     rule = space.rule(6, 1)
-    xq = rule.xq
+    xq = rule_points(rule)
     flat = xq.reshape(-1, 2)
     wdet = rule.wts[None, :] * rule.det[:, None]
     co = prob.coefficients
