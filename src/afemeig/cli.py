@@ -1,13 +1,15 @@
-"""Command line front end: ``afem run ...``.
+"""Command line front end: ``afem run ...`` and ``afem reproduce ...``.
 
 Exit codes: 0 on completion, 2 when the tracked cluster's identity is lost,
-1 on any other error.
+1 on any other error.  ``afem reproduce`` exits 0 when every case ran, also
+when its report reads FAIL for a slope.
 """
 
 import argparse
 import os
 import sys
 
+from .cases import CASES, run_cases
 from .driver import (AfemConfig, ClusterIdentityError, emit_plot, export_trace,
                      run_afem, run_afem_first_n)
 
@@ -43,12 +45,24 @@ def _build_parser():
     run.add_argument("--plot", metavar="OUT.SVG", help="write a log-log SVG plot")
     run.add_argument("--mesh-out", metavar="DIR",
                      help="write the final mesh (JSON + legacy VTK) into DIR")
+    reproduce = sub.add_parser(
+        "reproduce", help="run the reproduction cases and report their slopes")
+    reproduce.add_argument("cases", nargs="*", metavar="CASE",
+                           help=f"cases to run (default all): {', '.join(CASES)}")
+    reproduce.add_argument("--max-dof", type=float,
+                           help="free dofs for every case instead of its own")
+    reproduce.add_argument("--out", default="results",
+                           help="directory for the traces and plots")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "reproduce":
+            run_cases(args.cases, None if args.max_dof is None else int(args.max_dof),
+                      args.out)
+            return 0
         config = AfemConfig(
             problem=args.problem,
             degree=args.degree,

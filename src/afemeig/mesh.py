@@ -102,9 +102,6 @@ class Mesh:
             out[:, i] = np.linalg.norm(v[:, b] - v[:, a], axis=1)
         return out
 
-    def diameters(self):
-        return self.edge_lengths().max(axis=1)
-
     def edge_table(self):
         """Unique edges plus ownership.
 

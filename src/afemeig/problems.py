@@ -15,6 +15,7 @@ descriptors (constant A, polynomial or radial c).
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,13 +244,19 @@ def _entry(obj, key, where):
 
 def from_json(path):
     """Problem spec from a JSON file; a missing `mesh`, `vertices` or
-    `elements` entry raises a ValueError that names it."""
+    `elements` entry raises a ValueError that names it.  A `mesh` entry that
+    is a relative path is read relative to the spec's directory."""
     with open(path) as fh:
         obj = json.load(fh)
     mesh_obj = _entry(obj, "mesh", "problem spec")
     if isinstance(mesh_obj, str):
-        with open(mesh_obj) as fh:
-            mesh_obj = json.load(fh)
+        mesh_path = os.path.join(os.path.dirname(path), mesh_obj)
+        try:
+            with open(mesh_path) as fh:
+                mesh_obj = json.load(fh)
+        except FileNotFoundError:
+            raise FileNotFoundError(f"problem spec {path}: its \"mesh\" entry "
+                                    f"{mesh_obj!r} names no file ({mesh_path})") from None
     return ProblemSpec(
         name=obj.get("name", "custom"),
         vertices=np.array(_entry(mesh_obj, "vertices", "mesh"), float),

@@ -1,4 +1,3 @@
-import math
 import os
 
 import hypothesis
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 from afemeig import Coefficients, build_initial, build_space, uniform_refine
+from afemeig.cases import sine_solution, sine_source  # noqa: F401 - shared with the tests
 from afemeig.mesh import Mesh
 
 # "suite" for the tier-1 run; CI runs the mesh tests again under "ci", a
@@ -51,20 +51,6 @@ def perturbed(mesh, seed=0):
     moved[interior] += rng.uniform(-0.15 * h, 0.15 * h, (interior.sum(), 2))
     return Mesh(moved, mesh.elements, mesh.refinement_edge, mesh.generation,
                 mesh.region, mesh.boundary_edges)
-
-
-def sine_solution(p):
-    """u = sin(pi x) sin(pi y) as a closed-form function: the (3, m) rows of
-    u, du/dx and du/dy at the (m, 2) points p."""
-    sx, cx = np.sin(math.pi * p[:, 0]), np.cos(math.pi * p[:, 0])
-    sy, cy = np.sin(math.pi * p[:, 1]), np.cos(math.pi * p[:, 1])
-    return np.stack([sx * sy, math.pi * cx * sy, math.pi * sx * cy])
-
-
-def sine_source(p):
-    """f = -Lap u = 2 pi^2 u for u = `sine_solution`, zero on the unit square's
-    boundary."""
-    return 2 * math.pi ** 2 * sine_solution(p)[0]
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 - `validate_mesh`: the conformity invariants of a mesh (finite vertices,
   positive areas, at most two owners per edge, stored boundary equal to the
   single-owner edges);
-- `element_neighbors`: the element across each local edge;
+- `element_neighbors`: the element across each local edge, and
+  `diameters`: each element's longest edge, the estimator's h_T;
 - `reference_refine`: newest-vertex bisection one element at a time, with
   stack-based completion, the reference numbering `refine` must reproduce,
   and `refined_set`: the input elements a refinement split, from its
@@ -57,6 +58,11 @@ def element_neighbors(mesh):
         mask = owners[:, s] >= 0
         nbr[owners[mask, s], owner_local[mask, s]] = owners[mask, 1 - s]
     return nbr
+
+
+def diameters(mesh):
+    """(ne,) longest edge of each element."""
+    return mesh.edge_lengths().max(axis=1)
 
 
 def validate_mesh(mesh):

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from afemeig import (AfemConfig, assemble_mass, assemble_stiffness, build_space,
-                     dorfler_mark, eigen_indicators, run_afem, run_afem_first_n,
-                     run_afem_source, solve_smallest, square_laplace)
-from afemeig.driver import fit_slope, trace_to_csv_text
+                     dorfler_mark, eigen_indicators, run_afem_source, solve_smallest,
+                     square_laplace)
+from afemeig.cases import CASES, run_case, slope_checks, window
+from afemeig.driver import trace_to_csv_text
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
 from afemeig.gap import _GapWorkspace
 from afemeig.mesh import refine, uniform_refine
 
-from conftest import lshape_mesh, sine_solution, sine_source, square_mesh
+from conftest import lshape_mesh, square_mesh
 from oracles import brute_force_distance, refined_set, reverse_distance_bound, validate_mesh
 
 LAM2 = 5 * math.pi ** 2
@@ -39,47 +40,38 @@ def _criterion(number, description, ok, detail=""):
 # shared runs
 
 
-def _cfg_square(degree, gap):
-    return AfemConfig(problem="square", degree=degree, theta=0.5,
-                      cluster_index=2, multiplicity=2, max_dof=50_000,
-                      compute_gap=gap)
+def _timed(name):
+    t0 = time.perf_counter()
+    tr = run_case(CASES[name])
+    return tr, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def run_p1():
-    t0 = time.perf_counter()
-    tr = run_afem(_cfg_square(1, gap=True))
-    return tr, time.perf_counter() - t0
+    return _timed("square-p1")
 
 
 @pytest.fixture(scope="module")
 def run_p1_repeat():
-    tr = run_afem(_cfg_square(1, gap=True))
-    return tr
+    return run_case(CASES["square-p1"])
 
 
 @pytest.fixture(scope="module")
 def run_p2():
-    t0 = time.perf_counter()
-    tr = run_afem(_cfg_square(2, gap=False))
-    return tr, time.perf_counter() - t0
+    return _timed("square-p2")
 
 
 @pytest.fixture(scope="module")
 def run_lshape():
     t0 = time.perf_counter()
-    kw = dict(problem="lshape", degree=1, theta=0.5, cluster_index=1,
-              multiplicity=1, max_dof=40_000)
-    adaptive = run_afem(AfemConfig(**kw))
-    uniform = run_afem(AfemConfig(marking="uniform", compute_gap=False, **kw))
+    adaptive = run_case(CASES["lshape-p1-adaptive"])
+    uniform = run_case(CASES["lshape-p1-uniform"])
     return adaptive, uniform, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def run_oscillator():
-    cfg = AfemConfig(problem="oscillator", degree=1, theta=0.5, first_n=3,
-                     max_dof=50_000, compute_gap=False)
-    return run_afem_first_n(cfg)
+    return run_case(CASES["oscillator-first3"])
 
 
 # ---------------------------------------------------------------------------
@@ -91,54 +83,59 @@ def test_criterion_1_p1_eigenvalue_rate(run_p1):
     rel_errors = [(lam - LAM2) / LAM2 for lam in tr.lambdas[-1]]
     positive = all((np.array([r for r in row]) > LAM2).all() for row in tr.lambdas)
     in_window = all(LAM2 < lam < LAM2 + 0.05 for lam in tr.lambdas[-1])
-    s1 = fit_slope(tr, "lambda_err_1", "n_dofs", window=6)
-    s2 = fit_slope(tr, "lambda_err_2", "n_dofs", window=6)
-    ok = (positive and in_window and abs(s1 + 1.0) <= 0.15
-          and abs(s2 + 1.0) <= 0.15 and elapsed < 60.0)
-    _criterion(1, "square P1 cluster-2 eigenvalue error slope -1 +/- 0.15",
+    case = CASES["square-p1"]
+    checks = slope_checks(case, tr)
+    (s1, ok1), (s2, ok2) = checks["lambda_err_1"], checks["lambda_err_2"]
+    ok = positive and in_window and ok1 and ok2 and elapsed < 60.0
+    _criterion(1, "square P1 cluster-2 eigenvalue error slope "
+                  + window(case, "lambda_err_1"),
                ok, f"slopes {s1:+.3f}/{s2:+.3f}, rel err {rel_errors[0]:.2e}, "
                    f"{elapsed:.0f}s")
 
 
 def test_criterion_2_p2_eigenvalue_rate(run_p2):
     tr, elapsed = run_p2
-    s1 = fit_slope(tr, "lambda_err_1", "n_dofs", window=6)
-    s2 = fit_slope(tr, "lambda_err_2", "n_dofs", window=6)
+    case = CASES["square-p2"]
+    checks = slope_checks(case, tr)
+    (s1, ok1), (s2, ok2) = checks["lambda_err_1"], checks["lambda_err_2"]
     positive = all(all(v > LAM2 for v in row) for row in tr.lambdas)
-    ok = (positive and abs(s1 + 2.0) <= 0.25 and abs(s2 + 2.0) <= 0.25
-          and elapsed < 120.0)
-    _criterion(2, "square P2 cluster-2 eigenvalue error slope -2 +/- 0.25",
+    ok = positive and ok1 and ok2 and elapsed < 120.0
+    _criterion(2, "square P2 cluster-2 eigenvalue error slope "
+                  + window(case, "lambda_err_1"),
                ok, f"slopes {s1:+.3f}/{s2:+.3f}, {elapsed:.0f}s")
 
 
 def test_criterion_3_estimator_rates(run_p1, run_p2):
-    s_p1 = fit_slope(run_p1[0], "eta", "n_dofs", window=6)
-    s_p2 = fit_slope(run_p2[0], "eta", "n_dofs", window=6)
-    ok = abs(s_p1 + 0.5) <= 0.1 and abs(s_p2 + 1.0) <= 0.15
-    _criterion(3, "estimator slopes -1/2 (P1) and -1 (P2)",
-               ok, f"P1 {s_p1:+.3f}, P2 {s_p2:+.3f}")
+    p1, p2 = CASES["square-p1"], CASES["square-p2"]
+    s_p1, ok_p1 = slope_checks(p1, run_p1[0])["eta"]
+    s_p2, ok_p2 = slope_checks(p2, run_p2[0])["eta"]
+    _criterion(3, f"estimator slopes {window(p1, 'eta')} (P1) and "
+                  f"{window(p2, 'eta')} (P2)",
+               ok_p1 and ok_p2, f"P1 {s_p1:+.3f}, P2 {s_p2:+.3f}")
 
 
 def test_criterion_4_gap_rate_and_reliability(run_p1):
     tr, _ = run_p1
-    s = fit_slope(tr, "gap2", "n_dofs", window=6)
+    case = CASES["square-p1"]
+    s, ok_slope = slope_checks(case, tr)["gap2"]
     ratio = tr.series("eta2")[3:] / tr.series("gap2")[3:]
     spread = ratio.max() / ratio.min()
     # efficiency variant: the oscillation-free part obeys the same bound
     eff = (tr.series("eta2") - tr.series("osc2"))[3:] / tr.series("gap2")[3:]
     eff_spread = eff.max() / eff.min()
-    ok = abs(s + 1.0) <= 0.15 and spread < 50.0 and eff_spread < 50.0
-    _criterion(4, "gap^2 slope -1 +/- 0.15 and eta^2/gap^2 spread < 50",
+    ok = ok_slope and spread < 50.0 and eff_spread < 50.0
+    _criterion(4, f"gap^2 slope {window(case, 'gap2')} and eta^2/gap^2 spread < 50",
                ok, f"slope {s:+.3f}, spread {spread:.2f}/{eff_spread:.2f}")
 
 
 def test_criterion_5_lshape_adaptive_vs_uniform(run_lshape):
     adaptive, uniform, elapsed = run_lshape
-    s_ad = fit_slope(adaptive, "lambda_err_1", "n_dofs", window=6)
-    s_un = fit_slope(uniform, "lambda_err_1", "n_dofs", window=6)
-    ok = (abs(s_ad + 1.0) <= 0.15 and abs(s_un + 2.0 / 3.0) <= 0.1
-          and elapsed < 120.0)
-    _criterion(5, "L-shape adaptive -1 +/- 0.15 vs uniform -2/3 +/- 0.1",
+    ad, un = CASES["lshape-p1-adaptive"], CASES["lshape-p1-uniform"]
+    s_ad, ok_ad = slope_checks(ad, adaptive)["lambda_err_1"]
+    s_un, ok_un = slope_checks(un, uniform)["lambda_err_1"]
+    ok = ok_ad and ok_un and elapsed < 120.0
+    _criterion(5, f"L-shape adaptive {window(ad, 'lambda_err_1')} vs uniform "
+                  f"{window(un, 'lambda_err_1')}",
                ok, f"adaptive {s_ad:+.3f}, uniform {s_un:+.3f}, {elapsed:.0f}s")
 
 
@@ -302,15 +299,12 @@ def test_criterion_11_gap_oracle():
 
 
 def test_criterion_12_source_problem():
-    cfg = AfemConfig(problem="square", degree=1, theta=0.5, max_dof=40_000)
-    tr = run_afem_source(cfg, [sine_source], exact=[sine_solution])
-    err = np.sqrt(tr.series("gap2"))
-    slope = fit_slope(tr.series("n_dofs"), err, window=6)
-    tr0 = run_afem_source(cfg, [lambda p: np.zeros(p.shape[0])])
-    ok = (abs(slope + 0.5) <= 0.1 and len(tr0) == 1
-          and tr0.meta["status"] == "converged")
-    _criterion(12, "manufactured source converges at slope -1/2; zero source "
-                   "exits converged immediately",
+    case = CASES["square-source-p1"]
+    slope, ok_slope = slope_checks(case, run_case(case))["gap"]
+    tr0 = run_afem_source(AfemConfig(**case.config), [lambda p: np.zeros(p.shape[0])])
+    ok = ok_slope and len(tr0) == 1 and tr0.meta["status"] == "converged"
+    _criterion(12, f"manufactured source converges at slope {window(case, 'gap')}; "
+                   "zero source exits converged immediately",
                ok, f"slope {slope:+.3f}")
 
 

@@ -1,8 +1,9 @@
-"""Entry points that the rest of the suite does not run: the experiment
-scripts, the benchmark's layer tracer and the public name list."""
+"""Entry points that the rest of the suite does not run: `afem reproduce`,
+the benchmark's layer tracer and the public name list."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,40 +11,46 @@ from pathlib import Path
 import pytest
 
 import afemeig
+from afemeig import fit_slope, read_trace
+from afemeig.cases import CASES
+from afemeig.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(args, cwd=ROOT):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=120)
+_SLOPE_LINE = re.compile(r"^(\S+) (\S+): slope ([+-]\d+\.\d{3}), expected .*: (PASS|FAIL)$")
 
 
-# script -> (extra arguments, files written)
-_SCRIPTS = {
-    "square_convergence.py": ([], ["square_p1.csv", "square_p1.json", "square_p1.svg",
-                                   "square_p2.csv", "square_p2.json", "square_p2.svg"]),
-    "lshape_adaptive_vs_uniform.py": ([], ["lshape_dorfler.csv", "lshape_uniform.csv",
-                                           "lshape_compare.svg"]),
-    "oscillator_first_n.py": (["--gap"], ["oscillator_first3.csv", "oscillator_first3.svg"]),
-    "source_convergence.py": ([], ["source_manufactured.csv"]),
-}
-
-
-@pytest.mark.parametrize("script", list(_SCRIPTS))
-def test_script_runs(tmp_path, script):
-    extra, outputs = _SCRIPTS[script]
-    proc = _run([str(ROOT / "scripts" / script), "--max-dof", "600", "--out", str(tmp_path),
-                 *extra])
-    assert proc.returncode == 0, proc.stderr
+@pytest.mark.parametrize("names", [[name] for name in CASES] + [[]], ids=[*CASES, "all"])
+def test_reproduce(tmp_path, capsys, names):
+    assert main(["reproduce", *names, "--max-dof", "600", "--out", str(tmp_path)]) == 0
+    ran = names or list(CASES)
+    # the overlay of the L-shape pair needs both of its runs
+    outputs = [f"{name}.{ext}" for name in ran for ext in ("csv", "json", "svg")]
+    outputs += [] if names else ["lshape-p1-adaptive-vs-uniform.svg"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
     for name in outputs:
-        assert (tmp_path / name).stat().st_size > 0
+        assert (tmp_path / name).stat().st_size > 0, name
     for path in tmp_path.glob("*.json"):   # strict JSON: no NaN or Infinity tokens
         json.loads(path.read_text(), parse_constant=_reject_constant)
+    # one report line per expected slope, each the fit of the trace as written
+    reported = [m.groups() for m in map(_SLOPE_LINE.match, capsys.readouterr().out.splitlines())
+                if m]
+    assert [(name, series) for name, series, _, _ in reported] == [
+        (name, series) for name in ran for series in CASES[name].slopes]
+    for name, series, slope, verdict in reported:
+        trace = read_trace(tmp_path / f"{name}.csv")
+        trace.meta["lambda_refs"] = json.loads(
+            (tmp_path / f"{name}.json").read_text())["meta"]["lambda_refs"]
+        fitted = fit_slope(trace, series)
+        assert slope == f"{fitted:+.3f}", (name, series)
+        expected, half_width = CASES[name].slopes[series]
+        assert verdict == ("PASS" if abs(fitted - expected) <= half_width else "FAIL")
+
+
+def test_reproduce_unknown_case_exits_1(tmp_path, capsys):
+    assert main(["reproduce", "square-p3", "--out", str(tmp_path)]) == 1
+    assert "unknown case(s) square-p3" in capsys.readouterr().err
 
 
 def _reject_constant(token):
@@ -71,7 +78,11 @@ print("ok")
 
 
 def test_benchmark_tracer_installs_and_counts():
-    proc = _run(["-c", _TRACED_RUN], cwd=ROOT / "perfbench")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN], cwd=ROOT / "perfbench",
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-1] == "ok"
 

@@ -13,8 +13,8 @@ from afemeig.fem import assemble_load, shape_gradients, shape_hessians, shape_va
 from afemeig.quadrature import triangle_rule
 
 from conftest import perturbed, square_mesh, two_region_square
-from oracles import (calibrate_oscillation_constant, edge_jump_total, gauss_legendre,
-                     oscillation_lipschitz_check, validate_mesh)
+from oracles import (calibrate_oscillation_constant, diameters, edge_jump_total,
+                     gauss_legendre, oscillation_lipschitz_check, validate_mesh)
 
 
 def _a_times(coeffs, region, g):
@@ -43,7 +43,7 @@ def _loop_oracle(space, coeffs, vectors, lams=None, sources=None):
     pts, wts = triangle_rule(2 * k + 2)
     t1d, w1d = gauss_legendre(k + 2)
     v0, B, det, Binv = space.geometry()
-    h = mesh.diameters()
+    h = diameters(mesh)
     eta2 = np.zeros(mesh.n_elements)
     osc2 = np.zeros(mesh.n_elements)
     vectors = np.atleast_2d(vectors.T).T
@@ -176,7 +176,7 @@ def test_interior_residual_is_lambda_u_for_p1(small_cluster):
     pts, wts = triangle_rule(4)
     _, _, det, _ = space.geometry()
     uq = np.einsum("eb,bq->eq", u[space.element_dofs], shape_values(1, pts))
-    expected = lam ** 2 * space.mesh.diameters() ** 2 * det * np.einsum(
+    expected = lam ** 2 * diameters(space.mesh) ** 2 * det * np.einsum(
         "eq,q->e", uq ** 2, wts)
     assert np.allclose(with_lam.eta2 - without.eta2, expected, rtol=1e-12)
 

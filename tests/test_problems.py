@@ -227,6 +227,22 @@ def test_spec_missing_mesh_entry_names_it(tmp_path, capsys, spec, message):
     assert f"afem: error: {message}" in capsys.readouterr().err
 
 
+def test_spec_mesh_path_is_relative_to_the_spec(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "m.json").write_text(json.dumps(_SQUARE))
+    (tmp_path / "sub" / "spec.json").write_text(json.dumps({"mesh": "m.json"}))
+    monkeypatch.chdir(tmp_path)
+    assert get_problem("file:sub/spec.json").initial_mesh().n_elements == 2
+
+
+def test_spec_missing_mesh_file_names_spec_and_entry(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"mesh": "gone.json"}))
+    with pytest.raises(FileNotFoundError) as info:
+        get_problem(f"file:{path}")
+    assert str(path) in str(info.value) and "\"mesh\" entry 'gone.json'" in str(info.value)
+
+
 def test_problem_from_json_reads_region_tags(tmp_path):
     eye = [[1.0, 0.0], [0.0, 1.0]]
     path = tmp_path / "regions.json"
