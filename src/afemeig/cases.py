@@ -80,7 +80,10 @@ def run_case(case, max_dof=None):
 
 def slope_checks(case, trace):
     """series -> (fitted slope, whether it lies in the expected window) for
-    each expected slope of `case`, fitted over the last 6 rows."""
+    each expected slope of `case`, fitted over the last 6 rows; (None, False)
+    when the trace has fewer than the 3 rows that a slope needs."""
+    if len(trace) < 3:
+        return dict.fromkeys(case.slopes, (None, False))
     checks = {}
     for series, (expected, half_width) in case.slopes.items():
         slope = fit_slope(trace, series, "n_dofs", window=6)
@@ -110,8 +113,11 @@ def run_cases(names=(), max_dof=None, out="results"):
         print(f"{name}: {len(trace)} rows to {trace.n_dofs[-1]} dofs, "
               f"status {trace.meta['status']}")
         for series, (slope, ok) in slope_checks(case, trace).items():
-            print(f"{name} {series}: slope {slope:+.3f}, expected {window(case, series)}: "
-                  f"{'PASS' if ok else 'FAIL'}")
+            if slope is None:
+                print(f"{name} {series}: too few rows ({len(trace)}) for a slope")
+            else:
+                print(f"{name} {series}: slope {slope:+.3f}, expected "
+                      f"{window(case, series)}: {'PASS' if ok else 'FAIL'}")
     for uniform in CASES.values():
         if uniform.name in traces and uniform.versus in traces:
             # the adaptive run against its uniform control, in the first series

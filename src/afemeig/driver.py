@@ -11,9 +11,8 @@ validated independently of the eigensolver.
 
 The window is locked once, on the initial mesh (position k0 and extent n),
 and never re-decided; the lock's last solve is row 0's solve whenever it asked
-for the loop's number of eigenpairs.  If a later mesh's spectrum no longer
-shows the tracked cluster with exactly that extent, the run aborts rather than
-silently tracking something else.
+for the loop's number of eigenpairs.  Every row checks the window with the
+rule that locked it, and aborts rather than silently tracking something else.
 """
 
 import csv
@@ -315,62 +314,67 @@ def _adaptive_loop(problem, config, disc, step, meta, t0):
 # eigenvalue runs
 
 
+def _pre_refined(problem, config):
+    """The initial mesh's space after up to `PRE_REFINEMENTS` uniform rounds,
+    each made only below `max_dof` free dofs, where the adaptive loop stops."""
+    space = build_space(problem.initial_mesh(), config.degree)
+    for _ in range(PRE_REFINEMENTS):
+        if space.n_free >= config.max_dof:
+            break
+        space = build_space(uniform_refine(space.mesh, 1), config.degree)
+    return space
+
+
+def _window_clusters(clusters, k0, n, position):
+    """The window rule for {k0, ..., k0+n-1}: the clusters that start before
+    the window ends, the window's own clusters with their 1-based positions,
+    and whether the window is whole clusters with a value after it and, given
+    a `position`, the one cluster there."""
+    upto = [c for c in clusters if c[0] < k0 + n]
+    window = [(ci, c) for ci, c in enumerate(upto, start=1) if c[0] >= k0]
+    whole = window and window[0][1][0] == k0 and upto[-1][-1] == k0 + n - 1
+    placed = position is None or [ci for ci, _ in window] == [position]
+    return upto, window, bool(whole and placed and len(clusters) > len(upto))
+
+
 def _lock_window(problem, config):
     """Row 0's discretization, its solve `(vals, vecs)` and the window (k0, n).
 
-    The initial mesh gets `PRE_REFINEMENTS` uniform rounds, and more while the
-    coarse eigensolve would be ill posed.  A cluster run then needs a cluster
-    of the configured multiplicity at the configured position, solving for
-    more eigenpairs until the cluster after it shows; a first-N run needs N
-    not to cut a multiplet.  Each failed check refines the mesh uniformly
-    once more, and only a persistent split extends N (with a warning).
+    The pre-refined mesh is refined uniformly, and solved once it has nev + 3
+    free dofs, until the window rule holds, 7 meshes were solved or the mesh
+    has `max_dof` free dofs.  A cluster run asks for q + 2 more eigenpairs
+    while each solve shows more clusters; a first-N run that fails widens N.
     """
     n, q, k = config.first_n, config.multiplicity, config.cluster_index
     nev = n + 2 if n else k - 1 + q + 2
-    mesh = uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS)
-    for _ in range(12):
-        space = build_space(mesh, config.degree)
+    if nev + 3 > config.max_dof:
+        raise ValueError(f"window needs {nev + 3} free dofs, more than max_dof {config.max_dof}")
+    space, solved = _pre_refined(problem, config), 0
+    while True:
         if space.n_free >= nev + 3:
+            disc = _Discretization(problem, space)
+            wanted, seen = nev, 0
+            while True:
+                vals, vecs = solve_smallest(disc.K, disc.M, min(wanted, space.n_free),
+                                            tol=config.eig_tol, seed=config.seed)
+                clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
+                if n or len(clusters) > k or len(clusters) <= seen or vals.size == space.n_free:
+                    break
+                wanted, seen = wanted + q + 2, len(clusters)
+            solved += 1
+            k0 = 0 if n else clusters[min(k, len(clusters)) - 1][0]   # < k clusters: rule fails
+            if _window_clusters(clusters, k0, n or q, None if n else k)[2]:
+                return disc, (vals, vecs), (k0, n or q)
+        if space.n_free >= config.max_dof or solved == 7:
             break
-        mesh = uniform_refine(mesh, 1)
-    else:
-        raise RuntimeError("could not reach a solvable initial mesh")
-    for attempt in range(7):
-        if attempt:
-            space = build_space(uniform_refine(space.mesh, 1), config.degree)
-        disc = _Discretization(problem, space)
-        wanted = nev
-        while True:
-            vals, vecs = solve_smallest(disc.K, disc.M, min(wanted, space.n_free),
-                                        tol=config.eig_tol, seed=config.seed)
-            clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
-            if n or len(clusters) > k or vals.size == space.n_free:
-                break
-            wanted += q + 2
-        if n:
-            straddle = next((c for c in clusters if c[0] < n <= c[-1]), None)
-            if straddle is None:
-                return disc, (vals, vecs), (0, n)
-        elif len(clusters) > k and len(clusters[k - 1]) == q:
-            return disc, (vals, vecs), (clusters[k - 1][0], q)
+        space = build_space(uniform_refine(space.mesh, 1), config.degree)
     if n:
-        warnings.warn(f"first_n={n} splits a multiplet; extending to {straddle[-1] + 1}",
-                      stacklevel=4)
-        return disc, (vals, vecs), (0, straddle[-1] + 1)
+        wide = [c for c in clusters if c[0] < n][-1][-1] + 1
+        warnings.warn(f"first_n={n} splits a multiplet; extending to {wide}", stacklevel=4)
+        return disc, (vals, vecs), (0, wide)
     raise ClusterIdentityError(
-        f"no cluster of multiplicity {q} at position {k} resolved on the "
-        f"initial mesh (detected sizes {[len(c) for c in clusters]})")
-
-
-def _certify_cluster(clusters, k0, q):
-    for c in clusters:
-        if c[0] <= k0 <= c[-1]:
-            if c[0] == k0 and len(c) == q:
-                return
-            raise ClusterIdentityError(
-                f"tracked cluster changed: expected positions "
-                f"{list(range(k0, k0 + q))}, detected {c}")
-    raise ClusterIdentityError("tracked cluster vanished from the spectrum")
+        f"no cluster of multiplicity {q} at position {k} on {solved} meshes up to {space.n_free} "
+        f"free dofs (max_dof {config.max_dof}); detected sizes {[len(c) for c in clusters]}")
 
 
 def _eigen_step(problem, config, k0, n, row0, refs):
@@ -382,12 +386,13 @@ def _eigen_step(problem, config, k0, n, row0, refs):
     their exact eigenspaces, all from one `gap_energy` call, or, unless every
     window cluster has a closed-form eigenspace, their eigenvalue errors
     against the reference values (NaN if one is missing).
-    A cluster run aborts unless the window is exactly one detected cluster.
+    A row aborts unless the lock's window rule `_window_clusters` holds.
     `row0` is the lock's solve on row 0's mesh; row 0 uses it when it holds
     the loop's number of eigenpairs.  `refs` maps a cluster's position to its
     reference value.
     """
     exact = problem.exact_clusters or []
+    position = None if config.first_n else config.cluster_index
     carried = None     # the row before's space and the sum of its eigenvectors
 
     def step(disc, ancestor):
@@ -411,10 +416,11 @@ def _eigen_step(problem, config, k0, n, row0, refs):
         row0 = None
         carried = (disc.space, disc.space.expand(vecs.sum(axis=1)))
         clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
-        if not config.first_n:
-            _certify_cluster(clusters, k0, n)
-        upto = [c for c in clusters if c[0] < k0 + n]
-        window = [(ci, c) for ci, c in enumerate(upto, start=1) if c[0] >= k0]
+        upto, window, holds = _window_clusters(clusters, k0, n, position)
+        if not holds:
+            raise ClusterIdentityError(
+                f"tracked window {list(range(k0, k0 + n))} lost on a {disc.space.n_free}-dof "
+                f"mesh; detected sizes {[len(c) for c in clusters]}")
         tracked = vals[k0:k0 + n]
         ind = eigen_indicators(disc.space, disc.coeffs,
                                EigenCluster(tracked, columns(range(k0, k0 + n))))
@@ -488,8 +494,7 @@ def run_afem_source(config, sources, exact=None):
                          "need one closed-form solution per source")
     problem = get_problem(config.problem)
     t0 = time.perf_counter()
-    disc = _Discretization(problem, build_space(
-        uniform_refine(problem.initial_mesh(), PRE_REFINEMENTS), config.degree))
+    disc = _Discretization(problem, _pre_refined(problem, config))
 
     def step(disc, ancestor):
         lu = spla.splu(disc.K.tocsc())

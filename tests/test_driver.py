@@ -292,8 +292,9 @@ def test_first_n_one_matches_cluster_one(tmp_path):
 def test_first_n_splitting_a_multiplet_extends_the_window(solve_calls):
     # the square's lambda_2 = lambda_3 = 5 pi^2 stays a pair under refinement,
     # so first_n = 2 cannot cut it and is widened to 3
-    with pytest.warns(UserWarning, match="splits a multiplet; extending to 3"):
+    with pytest.warns(UserWarning, match="splits a multiplet; extending to 3") as record:
         tr = run_afem_first_n(AfemConfig(problem="square", first_n=2, max_dof=1500))
+    assert record[0].filename == __file__     # the warning points at the caller
     assert tr.n_lambda == 3
     # the lock's solve (N + 2 = 4) is too narrow for the widened window, so
     # row 0 solves its pencil again with nev = 3 + 2
@@ -315,6 +316,52 @@ def test_cluster_identity_mismatch_aborts():
                      multiplicity=3, max_dof=2000, compute_gap=False)
     with pytest.raises(ClusterIdentityError):
         run_afem(cfg)
+
+
+def test_unresolved_cluster_fails_within_the_lock_bounds(solve_calls):
+    # levels 10 and 11 of the oscillator lie within CLUSTER_REL_GAP_TOL, so every
+    # level from 10 up merges into one cluster; the lock gives up after 7 meshes
+    # without growing nev up to the free dofs
+    cfg = AfemConfig(problem="oscillator", cluster_index=10, multiplicity=10,
+                     max_dof=4000, compute_gap=False)
+    with pytest.raises(ClusterIdentityError, match=r"on 7 meshes .*\(max_dof 4000\)"):
+        run_afem(cfg)
+    assert len({n for n, _, _ in solve_calls}) <= 7
+    assert len(solve_calls) == 20
+
+
+def test_window_wider_than_max_dof_fails_before_solving(solve_calls):
+    # cluster 2 (q = 2) solves for 5 eigenpairs on a mesh with at least 8 free dofs
+    cfg = AfemConfig(problem="square", cluster_index=2, multiplicity=2, max_dof=7)
+    with pytest.raises(ValueError, match="window needs 8 free dofs, more than max_dof 7"):
+        run_afem(cfg)
+    assert solve_calls == []
+
+
+def test_first_n_rows_check_the_window(monkeypatch):
+    # from row 1 on (the rows that prolongate a warm start), positions 2 and 3
+    # are reported as one cluster, so N = 3 cuts it
+    from afemeig import driver
+    real_detect, real_prolongate = driver.detect_cluster, driver.prolongate
+    warm = []
+
+    def prolongate(*args):
+        warm.append(True)
+        return real_prolongate(*args)
+
+    def detect(values, tol):
+        clusters = real_detect(values, tol)
+        if warm:
+            at = next(i for i, c in enumerate(clusters) if 3 in c)
+            clusters[at - 1:at + 1] = [clusters[at - 1] + clusters[at]]
+        return clusters
+
+    monkeypatch.setattr(driver, "prolongate", prolongate)
+    monkeypatch.setattr(driver, "detect_cluster", detect)
+    with pytest.raises(ClusterIdentityError, match=r"window \[0, 1, 2\] lost"):
+        run_afem_first_n(AfemConfig(problem="square", first_n=3, max_dof=600,
+                                    compute_gap=False))
+    assert warm
 
 
 def test_determinism_small_run(small_cluster2_trace):
@@ -508,6 +555,25 @@ def test_cli_bad_config_exits_before_solving(capsys, solve_calls):
     assert main(["run", "--problem", "square", "--b", "0"]) == 1
     assert "bisections must be >= 1" in capsys.readouterr().err
     assert solve_calls == []
+
+
+def test_large_imported_mesh_is_not_pre_refined_past_max_dof(tmp_path):
+    # a 32 x 32 grid of the unit square: 2,048 elements and 31^2 = 961 free P1
+    # dofs, already above max_dof, so row 0 is solved on the mesh as read
+    import json
+    m = 32
+    vertices = [[i / m, j / m] for j in range(m + 1) for i in range(m + 1)]
+    elements = []
+    for j in range(m):
+        for i in range(m):
+            v = j * (m + 1) + i
+            elements += [[v, v + 1, v + m + 2], [v, v + m + 2, v + m + 1]]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"mesh": {"vertices": vertices, "elements": elements}}))
+    tr = run_afem(AfemConfig(problem=f"file:{path}", max_dof=500, compute_gap=False))
+    assert tr.n_elements == [2048]
+    assert tr.n_dofs == [961]
+    assert tr.meta["status"] == "max_dof"
 
 
 def test_spec_reference_values_feed_the_gap_proxy(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 import afemeig
 from afemeig import fit_slope, read_trace
-from afemeig.cases import CASES
+from afemeig.cases import CASES, run_cases
 from afemeig.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +46,19 @@ def test_reproduce(tmp_path, capsys, names):
         assert slope == f"{fitted:+.3f}", (name, series)
         expected, half_width = CASES[name].slopes[series]
         assert verdict == ("PASS" if abs(fitted - expected) <= half_width else "FAIL")
+
+
+def test_reproduce_reports_a_run_too_short_for_a_slope(tmp_path, capsys):
+    # at 10 dofs square-p1 stops after 2 rows: its files are written and each
+    # expected slope reports the short run instead of failing the command
+    run_cases(["square-p1"], max_dof=10, out=tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["square-p1: 2 rows to 21 dofs, status max_dof"] + [
+        f"square-p1 {series}: too few rows (2) for a slope"
+        for series in CASES["square-p1"].slopes]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"square-p1.{ext}" for ext in ("csv", "json", "svg")]
+    assert main(["reproduce", "square-p1", "--max-dof", "10", "--out", str(tmp_path)]) == 0
 
 
 def test_reproduce_unknown_case_exits_1(tmp_path, capsys):
