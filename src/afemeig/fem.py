@@ -449,8 +449,9 @@ def _energy_weighted(weights, Z):
 def energy_error(space, coeffs, vec, fn):
     """|| w - u_h ||_a by quadrature against an analytic w, given as one
     callable from (m, 2) points to the (3, m) rows of w, dw/dx and dw/dy:
-    the a-form, as the gap integrates it, of w minus the fields of u_h at
-    the points of the degree 2k+2 rule."""
+    the a-form, weighed as the gap weighs it, of w minus the fields of u_h
+    at the points of the degree 2k+2 rule (the gap's own rule, `gap.gap_rule`,
+    is of degree 2k+4)."""
     rule = space.rule(2 * space.degree + 2)
     every = slice(None)
     flat = rule.points_on(every).reshape(2, -1).T

@@ -26,9 +26,13 @@ mesh, and each pass stays in cache.  Each exact member is one call per block
 that returns its values and gradient together (see `ExactEigenspace`), at
 the points of `ElementRule.points_on`; the discrete members come from
 `ElementRule.fields_on`, and both are weighed by the a-form of
-`fem.energy_error`.  Every Gram comes from one subdivided element rule of
-degree 2k+2, which for constant A and quadratic c (every built-in problem)
-makes the discrete Grams S and SM equal V^T K V and V^T M V up to rounding.
+`fem.energy_error`.  Every Gram comes from one element rule, `gap_rule`: the
+unsubdivided symmetric rule of degree 2k+4.  For constant A and quadratic c
+(every built-in problem) it makes the discrete Grams S and SM equal V^T K V
+and V^T M V up to rounding.  Its two degrees above 2k+2 serve the closed-form
+members: on the oscillator, the large far-field elements that the estimator
+leaves coarse still span the Gaussian's unit length scale, and there a higher
+degree gains more than a subdivided rule of lower degree.
 """
 
 from dataclasses import dataclass
@@ -43,6 +47,13 @@ from .fem import _energy_weighted, _energy_weights
 # points) numbers, stay in cache, and no array of the workspace grows with
 # the mesh beyond the cluster vectors themselves
 BLOCK_POINTS = 8192
+
+
+def gap_rule(space, subdivision=0):
+    """The gap's quadrature on every element of `space`: the symmetric rule
+    of degree 2k+4 for degree-k elements, over `subdivision` rounds of 4-way
+    subdivision (tests compare against finer ones)."""
+    return space.rule(2 * space.degree + 4, subdivision)
 
 
 @dataclass
@@ -74,7 +85,7 @@ class _GapWorkspace:
     along the contiguous axis.
     """
 
-    def __init__(self, exact, discrete, space, coeffs, subdivision=1):
+    def __init__(self, exact, discrete, space, coeffs, subdivision=0):
         self.V = np.column_stack([cl.vectors for cl in discrete])
         if self.V.shape[0] != space.ndofs:
             raise GapError("cluster vectors do not live on the given space")
@@ -83,7 +94,7 @@ class _GapWorkspace:
         self.basis = [(ci, j, fn) for ci, eigenspace in enumerate(exact)
                       for j, fn in enumerate(eigenspace.basis)]
         self.space, self.coeffs = space, coeffs
-        self.rule = space.rule(2 * space.degree + 2, subdivision)
+        self.rule = gap_rule(space, subdivision)
 
         m = len(self.basis)
         a_gram, b_gram = 0.0, 0.0
@@ -153,7 +164,7 @@ class _GapWorkspace:
         return [(float(d[2 * i]), float(d[2 * i + 1])) for i in range(len(self.blocks))]
 
 
-def gap_energy(exact, discrete, space, coeffs, subdivision=1):
+def gap_energy(exact, discrete, space, coeffs, subdivision=0):
     """Energy gap delta of each pair of equal-length sequences of exact
     eigenspaces and discrete clusters: the max of its two directed distances."""
     if len(exact) != len(discrete) or not exact:

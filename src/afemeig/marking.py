@@ -21,7 +21,9 @@ TIE_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MarkResult:
-    marked: frozenset = field(default_factory=frozenset)
+    """`marked` holds the marked element ids, sorted, as an int64 array."""
+
+    marked: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     achieved_fraction: float = 0.0
     converged: bool = False
 
@@ -50,5 +52,5 @@ def dorfler_mark(indicators, theta):
     k = min(k, eta2.size - 1)
     cut = (1.0 - TIE_REL_TOL) * descending[k]
     count = int(np.searchsorted(-descending, -cut, side="right"))
-    return MarkResult(marked=frozenset(order[:count].tolist()),
+    return MarkResult(marked=np.sort(order[:count]),
                       achieved_fraction=float(csum[count - 1] / total))

@@ -97,10 +97,8 @@ class Mesh:
     def edge_lengths(self):
         """Per-element local edge lengths, shape (ne, 3)."""
         v = self.vertices[self.elements]
-        out = np.empty((self.n_elements, 3))
-        for i, (a, b) in enumerate(_EDGE_VERTS):
-            out[:, i] = np.linalg.norm(v[:, b] - v[:, a], axis=1)
-        return out
+        d = v[:, [b for _, b in _EDGE_VERTS]] - v[:, [a for a, _ in _EDGE_VERTS]]
+        return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
 
     def edge_table(self):
         """Unique edges plus ownership.
@@ -446,7 +444,8 @@ def _count(name, value, least):
 
 
 def _marked_ids(marked, n):
-    """The sorted unique element ids listed in `marked`, all checked."""
+    """The sorted unique element ids listed in `marked`, all checked.  A
+    sorted int64 array, as `dorfler_mark` gives, is taken without a copy."""
     if not isinstance(marked, np.ndarray):
         marked = list(marked)
     ids = np.asarray(marked).ravel()
@@ -461,7 +460,7 @@ def _marked_ids(marked, n):
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise MeshError(f"marked element id {bad} out of range for {n} elements")
-    return ids.astype(np.int64)
+    return ids.astype(np.int64, copy=False)
 
 
 def refine(mesh, marked, b=1):

@@ -26,6 +26,13 @@ _TRI_RULES = {
         (0.050844906370207, "s3", 0.063089014491502),
         (0.082851075618374, "s6", (0.310352451033785, 0.053145049844816)),
     ],
+    8: [
+        (0.144315607677787, "centroid", None),
+        (0.095091634267285, "s3", 0.459292588292723),
+        (0.103217370534718, "s3", 0.170569307751760),
+        (0.032458497623198, "s3", 0.050547228317031),
+        (0.027230314174435, "s6", (0.263112829634638, 0.008394777409958)),
+    ],
 }
 
 

@@ -46,7 +46,7 @@ from scipy.sparse.linalg import spsolve
 
 from afemeig.estimator import _indicators
 from afemeig.fem import assemble_mass, assemble_stiffness, shape_gradients, shape_values
-from afemeig.gap import GapError, _GapWorkspace
+from afemeig.gap import GapError, _GapWorkspace, gap_rule
 from afemeig.mesh import _EDGE_VERTS, _ROTATE, Mesh, MeshError, RefineResult, _unique_edges
 
 
@@ -414,7 +414,7 @@ def edge_jump_total(space, coeffs, vectors):
 
 
 def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
-                         seed=0, subdivision=1):
+                         seed=0, subdivision=0):
     """Monte-Carlo lower bound on the directed distance.
 
     Samples b-unit coefficient directions on the exact side and takes the max
@@ -454,11 +454,11 @@ class _WholeMeshGap:
     residual of each direction is integrated on its own cluster's members.
     """
 
-    def __init__(self, exact, discrete, space, coeffs, subdivision=1):
+    def __init__(self, exact, discrete, space, coeffs, subdivision=0):
         V = np.column_stack([cl.vectors for cl in discrete])
         stops = np.cumsum([cl.q for cl in discrete])
         self.blocks = [slice(stop - cl.q, stop) for stop, cl in zip(stops, discrete)]
-        rule = space.rule(2 * space.degree + 2, subdivision)
+        rule = gap_rule(space, subdivision)
         xq = rule_points(rule).transpose(1, 0, 2)         # (nq, ne, 2)
         nq, ne = xq.shape[:2]
         flat = xq.reshape(-1, 2)
@@ -515,7 +515,7 @@ class _WholeMeshGap:
         return self._residual_norm(i, c, alpha) if reverse else self._residual_norm(i, alpha, c)
 
 
-def reference_gap(exact, discrete, space, coeffs, subdivision=1):
+def reference_gap(exact, discrete, space, coeffs, subdivision=0):
     """Gaps of a window's clusters and the Grams (G, B, P, S, SM) of all
     their members, from whole-mesh arrays: the result `gap_energy` and its
     blocked workspace must reproduce to rounding."""

@@ -9,7 +9,7 @@ from afemeig.eigsolve import EigenCluster
 from afemeig.estimator import _indicators
 from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, shape_values
 from afemeig.mesh import build_initial
-from afemeig.quadrature import triangle_rule, triangle_rule_subdivided
+from afemeig.quadrature import _TRI_RULES, triangle_rule, triangle_rule_subdivided
 
 from conftest import lshape_mesh, perturbed, sine_solution, square_mesh, two_region_square
 from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket, galerkin_project,
@@ -21,7 +21,7 @@ REF_TRIANGLE = build_initial([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
 
 def test_quadrature_rules_exact_for_monomials():
-    for rule_degree in (1, 2, 4, 6):
+    for rule_degree in _TRI_RULES:
         pts, wts = triangle_rule(rule_degree)
         for a in range(rule_degree + 1):
             for b in range(rule_degree + 1 - a):

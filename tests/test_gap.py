@@ -10,8 +10,7 @@ from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness
                      build_initial, build_space, gap_energy, get_problem, run_afem,
                      run_afem_first_n, solve_smallest, square_laplace, uniform_refine)
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
-from afemeig.gap import ExactEigenspace, GapError, _GapWorkspace
-from afemeig.quadrature import triangle_rule_subdivided
+from afemeig.gap import ExactEigenspace, GapError, _GapWorkspace, gap_rule
 
 from conftest import square_mesh
 from oracles import (brute_force_distance, directed_distance_from_grams,
@@ -61,7 +60,7 @@ def test_distance_zero_when_exact_in_space():
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("name", ["square", "oscillator"])
 def test_gap_grams_equal_matrix_grams(name, degree):
-    # the gap's subdivided 2k+2 rule integrates the discrete Grams exactly:
+    # the gap's degree 2k+4 rule integrates the discrete Grams exactly:
     # A constant, c = 0 on the square and c = |x|^2 on the oscillator
     prob = get_problem(name)
     space = build_space(uniform_refine(prob.initial_mesh(), 2), degree)
@@ -125,7 +124,7 @@ def _anisotropic_square():
     return prob.exact_clusters, mesh, co
 
 
-@pytest.mark.parametrize("subdivision", [1, 2])
+@pytest.mark.parametrize("subdivision", [0, 1, 2])
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("name", ["square", "oscillator", "anisotropic"])
 def test_blocked_gaps_equal_whole_mesh_gaps(monkeypatch, name, degree, subdivision):
@@ -139,7 +138,7 @@ def test_blocked_gaps_equal_whole_mesh_gaps(monkeypatch, name, degree, subdivisi
     space = build_space(uniform_refine(mesh, 5), degree)
     clusters = _window_clusters(exact, space, co)
     gaps, grams = reference_gap(exact, clusters, space, co, subdivision)
-    nq = triangle_rule_subdivided(2 * degree + 2, subdivision)[1].size
+    nq = gap_rule(space, subdivision).wts.size
     for elements in (1, 7, space.mesh.n_elements + 1):
         monkeypatch.setattr(afemeig.gap, "BLOCK_POINTS", elements * nq)
         np.testing.assert_allclose(gap_energy(exact, clusters, space, co, subdivision),
@@ -199,7 +198,7 @@ def test_exact_members_evaluated_twice_per_point(monkeypatch):
     tr = run_afem_first_n(AfemConfig(problem="oscillator", degree=1, first_n=3,
                                      max_dof=1500))
     assert len(tr) >= 3
-    nq = triangle_rule_subdivided(4, 1)[1].size
+    nq = gap_rule(build_space(get_problem("oscillator").initial_mesh(), 1)).wts.size
     window = {key: n for key, n in points.items() if key[0] < 2}
     assert len(window) == 3   # clusters 1 and 2: three members
     assert set(window.values()) == {2 * nq * sum(tr.n_elements)}

@@ -28,6 +28,7 @@ import pytest
 import afemeig.driver
 from afemeig import AfemConfig, run_afem, run_afem_first_n, run_afem_source
 from afemeig.driver import trace_to_csv_text
+from afemeig.gap import gap_energy
 from afemeig.marking import dorfler_mark
 
 from conftest import sine_solution, sine_source
@@ -128,6 +129,46 @@ def test_tie_classes_add_few_elements_to_the_minimal_prefix(name, monkeypatch):
     assert min(extra) >= 0
     assert max(extra) <= MAX_EXTRA_PER_CALL
     assert sum(extra) <= MAX_EXTRA_SHARE * sum(minimal for minimal, _ in counts)
+
+
+# The gap's default rule (degree 2k+4, unsubdivided) against the same degree
+# at two subdivisions: the deviation of each row's gap^2, relative.  Rows on
+# meshes of fewer than COARSE_ELEMENTS elements are coarse.  The split and
+# the bounds come from other P1 runs (default seed) and are four times the
+# largest deviation measured there: oscillator clusters 1 and 3 to 6e3 dofs,
+# coarse 9.5e-3 and fine 8.0e-6, the coarse rows being the last with the
+# Gaussian under-resolved in the far field; square clusters 1 and 2 to 1.2e4
+# dofs, coarse 1.14e-5 and fine 1.1e-8.  The degree-4 rule without
+# subdivision deviates by 1e-4 to 2e-4 on the fine oscillator rows.
+COARSE_ELEMENTS = 300
+GAP_RULE_BOUNDS = {"oscillator": (3.8e-2, 3.2e-5), "square": (4.6e-5, 4.4e-8)}
+GAP_RULE_RUNS = {
+    "oscillator_cluster2_q2_gap": RUNS["oscillator_cluster2_q2_gap"],
+    "square_first3_gap": RUNS["square_first3_gap"],
+    "oscillator_first3_short": lambda: run_afem_first_n(AfemConfig(
+        problem="oscillator", degree=1, first_n=3, max_dof=1500)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_RULE_RUNS))
+def test_gap_rule_deviation_from_subdivision_two_is_bounded(name, monkeypatch):
+    rows = []   # (elements, gap^2, gap^2 at subdivision 2) per row
+    def both(exact, discrete, space, coeffs):
+        gaps = gap_energy(exact, discrete, space, coeffs)
+        finer = gap_energy(exact, discrete, space, coeffs, subdivision=2)
+        rows.append((space.mesh.n_elements, sum(g * g for g in gaps),
+                     sum(g * g for g in finer)))
+        return gaps
+    monkeypatch.setattr(afemeig.driver, "gap_energy", both)
+    trace = GAP_RULE_RUNS[name]()
+    elements, gap2, finer = np.array(rows).T
+    np.testing.assert_array_equal(gap2, trace.series("gap2"))
+    deviation = np.abs(gap2 - finer) / finer
+    coarse = elements < COARSE_ELEMENTS
+    assert coarse.any() and not coarse.all()
+    coarse_bound, fine_bound = GAP_RULE_BOUNDS[trace.meta["problem"]]
+    assert deviation[coarse].max() <= coarse_bound
+    assert deviation[~coarse].max() <= fine_bound
 
 
 def test_integer_columns_do_not_depend_on_the_blas_thread_count():

@@ -13,7 +13,7 @@ from afemeig import (MeshError, RefineResult, build_initial, get_problem, harmon
                      refine, uniform_refine)
 from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh
 
-from conftest import lshape_mesh, square_mesh
+from conftest import lshape_mesh, perturbed, square_mesh
 from oracles import element_neighbors, reference_refine, refined_set, validate_mesh
 
 
@@ -233,6 +233,20 @@ def test_element_patch():
     for t in range(m.n_elements):
         for s in nbr[t][nbr[t] >= 0]:
             assert t in nbr[s]
+
+
+def test_edge_lengths_equal_one_norm_per_local_edge():
+    # the one-pass lengths are those of np.linalg.norm over each local edge
+    # vector, bit for bit, on a mesh of mixed sizes and orientations whose
+    # vertices are not dyadic, so that the squares and sums round
+    mesh = get_problem("oscillator").initial_mesh()
+    mesh = perturbed(refine(mesh, np.arange(0, mesh.n_elements, 3), b=2).mesh)
+    v = mesh.vertices[mesh.elements]
+    expected = np.column_stack([np.linalg.norm(v[:, b] - v[:, a], axis=1)
+                                for a, b in _EDGE_VERTS])
+    got = mesh.edge_lengths()
+    assert got.shape == (mesh.n_elements, 3)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_shape_regularity_closed_forms():
