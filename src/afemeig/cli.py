@@ -60,8 +60,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
-            run_cases(args.cases, None if args.max_dof is None else int(args.max_dof),
-                      args.out)
+            run_cases(args.cases, args.max_dof, args.out)
             return 0
         config = AfemConfig(
             problem=args.problem,
@@ -71,7 +70,7 @@ def main(argv=None):
             cluster_index=args.cluster,
             multiplicity=args.multiplicity,
             first_n=args.first_n,
-            max_dof=int(args.max_dof),
+            max_dof=args.max_dof,
             eig_tol=args.eig_tol,
             compute_gap=not args.no_gap,
             marking="uniform" if args.uniform else "dorfler",

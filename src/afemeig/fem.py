@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import MeshError
-from .quadrature import triangle_rule, triangle_rule_subdivided
+from .quadrature import triangle_rule
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,9 @@ class FeSpace:
             self._geom = (v[:, 0], B, det, inv)
         return self._geom
 
-    def rule(self, degree, subdivision=0):
-        """Quadrature data of the degree rule, optionally subdivided, on every
-        element."""
-        return ElementRule(self, *triangle_rule_subdivided(degree, subdivision))
+    def rule(self, degree):
+        """Quadrature data of the degree rule on every element."""
+        return ElementRule(self, *triangle_rule(degree))
 
     def expand(self, free_vector):
         """Zero-pad a free-dof vector to full length."""
@@ -375,14 +374,15 @@ def assemble_mass(space, apply_dirichlet=True):
     return _to_csr(space, det[:, None] * mass, apply_dirichlet)
 
 
-def assemble_load(space, f, apply_dirichlet=True):
-    """Load vector b(f, phi_i) for a callable source f(points)->(m,)."""
+def assemble_load(space, f):
+    """Load vector b(f, phi_i) on the free dofs for a callable source
+    f(points)->(m,)."""
     rule = space.rule(2 * space.degree + 2)
     fq = _element_major(f, rule.points_on(slice(None)))
     local = np.einsum("bq,eq,q->eb", rule.vals, fq, rule.wts) * rule.det[:, None]
     rhs = np.zeros(space.ndofs)
     np.add.at(rhs, space.element_dofs.ravel(), local.ravel())
-    return rhs[space.free_dofs] if apply_dirichlet else rhs
+    return rhs[space.free_dofs]
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,14 @@ that returns its values and gradient together (see `ExactEigenspace`), at
 the points of `ElementRule.points_on`; the discrete members come from
 `ElementRule.fields_on`, and both are weighed by the a-form of
 `fem.energy_error`.  Every Gram comes from one element rule, `gap_rule`: the
-unsubdivided symmetric rule of degree 2k+4.  For constant A and quadratic c
-(every built-in problem) it makes the discrete Grams S and SM equal V^T K V
-and V^T M V up to rounding.  Its two degrees above 2k+2 serve the closed-form
-members: on the oscillator, the large far-field elements that the estimator
-leaves coarse still span the Gaussian's unit length scale, and there a higher
-degree gains more than a subdivided rule of lower degree.
+tabulated symmetric rule of degree 2k+4 (Dunavant) on each whole element.
+For constant A and quadratic c (every built-in problem) it makes the discrete
+Grams S and SM equal V^T K V and V^T M V up to rounding.  Its two degrees
+above 2k+2 serve the closed-form members: on the oscillator, the large
+far-field elements that the estimator leaves coarse still span the Gaussian's
+unit length scale, and there a higher degree gains more than a subdivided
+rule of lower degree.  The tests bound its deviation from the same rule
+subdivided, which they build themselves and put in place of `gap_rule`.
 """
 
 from dataclasses import dataclass
@@ -49,11 +51,10 @@ from .fem import _energy_weighted, _energy_weights
 BLOCK_POINTS = 8192
 
 
-def gap_rule(space, subdivision=0):
+def gap_rule(space):
     """The gap's quadrature on every element of `space`: the symmetric rule
-    of degree 2k+4 for degree-k elements, over `subdivision` rounds of 4-way
-    subdivision (tests compare against finer ones)."""
-    return space.rule(2 * space.degree + 4, subdivision)
+    of degree 2k+4 for degree-k elements."""
+    return space.rule(2 * space.degree + 4)
 
 
 @dataclass
@@ -85,7 +86,7 @@ class _GapWorkspace:
     along the contiguous axis.
     """
 
-    def __init__(self, exact, discrete, space, coeffs, subdivision=0):
+    def __init__(self, exact, discrete, space, coeffs):
         self.V = np.column_stack([cl.vectors for cl in discrete])
         if self.V.shape[0] != space.ndofs:
             raise GapError("cluster vectors do not live on the given space")
@@ -94,7 +95,7 @@ class _GapWorkspace:
         self.basis = [(ci, j, fn) for ci, eigenspace in enumerate(exact)
                       for j, fn in enumerate(eigenspace.basis)]
         self.space, self.coeffs = space, coeffs
-        self.rule = gap_rule(space, subdivision)
+        self.rule = gap_rule(space)
 
         m = len(self.basis)
         a_gram, b_gram = 0.0, 0.0
@@ -164,12 +165,12 @@ class _GapWorkspace:
         return [(float(d[2 * i]), float(d[2 * i + 1])) for i in range(len(self.blocks))]
 
 
-def gap_energy(exact, discrete, space, coeffs, subdivision=0):
+def gap_energy(exact, discrete, space, coeffs):
     """Energy gap delta of each pair of equal-length sequences of exact
     eigenspaces and discrete clusters: the max of its two directed distances."""
     if len(exact) != len(discrete) or not exact:
         raise GapError("need one exact eigenspace per discrete cluster")
     if any(e.dim != d.q for e, d in zip(exact, discrete)):
         raise GapError("spaces must have equal dimension")
-    ws = _GapWorkspace(exact, discrete, space, coeffs, subdivision)
+    ws = _GapWorkspace(exact, discrete, space, coeffs)
     return [max(fwd, rev) for fwd, rev in ws.distances]

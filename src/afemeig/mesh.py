@@ -86,19 +86,7 @@ class Mesh:
     def n_elements(self):
         return self.elements.shape[0]
 
-    # -- derived geometry -------------------------------------------------
-
-    def signed_areas(self):
-        v = self.vertices[self.elements]
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def edge_lengths(self):
-        """Per-element local edge lengths, shape (ne, 3)."""
-        v = self.vertices[self.elements]
-        d = v[:, [b for _, b in _EDGE_VERTS]] - v[:, [a for a, _ in _EDGE_VERTS]]
-        return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+    # -- edges -------------------------------------------------------------
 
     def edge_table(self):
         """Unique edges plus ownership.
@@ -133,17 +121,6 @@ class Mesh:
         owner_local[dbl, 1] = local_of[starts[dbl] + 1]
         self._cache["edge_table"] = (edges, elem_edges, owners, owner_local)
         return self._cache["edge_table"]
-
-    def shape_regularity(self):
-        """max over elements of diameter / inscribed-ball diameter."""
-        lens = self.edge_lengths()
-        areas = self.signed_areas()
-        if np.any(areas <= 0):
-            raise MeshError("degenerate or inverted element")
-        h = lens.max(axis=1)
-        perim = lens.sum(axis=1)
-        rho = 4.0 * areas / perim  # inradius = area / semi-perimeter
-        return float(np.max(h / rho))
 
     # -- serialization -----------------------------------------------------
 

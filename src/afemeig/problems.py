@@ -271,9 +271,12 @@ def from_json(path):
 
 
 def get_problem(name):
-    """Resolve a problem by registry name or 'file:<spec.json>'."""
+    """Resolve a problem by registry name, 'file:<spec.json>' or ProblemSpec."""
     if isinstance(name, ProblemSpec):
         return name
+    if not isinstance(name, str):
+        raise ValueError(f"problem must be a registry name, file:<spec.json> or "
+                         f"a ProblemSpec, got {name!r}")
     if name.startswith("file:"):
         return from_json(name[5:])
     try:

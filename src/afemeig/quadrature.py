@@ -1,7 +1,9 @@
 """Quadrature rules on the reference triangle.
 
 The reference triangle has vertices (0,0), (1,0), (0,1) and area 1/2, and
-all rule weights sum to 1/2.
+all rule weights sum to 1/2.  The rules are Dunavant's symmetric Gauss rules
+(IJNME 1985) of the degrees the package integrates at, 2, 4, 6 and 8; no
+other degree is tabulated, and no rule is subdivided.
 """
 
 from functools import lru_cache
@@ -11,9 +13,6 @@ import numpy as np
 # Symmetric Gauss rules, (barycentric-style generator, weight) data.
 # Weights are given relative to unit total and scaled by the triangle area below.
 _TRI_RULES = {
-    1: [
-        (1.0, "centroid", None),
-    ],
     2: [
         (1.0 / 3.0, "s3", 1.0 / 6.0),
     ],
@@ -50,49 +49,16 @@ def _expand_orbit(kind, a):
 
 @lru_cache(maxsize=None)
 def triangle_rule(degree):
-    """Return (points (nq, 2), weights (nq,)) exact for polynomials of `degree`."""
-    for deg in sorted(_TRI_RULES):
-        if deg >= degree:
-            break
-    else:
-        raise ValueError(f"no triangle rule of degree {degree}")
+    """Return (points (nq, 2), weights (nq,)) of the tabulated rule of
+    `degree`, exact for polynomials of that degree."""
+    if degree not in _TRI_RULES:
+        raise ValueError(f"no triangle rule of degree {degree}; "
+                         f"tabulated: {sorted(_TRI_RULES)}")
     pts, wts = [], []
-    for w, kind, a in _TRI_RULES[deg]:
+    for w, kind, a in _TRI_RULES[degree]:
         orbit = _expand_orbit(kind, a)
         pts.extend(orbit)
         wts.extend([w] * len(orbit))
     points = np.array(pts, dtype=float)
     weights = 0.5 * np.array(wts, dtype=float)
     return points, weights
-
-
-@lru_cache(maxsize=None)
-def triangle_rule_subdivided(degree, levels):
-    """Base rule replicated over `levels` rounds of uniform 4-way subdivision.
-
-    Used where the integrand is not polynomial (analytic eigenfunctions) and a
-    plain high-order rule on coarse elements is not accurate enough.
-    """
-    points, weights = triangle_rule(degree)
-    tris = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
-    for _ in range(levels):
-        finer = []
-        for t in tris:
-            m01 = 0.5 * (t[0] + t[1])
-            m12 = 0.5 * (t[1] + t[2])
-            m20 = 0.5 * (t[2] + t[0])
-            finer += [
-                np.array([t[0], m01, m20]),
-                np.array([t[1], m12, m01]),
-                np.array([t[2], m20, m12]),
-                np.array([m01, m12, m20]),
-            ]
-        tris = finer
-    scale = 0.25 ** levels
-    all_pts, all_wts = [], []
-    for t in tris:
-        b = np.stack([t[1] - t[0], t[2] - t[0]], axis=1)
-        all_pts.append(t[0] + points @ b.T)
-        all_wts.append(scale * weights)
-    return np.vstack(all_pts), np.concatenate(all_wts)
-

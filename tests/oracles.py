@@ -3,6 +3,9 @@
 - `validate_mesh`: the conformity invariants of a mesh (finite vertices,
   positive areas, at most two owners per edge, stored boundary equal to the
   single-owner edges);
+- `signed_areas`, `edge_lengths` and `shape_regularity`: element areas,
+  local edge lengths and the largest ratio of diameter to inscribed-ball
+  diameter of a mesh;
 - `element_neighbors`: the element across each local edge, and
   `diameters`: each element's longest edge, the estimator's h_T;
 - `reference_refine`: newest-vertex bisection one element at a time, with
@@ -12,6 +15,10 @@
 - `monomial_integral`: exact reference-triangle integrals for the quadrature
   tests, and `gauss_legendre`: a Gauss-Legendre rule on [0, 1] for edge
   integrals;
+- `triangle_rule_subdivided`: a tabulated rule over rounds of uniform 4-way
+  subdivision, as an element rule of a space, and `subdivided_gap_rule`: a
+  stand-in for `afemeig.gap.gap_rule` built on it, for the tests that
+  compare the gap against finer rules;
 - `evaluate` (with the element search `_locate`): point values and gradients
   of a finite element function;
 - `export_matrixmarket`: MatrixMarket dump of an assembled matrix;
@@ -45,9 +52,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from afemeig.estimator import _indicators
-from afemeig.fem import assemble_mass, assemble_stiffness, shape_gradients, shape_values
-from afemeig.gap import GapError, _GapWorkspace, gap_rule
+from afemeig.fem import (ElementRule, assemble_mass, assemble_stiffness, shape_gradients,
+                         shape_values)
+from afemeig.gap import GapError, _GapWorkspace
 from afemeig.mesh import _EDGE_VERTS, _ROTATE, Mesh, MeshError, RefineResult, _unique_edges
+from afemeig.quadrature import triangle_rule
 
 
 def element_neighbors(mesh):
@@ -60,16 +69,43 @@ def element_neighbors(mesh):
     return nbr
 
 
+def signed_areas(mesh):
+    """(ne,) signed area of each element, positive when counterclockwise."""
+    v = mesh.vertices[mesh.elements]
+    d1 = v[:, 1] - v[:, 0]
+    d2 = v[:, 2] - v[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def edge_lengths(mesh):
+    """(ne, 3) length of each element's local edges."""
+    v = mesh.vertices[mesh.elements]
+    d = v[:, [b for _, b in _EDGE_VERTS]] - v[:, [a for a, _ in _EDGE_VERTS]]
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+
+
+def shape_regularity(mesh):
+    """max over elements of diameter / inscribed-ball diameter."""
+    lens = edge_lengths(mesh)
+    areas = signed_areas(mesh)
+    if np.any(areas <= 0):
+        raise MeshError("degenerate or inverted element")
+    h = lens.max(axis=1)
+    perim = lens.sum(axis=1)
+    rho = 4.0 * areas / perim  # inradius = area / semi-perimeter
+    return float(np.max(h / rho))
+
+
 def diameters(mesh):
     """(ne,) longest edge of each element."""
-    return mesh.edge_lengths().max(axis=1)
+    return edge_lengths(mesh).max(axis=1)
 
 
 def validate_mesh(mesh):
     """Raise MeshError unless `mesh` satisfies the conformity invariants."""
     if not np.all(np.isfinite(mesh.vertices)):
         raise MeshError("non-finite vertex coordinates")
-    if np.any(mesh.signed_areas() <= 0):
+    if np.any(signed_areas(mesh) <= 0):
         raise MeshError("inverted or degenerate element")
     edges, _, owners, _ = mesh.edge_table()    # raises on a third owner
     derived = {tuple(e) for e in edges[owners[:, 1] < 0].tolist()}
@@ -213,6 +249,41 @@ def gauss_legendre(npoints):
     """Gauss-Legendre rule on [0, 1], exact for degree 2*npoints - 1."""
     x, w = np.polynomial.legendre.leggauss(npoints)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def triangle_rule_subdivided(space, degree, levels):
+    """The tabulated rule of `degree` replicated over `levels` rounds of
+    uniform 4-way subdivision of the reference triangle, on every element of
+    `space`.  With no round its points and weights are those of
+    `space.rule(degree)`, bit for bit."""
+    points, weights = triangle_rule(degree)
+    tris = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
+    for _ in range(levels):
+        finer = []
+        for t in tris:
+            m01 = 0.5 * (t[0] + t[1])
+            m12 = 0.5 * (t[1] + t[2])
+            m20 = 0.5 * (t[2] + t[0])
+            finer += [
+                np.array([t[0], m01, m20]),
+                np.array([t[1], m12, m01]),
+                np.array([t[2], m20, m12]),
+                np.array([m01, m12, m20]),
+            ]
+        tris = finer
+    scale = 0.25 ** levels
+    all_pts, all_wts = [], []
+    for t in tris:
+        b = np.stack([t[1] - t[0], t[2] - t[0]], axis=1)
+        all_pts.append(t[0] + points @ b.T)
+        all_wts.append(scale * weights)
+    return ElementRule(space, np.vstack(all_pts), np.concatenate(all_wts))
+
+
+def subdivided_gap_rule(levels):
+    """A stand-in for `afemeig.gap.gap_rule`: its degree 2k+4 rule over
+    `levels` rounds of 4-way subdivision."""
+    return lambda space: triangle_rule_subdivided(space, 2 * space.degree + 4, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +484,18 @@ def edge_jump_total(space, coeffs, vectors):
     return total
 
 
-def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000,
-                         seed=0, subdivision=0):
+def brute_force_distance(exact, discrete, space, coeffs, n_samples=100_000, seed=0):
     """Monte-Carlo lower bound on the directed distance.
 
     Samples b-unit coefficient directions on the exact side and takes the max
     Gram projection error; approaches `_GapWorkspace.distances[0][0]` from below
     as the sample count grows, and matches it for one-dimensional spaces.
+    Its Grams come from `afemeig.gap.gap_rule`, or from the rule a test puts
+    in its place.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
-    ws = _GapWorkspace([exact], [discrete], space, coeffs, subdivision)
+    ws = _GapWorkspace([exact], [discrete], space, coeffs)
     D = ws.G - ws.P @ np.linalg.solve(ws.S, ws.P.T)
     D = 0.5 * (D + D.T)
     rng = np.random.default_rng(seed)
@@ -447,18 +519,17 @@ def _gram(left, right):
 
 class _WholeMeshGap:
     """Quadrature data and Grams of every member of a window's clusters, on
-    the whole mesh at once.
+    the whole mesh at once, from the element rule `rule` of `space`.
 
     Each side is (values, x gradients, y gradients), arrays of shape
     (members, nq, ne); the P1 discrete gradients have one point.  The
     residual of each direction is integrated on its own cluster's members.
     """
 
-    def __init__(self, exact, discrete, space, coeffs, subdivision=0):
+    def __init__(self, exact, discrete, space, coeffs, rule):
         V = np.column_stack([cl.vectors for cl in discrete])
         stops = np.cumsum([cl.q for cl in discrete])
         self.blocks = [slice(stop - cl.q, stop) for stop, cl in zip(stops, discrete)]
-        rule = gap_rule(space, subdivision)
         xq = rule_points(rule).transpose(1, 0, 2)         # (nq, ne, 2)
         nq, ne = xq.shape[:2]
         flat = xq.reshape(-1, 2)
@@ -515,11 +586,12 @@ class _WholeMeshGap:
         return self._residual_norm(i, c, alpha) if reverse else self._residual_norm(i, alpha, c)
 
 
-def reference_gap(exact, discrete, space, coeffs, subdivision=0):
+def reference_gap(exact, discrete, space, coeffs, rule):
     """Gaps of a window's clusters and the Grams (G, B, P, S, SM) of all
-    their members, from whole-mesh arrays: the result `gap_energy` and its
-    blocked workspace must reproduce to rounding."""
-    ws = _WholeMeshGap(exact, discrete, space, coeffs, subdivision)
+    their members, from whole-mesh arrays at the points of the element rule
+    `rule`: the result `gap_energy` and its blocked workspace must reproduce
+    to rounding when `rule` is their `gap_rule`."""
+    ws = _WholeMeshGap(exact, discrete, space, coeffs, rule)
     gaps = [max(ws.directed(i), ws.directed(i, reverse=True)) for i in range(len(exact))]
     return gaps, {name: getattr(ws, name) for name in ("G", "B", "P", "S", "SM")}
 

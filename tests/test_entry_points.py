@@ -66,6 +66,19 @@ def test_reproduce_unknown_case_exits_1(tmp_path, capsys):
     assert "unknown case(s) square-p3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--max-dof", "300.5"],
+    ["run", "--max-dof", "nan"],
+    ["run", "--max-dof", "inf"],
+    ["reproduce", "square-p1", "--max-dof", "300.7"],
+], ids=["run-fraction", "run-nan", "run-inf", "reproduce-fraction"])
+def test_non_integral_max_dof_exits_1(tmp_path, capsys, argv):
+    # the float reaches the config's own check instead of being rounded down
+    assert main([*argv, *(["--out", str(tmp_path)] if argv[0] == "reproduce" else [])]) == 1
+    assert f"max_dof must be an integer, got {float(argv[-1])!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 

@@ -9,12 +9,13 @@ from afemeig.eigsolve import EigenCluster
 from afemeig.estimator import _indicators
 from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, shape_values
 from afemeig.mesh import build_initial
-from afemeig.quadrature import _TRI_RULES, triangle_rule, triangle_rule_subdivided
+from afemeig.quadrature import _TRI_RULES, triangle_rule
 
 from conftest import lshape_mesh, perturbed, sine_solution, square_mesh, two_region_square
 from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket, galerkin_project,
                      gauss_legendre, monomial_integral, per_point_energy_error,
-                     quadrature_matrices, rule_gradients, rule_points)
+                     quadrature_matrices, rule_gradients, rule_points,
+                     triangle_rule_subdivided)
 
 
 REF_TRIANGLE = build_initial([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
@@ -29,8 +30,27 @@ def test_quadrature_rules_exact_for_monomials():
                 assert val == pytest.approx(monomial_integral(a, b), abs=1e-15)
 
 
+def test_space_rule_is_the_tabulated_rule():
+    # every element rule of the package has the tabulated points and weights,
+    # bit for bit, and so has the subdivision oracle with no round
+    space = build_space(square_mesh(2), 1)
+    for rule_degree in _TRI_RULES:
+        pts, wts = triangle_rule(rule_degree)
+        for rule in (space.rule(rule_degree), triangle_rule_subdivided(space, rule_degree, 0)):
+            for got, want in ((rule.pts, pts), (rule.wts, wts)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 5, 9])
+def test_untabulated_rule_degree_rejected(degree):
+    with pytest.raises(ValueError, match="no triangle rule of degree"):
+        triangle_rule(degree)
+
+
 def test_subdivided_rule_matches_plain_on_polynomials():
-    pts, wts = triangle_rule_subdivided(4, 2)
+    rule = triangle_rule_subdivided(build_space(REF_TRIANGLE, 1), 4, 2)
+    pts, wts = rule.pts, rule.wts
     assert wts.sum() == pytest.approx(0.5)
     assert np.sum(wts * pts[:, 0] ** 2 * pts[:, 1] ** 2) == pytest.approx(
         monomial_integral(2, 2), abs=1e-15)
@@ -62,7 +82,7 @@ def test_rule_p1_gradients_are_barycentric():
 @pytest.mark.parametrize("mesh, area", [(square_mesh(3), 1.0), (lshape_mesh(2), 3.0)])
 def test_rule_weights_sum_to_domain_area(mesh, area):
     for degree in (1, 2):
-        rule = build_space(mesh, degree).rule(4, 1)
+        rule = triangle_rule_subdivided(build_space(mesh, degree), 4, 1)
         assert np.sum(rule.wts) * rule.det.sum() == pytest.approx(area, rel=1e-14)
         # one subdivision: the base rule on each of four sub-triangles
         assert rule.points_on(slice(None)).shape == (2, 4 * triangle_rule(4)[1].size,
@@ -73,7 +93,7 @@ def test_block_points_equal_rule_points():
     # the points of any block of elements are the per-point map v0 + B x of
     # the whole mesh, bit for bit
     mesh = refine(lshape_mesh(1), {0, 5, 9}).mesh
-    rule = build_space(mesh, 2).rule(6, 1)
+    rule = triangle_rule_subdivided(build_space(mesh, 2), 6, 1)
     for blk in (slice(0, 1), slice(3, 10), slice(0, mesh.n_elements + 5)):
         xy = rule.points_on(blk)
         assert np.array_equal(xy.transpose(2, 1, 0), rule_points(rule)[blk])
@@ -90,7 +110,7 @@ def test_fields_on_a_block_equals_the_whole_mesh_call(degree):
     mesh = perturbed(two_region_square(3))
     ne = mesh.n_elements
     space = build_space(mesh, degree)
-    rule = space.rule(2 * degree + 2, 1)
+    rule = triangle_rule_subdivided(space, 2 * degree + 2, 1)
     V = np.random.default_rng(degree).standard_normal((space.ndofs, 3))
     whole = rule.fields_on(slice(None), V)
     assert whole.shape == (3, 3, rule.wts.size, ne)
@@ -166,7 +186,7 @@ def test_matvec2_equals_einsum(subscripts):
         local = rng.standard_normal((ne, gref_vert.shape[0], 2))
         gv = (local.transpose(2, 0, 1) @ gref_vert.reshape(-1, 6)).reshape(2, ne, 3, 2)
         for rule in ((4, 0), (6, 0), (4, 1)):   # 6, 12 and 24 points
-            pts, _ = triangle_rule_subdivided(*rule)
+            pts = triangle_rule_subdivided(space, *rule).pts
             gref = shape_gradients(degree, pts)
             grads = np.einsum("eji,bqj->ebqi", Binv, gref)
             gm = np.einsum("ebl,ebqi->leqi", local, grads)

@@ -14,7 +14,7 @@ from afemeig.gap import ExactEigenspace, GapError, _GapWorkspace, gap_rule
 
 from conftest import square_mesh
 from oracles import (brute_force_distance, directed_distance_from_grams,
-                     reference_gap, reverse_distance_bound)
+                     reference_gap, reverse_distance_bound, subdivided_gap_rule)
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +82,10 @@ def test_gap_grams_equal_matrix_grams(name, degree):
 @pytest.mark.parametrize("subdivision", [1, 2])
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("name", ["square", "oscillator"])
-def test_window_gaps_equal_gaps_alone(name, degree, subdivision):
+def test_window_gaps_equal_gaps_alone(monkeypatch, name, degree, subdivision):
     # one workspace for every cluster of the window gives each cluster's gap
     # as a workspace of its own would
+    monkeypatch.setattr(afemeig.gap, "gap_rule", subdivided_gap_rule(subdivision))
     prob = get_problem(name)
     space = build_space(uniform_refine(prob.initial_mesh(), 3), degree)
     co = prob.coefficients
@@ -96,8 +97,8 @@ def test_window_gaps_equal_gaps_alone(name, degree, subdivision):
                              np.column_stack([space.expand(vecs[:, k])
                                               for k in range(stop - e.dim, stop)]))
                 for stop, e in zip(stops, exact)]
-    window = gap_energy(exact, clusters, space, co, subdivision)
-    alone = [gap_energy([e], [cl], space, co, subdivision)[0]
+    window = gap_energy(exact, clusters, space, co)
+    alone = [gap_energy([e], [cl], space, co)[0]
              for e, cl in zip(exact, clusters)]
     assert len(window) == len(exact)
     np.testing.assert_allclose(window, alone, rtol=1e-13, atol=0)
@@ -137,13 +138,15 @@ def test_blocked_gaps_equal_whole_mesh_gaps(monkeypatch, name, degree, subdivisi
         exact, mesh, co = prob.exact_clusters, prob.initial_mesh(), prob.coefficients
     space = build_space(uniform_refine(mesh, 5), degree)
     clusters = _window_clusters(exact, space, co)
-    gaps, grams = reference_gap(exact, clusters, space, co, subdivision)
-    nq = gap_rule(space, subdivision).wts.size
+    monkeypatch.setattr(afemeig.gap, "gap_rule", subdivided_gap_rule(subdivision))
+    rule = afemeig.gap.gap_rule(space)
+    gaps, grams = reference_gap(exact, clusters, space, co, rule)
+    nq = rule.wts.size
     for elements in (1, 7, space.mesh.n_elements + 1):
         monkeypatch.setattr(afemeig.gap, "BLOCK_POINTS", elements * nq)
-        np.testing.assert_allclose(gap_energy(exact, clusters, space, co, subdivision),
+        np.testing.assert_allclose(gap_energy(exact, clusters, space, co),
                                    gaps, rtol=1e-12, atol=0)
-        ws = _GapWorkspace(exact, clusters, space, co, subdivision)
+        ws = _GapWorkspace(exact, clusters, space, co)
         for key, ref in grams.items():
             assert np.abs(getattr(ws, key) - ref).max() <= 1e-12 * np.abs(ref).max(), key
 
@@ -276,12 +279,14 @@ def test_dimension_mismatch_rejected(cluster2_setup):
         gap_energy([prob.exact_clusters[0]], [cluster], space, co)
 
 
-def test_quadrature_subdivision_converged(cluster2_setup):
+def test_quadrature_subdivision_converged(cluster2_setup, monkeypatch):
     # doubling the subdivision must not move the measured gap by > 1%
     prob, space, co, cluster = cluster2_setup
     exact = prob.exact_clusters[1]
-    d1 = gap_energy([exact], [cluster], space, co, subdivision=1)[0]
-    d2 = gap_energy([exact], [cluster], space, co, subdivision=2)[0]
+    monkeypatch.setattr(afemeig.gap, "gap_rule", subdivided_gap_rule(1))
+    d1 = gap_energy([exact], [cluster], space, co)[0]
+    monkeypatch.setattr(afemeig.gap, "gap_rule", subdivided_gap_rule(2))
+    d2 = gap_energy([exact], [cluster], space, co)[0]
     assert d2 == pytest.approx(d1, rel=1e-2)
 
 

@@ -9,7 +9,7 @@ from afemeig import (AfemConfig, MeshError, build_space, get_problem, harmonic_o
                      lshape_laplace, run_afem, square_laplace)
 from afemeig.mesh import uniform_refine
 
-from oracles import rule_points, validate_mesh
+from oracles import rule_points, signed_areas, triangle_rule_subdivided, validate_mesh
 
 _SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
            "elements": [[0, 1, 2], [0, 2, 3]],
@@ -20,7 +20,7 @@ def _exact_grams(prob, rounds=10):
     """Quadrature b- and a-Grams of every exact cluster basis."""
     mesh = uniform_refine(prob.initial_mesh(), rounds)
     space = build_space(mesh, 1)
-    rule = space.rule(6, 1)
+    rule = triangle_rule_subdivided(space, 6, 1)
     xq = rule_points(rule)
     flat = xq.reshape(-1, 2)
     wdet = rule.wts[None, :] * rule.det[:, None]
@@ -108,7 +108,7 @@ def test_oscillator_box_matches_half_width():
 def test_lshape_reference_and_area():
     prob = lshape_laplace()
     mesh = prob.initial_mesh()
-    assert mesh.signed_areas().sum() == pytest.approx(3.0)
+    assert signed_areas(mesh).sum() == pytest.approx(3.0)
     assert prob.exact_clusters is None
     idx, lam_ref, note = prob.reference_values[0]
     assert idx == 1
@@ -121,6 +121,16 @@ def test_registry_and_errors():
     assert get_problem("lshape").name == "lshape"
     with pytest.raises(ValueError):
         get_problem("nonsense")
+
+
+@pytest.mark.parametrize("problem", [3, None, ["square"], b"square"],
+                         ids=["int", "none", "list", "bytes"])
+def test_non_string_problem_rejected(problem):
+    message = "problem must be a registry name, file:<spec.json> or a ProblemSpec"
+    with pytest.raises(ValueError, match=message):
+        get_problem(problem)
+    with pytest.raises(ValueError, match=message):
+        run_afem(AfemConfig(problem=problem))
 
 
 def test_problem_from_json(tmp_path):
