@@ -67,11 +67,16 @@ def window(case, series):
     return f"{Fraction(expected).limit_denominator(12)} +/- {half_width:g}"
 
 
+def case_config(case, max_dof=None):
+    """The checked `AfemConfig` of one case, with `max_dof` free dofs in place
+    of its own when given."""
+    config = AfemConfig(**case.config)
+    return config if max_dof is None else replace(config, max_dof=max_dof)
+
+
 def run_case(case, max_dof=None):
     """Run one case, with `max_dof` free dofs in place of its own when given."""
-    config = AfemConfig(**case.config)
-    if max_dof is not None:
-        config = replace(config, max_dof=max_dof)
+    config = case_config(case, max_dof)
     if case.source:
         f, u = case.source
         return run_afem_source(config, [f], exact=[u])
@@ -99,6 +104,8 @@ def run_cases(names=(), max_dof=None, out="results"):
     if unknown:
         raise ValueError(f"unknown case(s) {', '.join(unknown)}; "
                          f"choose from {', '.join(CASES)}")
+    for name in names or CASES:      # a bad config fails before `out` is made
+        case_config(CASES[name], max_dof)
     os.makedirs(out, exist_ok=True)
     traces = {}
     for name in names or CASES:

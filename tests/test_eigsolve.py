@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from afemeig import assemble_mass, assemble_stiffness, build_space, detect_cluster, solve_smallest
 from afemeig.eigsolve import EigenCluster, EigensolverError, m_orthonormalize, residual_norms
@@ -195,6 +196,33 @@ def test_start_in_one_block_still_finds_the_smallest():
     np.testing.assert_allclose(vals, exact, rtol=1e-9)
 
 
+def test_warm_solve_whose_nev_cuts_a_near_double_pair():
+    # two uncoupled blocks, the second scaled so that its smallest eigenvalue
+    # sits 1e-8 above the first block's nev-th: the request takes one member
+    # of the pair, and either one is a right answer.  The diagonal 2.2, not 2,
+    # keeps the pencil's condition near 60, so that dense eigh itself is good
+    # to 1e-12 relative at the bottom of the spectrum.
+    a, b, nev = 150, 140, 4
+
+    def eigenvalue(n, j):   # j-th eigenvalue of tridiag(-1, 2.2, -1) against M
+        t = np.cos(j * np.pi / (n + 1))
+        return (2.2 - 2 * t) / (4 / 6 + 2 / 6 * t)
+
+    scale = eigenvalue(a, nev) * (1 + 1e-8) / eigenvalue(b, 1)
+    K = sp.block_diag([_tridiagonal(a, 2.2, -1.0),
+                       _tridiagonal(b, 2.2 * scale, -scale)]).tocsr()
+    M = sp.block_diag([_tridiagonal(a, 4 / 6, 1 / 6),
+                       _tridiagonal(b, 4 / 6, 1 / 6)]).tocsr()
+    exact = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                     subset_by_index=[0, nev])
+    assert 5e-9 < (exact[nev] - exact[nev - 1]) / exact[nev] < 2e-8
+    start = np.concatenate([np.sin(np.pi * np.arange(1, a + 1) / (a + 1)),
+                            np.sin(np.pi * np.arange(1, b + 1) / (b + 1))])
+    vals, _ = solve_smallest(K, M, nev, start=start)
+    np.testing.assert_allclose(vals[:nev - 1], exact[:nev - 1], rtol=1e-12)
+    assert np.min(np.abs(vals[-1] - exact[nev - 1:]) / exact[nev]) < 1e-12
+
+
 def test_singular_stiffness_raises_on_the_sparse_path():
     _, K, M = _laplace_system(9)
     assert K.shape[0] > 260
@@ -205,7 +233,28 @@ def test_singular_stiffness_raises_on_the_sparse_path():
         solve_smallest(K.tocsr(), M, 3)
 
 
-def test_warm_start_on_a_refined_mesh_matches_cold_and_dense():
+def _count_applies(monkeypatch):
+    """Count the shift-invert operator applies: calls of the factor's solve."""
+    counts = []
+    splu = spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            counts[-1] += 1
+            return self.lu.solve(b)
+
+    def counted_splu(*args, **kwargs):
+        counts.append(0)
+        return Counted(splu(*args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    return counts
+
+
+def test_warm_start_on_a_refined_mesh_matches_cold_and_dense(monkeypatch):
     from afemeig import Coefficients
     coarse_mesh = square_mesh(8)
     coarse = build_space(coarse_mesh, 1)
@@ -220,12 +269,19 @@ def test_warm_start_on_a_refined_mesh_matches_cold_and_dense():
     assert 260 < K.shape[0] < 2000
     start = prolongate(coarse, fine, result.ancestor,
                        coarse.expand(coarse_vecs.sum(axis=1)))[fine.free_dofs]
+    applies = _count_applies(monkeypatch)
     warm, _ = solve_smallest(K, M, nev, start=start)
     cold, _ = solve_smallest(K, M, nev)
     dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                      subset_by_index=[0, nev - 1])
     np.testing.assert_allclose(warm, cold, rtol=1e-12)
     np.testing.assert_allclose(warm, dense, rtol=1e-12)
+    # a warm solve costs fewer applies than a cold one, the same on every run
+    solve_smallest(K, M, nev, start=start)
+    solve_smallest(K, M, nev)
+    warm_applies, cold_applies = applies[:2]
+    assert applies == [warm_applies, cold_applies] * 2
+    assert warm_applies < cold_applies
 
 
 @pytest.mark.parametrize("problem, degree, rounds", [

@@ -79,6 +79,13 @@ def test_non_integral_max_dof_exits_1(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_reproduce_bad_max_dof_makes_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "new"
+    assert main(["reproduce", "square-p1", "--max-dof", "300.5", "--out", str(out)]) == 1
+    assert "max_dof must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
