@@ -56,18 +56,14 @@ class IndicatorField:
 
 @lru_cache(maxsize=None)
 def _tri_projector(degree_poly, rule_degree):
-    """Quadrature-point L2 projector onto reference monomials of degree <= p.
+    """Quadrature-point L2 projector onto reference polynomials of degree
+    `degree_poly`, 0 or 1.
 
     The affine Jacobian is constant per element, so projecting in reference
     coordinates equals the physical L2 projection.
     """
     pts, wts = triangle_rule(rule_degree)
-    monos = [(0, 0)]
-    if degree_poly >= 1:
-        monos += [(1, 0), (0, 1)]
-    if degree_poly >= 2:
-        monos += [(2, 0), (1, 1), (0, 2)]
-    phi = np.stack([pts[:, 0] ** a * pts[:, 1] ** b for a, b in monos])
+    phi = np.vstack([np.ones(len(pts)), pts.T[:2 * degree_poly]])
     gram = np.einsum("iq,jq,q->ij", phi, phi, wts)
     proj = phi.T @ np.linalg.solve(gram, phi * wts[None, :])
     return proj  # (nq, nq), maps point values to projected point values

@@ -55,6 +55,35 @@ def _unique_edges(pairs, nv):
     return np.stack(np.divmod(keys, nv), axis=1), inverse, counts
 
 
+def _edge_table(elements, nv):
+    """Unique edges plus ownership of the (ne, 3) `elements` on `nv` vertices.
+
+    Returns ``(edges, elem_edges, owners, owner_local)`` where `edges` is
+    (nE, 2) sorted vertex pairs in lexicographic order, `elem_edges` maps
+    (ne, 3) local edges to edge ids, `owners` is (nE, 2) element ids with
+    -1 for a missing second owner, and `owner_local` the matching local
+    edge indices.  An edge of more than two owners is a MeshError.
+    """
+    pairs = np.sort(elements[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
+    edges, inverse, counts = _unique_edges(pairs, nv)
+    if counts.max(initial=0) > 2:
+        a, b = edges[np.argmax(counts > 2)].tolist()
+        raise MeshError(f"non-conforming input: edge {(a, b)} shared by more than 2 elements")
+    owners = -np.ones((edges.shape[0], 2), dtype=np.int64)
+    owner_local = -np.ones((edges.shape[0], 2), dtype=np.int64)
+    order = np.argsort(inverse, kind="stable")
+    elem_of = order // 3
+    local_of = order % 3
+    starts = np.zeros(edges.shape[0], dtype=np.int64)
+    starts[1:] = np.cumsum(counts)[:-1]
+    owners[:, 0] = elem_of[starts]
+    owner_local[:, 0] = local_of[starts]
+    dbl = counts == 2
+    owners[dbl, 1] = elem_of[starts[dbl] + 1]
+    owner_local[dbl, 1] = local_of[starts[dbl] + 1]
+    return edges, inverse.reshape(-1, 3), owners, owner_local
+
+
 class Mesh:
     """Immutable conforming triangulation.
 
@@ -89,37 +118,9 @@ class Mesh:
     # -- edges -------------------------------------------------------------
 
     def edge_table(self):
-        """Unique edges plus ownership.
-
-        Returns ``(edges, elem_edges, owners, owner_local)`` where `edges` is
-        (nE, 2) sorted vertex pairs in lexicographic order, `elem_edges` maps
-        (ne, 3) local edges to edge ids, `owners` is (nE, 2) element ids with
-        -1 for a missing second owner, and `owner_local` the matching local
-        edge indices.
-        """
-        if "edge_table" in self._cache:
-            return self._cache["edge_table"]
-        ne = self.n_elements
-        pairs = self.elements[:, _EDGE_VERTS].reshape(-1, 2)
-        pairs = np.sort(pairs, axis=1)
-        edges, inverse, counts = _unique_edges(pairs, self.n_vertices)
-        elem_edges = inverse.reshape(ne, 3)
-        if counts.max(initial=0) > 2:
-            bad = int(np.argmax(counts))
-            raise MeshError(f"edge {tuple(edges[bad])} shared by more than 2 elements")
-        owners = -np.ones((edges.shape[0], 2), dtype=np.int64)
-        owner_local = -np.ones((edges.shape[0], 2), dtype=np.int64)
-        order = np.argsort(inverse, kind="stable")
-        elem_of = order // 3
-        local_of = order % 3
-        starts = np.zeros(edges.shape[0], dtype=np.int64)
-        starts[1:] = np.cumsum(counts)[:-1]
-        owners[:, 0] = elem_of[starts]
-        owner_local[:, 0] = local_of[starts]
-        dbl = counts == 2
-        owners[dbl, 1] = elem_of[starts[dbl] + 1]
-        owner_local[dbl, 1] = local_of[starts[dbl] + 1]
-        self._cache["edge_table"] = (edges, elem_edges, owners, owner_local)
+        """The `_edge_table` of this mesh, computed once."""
+        if "edge_table" not in self._cache:
+            self._cache["edge_table"] = _edge_table(self.elements, self.n_vertices)
         return self._cache["edge_table"]
 
     # -- serialization -----------------------------------------------------
@@ -211,25 +212,29 @@ def build_initial(vertices, triangles, boundary=None, region=None):
     refinement edges strictly increase and no chain can close on itself.
 
     `region` gives one integer material tag per triangle (default all 0).
+    Overlap is not detected; without it a vertex inside an edge and that edge
+    are on single-owner edges, so the search for one looks only there.
     """
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
+    triangles = np.asarray(triangles)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
     if not np.all(np.isfinite(vertices)):
         raise MeshError("non-finite vertex coordinates")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("triangles must be an (n, 3) array")
+    if triangles.size and triangles.dtype.kind not in "iu":
+        raise MeshError("triangle vertex indices must be integers")
+    triangles = triangles.astype(np.int64, copy=False)
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
         raise MeshError("triangle vertex index out of range")
     repeated = (triangles == np.roll(triangles, 1, axis=1)).any(axis=1)
     if repeated.any():
         raise MeshError(f"triangle {triangles[np.argmax(repeated)].tolist()} has repeated vertices")
-    uniq = np.unique(vertices, axis=0)
-    if uniq.shape[0] != vertices.shape[0]:
+    xy = vertices[np.lexsort(vertices.T)]    # equal points end up side by side
+    if np.any(np.all(xy[1:] == xy[:-1], axis=1)):
         raise MeshError("duplicate vertex coordinates")
-    used = np.unique(triangles)
-    if used.size != vertices.shape[0]:
+    if not np.bincount(triangles.ravel(), minlength=len(vertices)).all():
         raise MeshError("mesh contains vertices not used by any triangle")
 
     v = vertices[triangles]
@@ -246,23 +251,23 @@ def build_initial(vertices, triangles, boundary=None, region=None):
     if region.dtype.kind not in "iu":
         raise MeshError("region tags must be integers")
 
-    pairs = np.sort(triangles[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-    edges, inverse, counts = _unique_edges(pairs, len(vertices))
-    if np.any(counts > 2):
-        bad = edges[counts > 2][0]
-        raise MeshError(f"non-conforming input: edge {tuple(bad)} has {counts.max()} owners")
-    derived_boundary = edges[counts == 1]
-
-    hanging = _hanging_vertex(vertices, edges)
+    edges, elem_edges, owners, _ = table = _edge_table(triangles, len(vertices))
+    derived_boundary = edges[owners[:, 1] < 0]
+    ends, local = np.unique(derived_boundary, return_inverse=True)
+    hanging = _hanging_vertex(vertices[ends], local.reshape(-1, 2))
     if hanging is not None:
         vid, eid = hanging
-        a, b = edges[eid]
-        raise MeshError(f"hanging vertex {vid} on edge {(int(a), int(b))}")
+        a, b = derived_boundary[eid].tolist()
+        raise MeshError(f"hanging vertex {ends[vid]} on edge {(a, b)}")
 
     if boundary is not None:
-        given = {tuple(sorted(map(int, e))) for e in np.asarray(boundary).reshape(-1, 2)}
-        derived = {tuple(e) for e in derived_boundary.tolist()}
-        if given != derived:
+        boundary = np.asarray(boundary)
+        if boundary.size and (boundary.ndim != 2 or boundary.shape[1] != 2):
+            raise MeshError("boundary must be an (n, 2) array of vertex pairs")
+        if boundary.size and boundary.dtype.kind not in "iu":
+            raise MeshError("boundary vertex indices must be integers")
+        given = {tuple(e) for e in np.sort(boundary.reshape(-1, 2), axis=1).tolist()}
+        if given != {tuple(e) for e in derived_boundary.tolist()}:
             raise MeshError("open or inconsistent boundary: supplied boundary edges "
                             "do not match the mesh's single-owner edges")
 
@@ -270,8 +275,10 @@ def build_initial(vertices, triangles, boundary=None, region=None):
     lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
     rank = np.empty(edges.shape[0], np.int64)
     rank[np.argsort(lengths, kind="stable")] = np.arange(edges.shape[0])
-    return Mesh(vertices, triangles, np.argmax(rank[inverse.reshape(-1, 3)], axis=1),
+    mesh = Mesh(vertices, triangles, np.argmax(rank[elem_edges], axis=1),
                 np.zeros(len(triangles), np.int64), region, derived_boundary)
+    mesh._cache["edge_table"] = table
+    return mesh
 
 
 # ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ def from_json(path):
     return ProblemSpec(
         name=obj.get("name", "custom"),
         vertices=np.array(_entry(mesh_obj, "vertices", "mesh"), float),
-        triangles=np.array(_entry(mesh_obj, "elements", "mesh"), np.int64),
+        triangles=np.array(_entry(mesh_obj, "elements", "mesh")),
         coefficients=_coefficient_from_descriptor(obj.get("coefficients", {})),
         exact_clusters=None,
         reference_values=_reference_values(obj["reference_values"])

@@ -79,6 +79,15 @@ def test_non_integral_max_dof_exits_1(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_run_fractional_vertex_index_exits_1(tmp_path, capsys):
+    # the index 2.9 used to be truncated to 2, and the run exited 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"mesh": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                                         "elements": [[0, 1, 2.9], [0, 2, 3]]}}))
+    assert main(["run", "--problem", f"file:{spec}", "--max-dof", "300"]) == 1
+    assert "triangle vertex indices must be integers" in capsys.readouterr().err
+
+
 def test_reproduce_bad_max_dof_makes_no_output_directory(tmp_path, capsys):
     out = tmp_path / "new"
     assert main(["reproduce", "square-p1", "--max-dof", "300.5", "--out", str(out)]) == 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afemeig.mesh
 from afemeig import (MeshError, RefineResult, build_initial, get_problem, harmonic_oscillator,
                      refine, uniform_refine)
 from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh
@@ -50,6 +52,12 @@ def test_build_lshape_conforming():
 _FIN_VERTS = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.6, 2)]
 _FIN_TRIS = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
 
+# four triangles around the origin, slit along the positive x-axis
+_SLIT_VERTS = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
+_SLIT_TRIS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)]
+_SQUARE = dict(vertices=[(0, 0), (1, 0), (1, 1), (0, 1)], triangles=[(0, 1, 2), (0, 2, 3)])
+_THREE_OWNERS = "non-conforming input: edge (0, 1) shared by more than 2 elements"
+
 
 @pytest.mark.parametrize("bad, kind", [
     (dict(vertices=[(0, 0), (1, 0), (0, 1)], triangles=[(0, 2, 1)]), "inverted"),
@@ -58,18 +66,35 @@ _FIN_TRIS = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
           triangles=[(0, 1, 2), (1, 3, 2), (1, 4, 3)],
           boundary=[(0, 1)]), "boundary"),
     (dict(vertices=_FIN_VERTS, triangles=_FIN_TRIS), "fin"),
+    # a crack along (0, 0)-(1, 0): vertices 1 and 5 are one point, once as -0.0
+    (dict(vertices=_SLIT_VERTS + [(1.0, 0.0)], triangles=_SLIT_TRIS), "duplicate"),
+    (dict(vertices=_SLIT_VERTS + [(1.0, -0.0)], triangles=_SLIT_TRIS), "duplicate"),
+    # a glued segment: the lower triangle's edge (3, 4) overlaps edge (0, 1)
+    (dict(vertices=[(0, 0), (2, 0), (1, 1), (1, 0), (-1, 0), (0, -1)],
+          triangles=[(0, 1, 2), (3, 4, 5)]), "hanging"),
+    # a pinch: the lower triangle touches edge (0, 1) with its vertex 3 only
+    (dict(vertices=[(0, 0), (2, 0), (1, 1), (1, 0), (0, -1), (2, -1)],
+          triangles=[(0, 1, 2), (3, 4, 5)]), "hanging"),
+    # indices that an int cast used to truncate, or a reshape to re-pair
+    (dict(_SQUARE, triangles=[(0, 1, 2.7), (0, 2, 3)]), "fraction"),
+    (dict(_SQUARE, boundary=[(0.5, 1), (1, 2), (2, 3), (3, 0)]), "fraction"),
+    (dict(_SQUARE, boundary=[(0, 1, 2), (2, 3, 0)]), "triples"),
 ])
 def test_build_rejects_bad_input(bad, kind):
     message = {"inverted": "inverted", "unused": "not used", "boundary": "boundary",
-               "fin": "non-conforming input"}[kind]
+               "fin": re.escape(_THREE_OWNERS), "duplicate": "duplicate vertex coordinates",
+               "hanging": re.escape("hanging vertex 3 on edge (0, 1)"),
+               "fraction": "vertex indices must be integers",
+               "triples": re.escape("boundary must be an (n, 2) array")}[kind]
     with pytest.raises(MeshError, match=message):
         build_initial(**bad)
 
 
 def test_edge_table_rejects_edge_with_three_owners():
     mesh = Mesh(_FIN_VERTS, _FIN_TRIS, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((0, 2)))
-    with pytest.raises(MeshError, match="shared by more than 2 elements"):
+    with pytest.raises(MeshError) as err:
         mesh.edge_table()
+    assert str(err.value) == _THREE_OWNERS
 
 
 def test_build_rejects_hanging_vertex():
@@ -98,11 +123,12 @@ def _grid(n):
     return verts, tris
 
 
-@pytest.mark.parametrize("n", [2, 21])
+@pytest.mark.parametrize("n", [2, 182])
 def test_build_hanging_vertex_on_grid(n):
     verts, tris = _grid(n)
-    # n = 2 tests every vertex-edge pair, n = 21 goes through the k-d tree
-    assert ((3 * n + 2) * n * verts.shape[0] > _ALL_PAIRS_MAX) == (n > 2)
+    # the search pairs the 4n single-owner edges with their 4n end vertices:
+    # n = 2 tests every pair, n = 182 goes through the k-d tree
+    assert ((4 * n) ** 2 > _ALL_PAIRS_MAX) == (n > 2)
     assert build_initial(verts, tris).n_elements == 2 * n * n
     # put a vertex on the diagonal (0, n + 2) of triangle n * n, off its
     # midpoint, and cut the other half of square 0 at it
@@ -112,6 +138,27 @@ def test_build_hanging_vertex_on_grid(n):
     tris = np.vstack([[(a, b, new), (b, c, new)], tris[1:]])
     with pytest.raises(MeshError, match=rf"hanging vertex {new} on edge \(0, {n + 2}\)"):
         build_initial(verts, tris)
+
+
+def test_build_initial_hands_its_edge_table_to_the_mesh(monkeypatch):
+    # the import's edge table is the mesh's: neither edge_table() nor the
+    # first refinement computes it again
+    verts, tris = _grid(3)
+    nv = []
+    def spy(pairs, n):
+        nv.append(n)
+        return unique_edges(pairs, n)
+    unique_edges = afemeig.mesh._unique_edges
+    monkeypatch.setattr(afemeig.mesh, "_unique_edges", spy)
+    mesh = build_initial(verts, tris)
+    seeded = mesh.edge_table()
+    uniform_refine(mesh)
+    assert nv.count(mesh.n_vertices) == 1
+    fresh = Mesh(mesh.vertices, mesh.elements, mesh.refinement_edge, mesh.generation,
+                 mesh.region, mesh.boundary_edges).edge_table()
+    for got, want in zip(seeded, fresh, strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_bisect_boundary_triangle():
