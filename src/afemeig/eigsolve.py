@@ -1,9 +1,11 @@
 """Smallest eigenpairs of the generalized problem K x = lambda M x.
 
 K and M are sparse SPD (Dirichlet rows/columns eliminated), so the smallest
-eigenvalues are extracted by shift-invert Lanczos at sigma = 0: ARPACK runs on
-(K)^-1 M with one sparse LU factor of K.  Small systems fall back to a dense
-direct solve, which keeps coarse meshes robust.
+eigenvalues are extracted by shift-invert Lanczos: ARPACK runs on
+(K - sigma M)^-1 M with one sparse LU factor of K - sigma M.  The pole sigma
+is 0 unless the caller names one; a pole certifies its solve by the factor's
+inertia, and the solve falls back to sigma = 0 when it cannot.  Small systems
+take a dense direct solve, which keeps coarse meshes robust.
 """
 
 from dataclasses import dataclass
@@ -64,7 +66,74 @@ def m_orthonormalize(vectors, M):
     return V
 
 
-def solve_smallest(K, M, nev, tol=1e-10, seed=2357, start=None):
+def _factor(A):
+    """SuperLU factor of the symmetric CSC matrix A with diagonal pivots.
+
+    A minimum-degree ordering of A + A^T with diagonal pivots fills 30-60 %
+    of what the default unsymmetric LU does on K.  relax=1 turns off
+    SuperLU's relaxed supernodes: on the final square-p2 matrix (n = 28k, one
+    BLAS thread) the factor took 0.58 s with them and 0.12 s without, with
+    L+U nonzero counts 14 apart, and 33 solves took 0.30 s against 0.14 s.
+    panel_size=10 instead of the default 20 cut the 18 factors of that run
+    from 0.46 to 0.42 s (median of 7).
+    """
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, relax=1, panel_size=10,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise EigensolverError(f"factorization failed: {exc}") from exc
+
+
+def _negative_pivots(lu):
+    """The number of negative eigenvalues of the factored symmetric matrix,
+    or None when the factor cannot tell.
+
+    With one permutation on both sides, P^T A P = L U and U = D L^T, so by
+    Sylvester's law of inertia the negative entries of U's diagonal count
+    the negative eigenvalues of A.  For A = K - sigma*M that is the number
+    of eigenvalues of the pencil below sigma.  Reading `lu.U` makes CSC
+    copies of L and U, so call it once the factor's solves are done.
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _shift_invert(K, M, nev, tol, v0, ncv, sigma):
+    """ARPACK on (K - sigma*M)^-1 M: the nev eigenpairs nearest sigma, and,
+    at sigma != 0, the factor's count of eigenvalues below sigma."""
+    # converted here, so that K - sigma*M is freed before the factor grows
+    lu = _factor((K if sigma == 0.0 else K - sigma * M).tocsc())
+    op_inv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    try:
+        vals, vecs = spla.eigsh(K, k=nev, M=M, sigma=sigma, which="LM",
+                                v0=v0, ncv=ncv, tol=tol, maxiter=5000,
+                                OPinv=op_inv)
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(f"Lanczos did not converge: {exc}") from exc
+    except spla.ArpackError as exc:
+        raise EigensolverError(f"Lanczos failed: {exc}") from exc
+    return vals, vecs, None if sigma == 0.0 else _negative_pivots(lu)
+
+
+def _checked(K, M, vals, vecs, tol):
+    """The pairs in ascending order, M-orthonormal with fixed signs, once
+    every residual is within the tolerance budget."""
+    order = np.argsort(vals, kind="stable")
+    vals = np.ascontiguousarray(vals[order])
+    vecs = np.ascontiguousarray(vecs[:, order])
+    vecs = _fix_signs(m_orthonormalize(vecs, M))
+
+    resid = residual_norms(K, M, vals, vecs)
+    bound = max(tol, 1e-12) * np.maximum(1.0, np.abs(vals))
+    if np.any(resid > 100 * bound):
+        raise EigensolverError(
+            f"eigenpair residual {resid.max():.3e} exceeds tolerance budget")
+    return vals, vecs
+
+
+def solve_smallest(K, M, nev, tol=1e-10, seed=2357, start=None, pole=0.0):
     """Return the `nev` smallest eigenpairs as (values, vectors).
 
     values are ascending; vectors are M-orthonormal columns with a
@@ -80,6 +149,14 @@ def solve_smallest(K, M, nev, tol=1e-10, seed=2357, start=None):
     a multiplet), either member may come back as the last value, and the two
     space sizes need not pick the same one; the values before the pair do not
     move beyond `tol`.
+
+    A nonzero `pole` sigma makes the Lanczos path factor K - sigma*M and
+    return the nev eigenpairs nearest sigma.  They are the nev smallest when
+    the factor's `_negative_pivots` equal the number of them below sigma: then
+    every eigenvalue below sigma came back, and the rest are the nearest ones
+    above it.  When the factor or Lanczos fails, the count differs or a
+    residual is too large, the solve runs again at sigma = 0.  The dense path
+    ignores the pole.
     """
     n = K.shape[0]
     if K.shape != M.shape or K.shape[0] != K.shape[1]:
@@ -88,6 +165,8 @@ def solve_smallest(K, M, nev, tol=1e-10, seed=2357, start=None):
         raise ValueError(f"nev={nev} out of range for dimension {n}")
     if start is not None and np.shape(start) != (n,):
         raise ValueError(f"start must have shape ({n},)")
+    if not np.isfinite(pole):
+        raise ValueError(f"pole must be a finite number, got {pole!r}")
 
     if n <= _DENSE_CUTOFF or nev > n - 2:
         try:
@@ -95,52 +174,28 @@ def solve_smallest(K, M, nev, tol=1e-10, seed=2357, start=None):
                                   subset_by_index=[0, nev - 1])
         except sla.LinAlgError as exc:  # pragma: no cover - pathological input
             raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
-    else:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        if start is not None:
-            start = np.asarray(start, float)
-            v0 = (start / np.linalg.norm(start)
-                  + _START_NOISE * v0 / np.linalg.norm(v0))
-        # a start prolongated from the nested coarser mesh lies close to the
-        # wanted eigenspace, so 2*nev + 1 vectors (the ARPACK guide asks for
-        # at least 2*nev) suffice, where 25 make every warm L-shape solve of
-        # the benchmark run a whole 26-apply sweep.  Cold solves, the window
-        # lock's among them, keep the wider space.
-        ncv = min(n - 1, 2 * nev + 1 if start is not None else max(4 * nev + 1, 25))
-        # K is SPD: a minimum-degree ordering of K + K^T with diagonal pivots
-        # fills 30-60 % of what the default unsymmetric LU does.  relax=1
-        # turns off SuperLU's relaxed supernodes: on the final square-p2
-        # matrix (n = 28k, one BLAS thread) the factor took 0.58 s with them
-        # and 0.12 s without, with L+U nonzero counts 14 apart, and 33 solves
-        # took 0.30 s against 0.14 s.  panel_size=10 instead of the default
-        # 20 cut the 18 factors of that run from 0.46 to 0.42 s (median of 7).
-        try:
-            lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, relax=1, panel_size=10,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise EigensolverError(f"factorization failed: {exc}") from exc
-        op_inv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
-        try:
-            vals, vecs = spla.eigsh(K, k=nev, M=M, sigma=0.0, which="LM",
-                                    v0=v0, ncv=ncv, tol=tol, maxiter=5000,
-                                    OPinv=op_inv)
-        except spla.ArpackNoConvergence as exc:
-            raise EigensolverError(f"Lanczos did not converge: {exc}") from exc
-        except spla.ArpackError as exc:
-            raise EigensolverError(f"Lanczos failed: {exc}") from exc
+        return _checked(K, M, vals, vecs, tol)
 
-    order = np.argsort(vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    vecs = np.ascontiguousarray(vecs[:, order])
-    vecs = _fix_signs(m_orthonormalize(vecs, M))
-
-    resid = residual_norms(K, M, vals, vecs)
-    bound = max(tol, 1e-12) * np.maximum(1.0, np.abs(vals))
-    if np.any(resid > 100 * bound):
-        raise EigensolverError(
-            f"eigenpair residual {resid.max():.3e} exceeds tolerance budget")
-    return vals, vecs
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    if start is not None:
+        start = np.asarray(start, float)
+        v0 = (start / np.linalg.norm(start)
+              + _START_NOISE * v0 / np.linalg.norm(v0))
+    # a start prolongated from the nested coarser mesh lies close to the
+    # wanted eigenspace, so 2*nev + 1 vectors (the ARPACK guide asks for
+    # at least 2*nev) suffice, where 25 make every warm L-shape solve of
+    # the benchmark run a whole 26-apply sweep.  Cold solves, the window
+    # lock's among them, keep the wider space.
+    ncv = min(n - 1, 2 * nev + 1 if start is not None else max(4 * nev + 1, 25))
+    if pole != 0.0:
+        try:
+            vals, vecs, below = _shift_invert(K, M, nev, tol, v0, ncv, pole)
+            if below == np.count_nonzero(vals < pole):
+                return _checked(K, M, vals, vecs, tol)
+        except EigensolverError:
+            pass       # the pole failed; sigma = 0 below
+    vals, vecs, _ = _shift_invert(K, M, nev, tol, v0, ncv, 0.0)
+    return _checked(K, M, vals, vecs, tol)
 
 
 def residual_norms(K, M, vals, vecs):

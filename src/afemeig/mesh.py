@@ -63,24 +63,38 @@ def _edge_table(elements, nv):
     (ne, 3) local edges to edge ids, `owners` is (nE, 2) element ids with
     -1 for a missing second owner, and `owner_local` the matching local
     edge indices.  An edge of more than two owners is a MeshError.
+
+    One sort does it: local edge j of element e is entry 3*e + j of the
+    keys ``min*nv + max``, whose order is the pairs' lexicographic order.
+    The sort need not be stable, because an edge has at most two entries,
+    and swapping each adjacent equal pair that is out of order puts its
+    owners in element order.
     """
-    pairs = np.sort(elements[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
-    edges, inverse, counts = _unique_edges(pairs, nv)
+    pairs = elements[:, _EDGE_VERTS]
+    nv = np.int64(nv)
+    keys = (np.minimum(pairs[..., 0], pairs[..., 1]) * nv
+            + np.maximum(pairs[..., 0], pairs[..., 1])).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(keys.size, bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=keys.size)
+    edges = np.stack(np.divmod(keys[starts], nv), axis=1)
     if counts.max(initial=0) > 2:
         a, b = edges[np.argmax(counts > 2)].tolist()
         raise MeshError(f"non-conforming input: edge {(a, b)} shared by more than 2 elements")
+    dbl = counts == 2
+    first = starts[dbl]
+    swap = first[order[first] > order[first + 1]]
+    order[swap], order[swap + 1] = order[swap + 1], order[swap]
+    inverse = np.empty(keys.size, np.int64)
+    inverse[order] = np.cumsum(new) - 1
     owners = -np.ones((edges.shape[0], 2), dtype=np.int64)
     owner_local = -np.ones((edges.shape[0], 2), dtype=np.int64)
-    order = np.argsort(inverse, kind="stable")
-    elem_of = order // 3
-    local_of = order % 3
-    starts = np.zeros(edges.shape[0], dtype=np.int64)
-    starts[1:] = np.cumsum(counts)[:-1]
-    owners[:, 0] = elem_of[starts]
-    owner_local[:, 0] = local_of[starts]
-    dbl = counts == 2
-    owners[dbl, 1] = elem_of[starts[dbl] + 1]
-    owner_local[dbl, 1] = local_of[starts[dbl] + 1]
+    owners[:, 0], owner_local[:, 0] = np.divmod(order[starts], 3)
+    owners[dbl, 1], owner_local[dbl, 1] = np.divmod(order[first + 1], 3)
     return edges, inverse.reshape(-1, 3), owners, owner_local
 
 

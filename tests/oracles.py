@@ -6,6 +6,9 @@
 - `signed_areas`, `edge_lengths` and `shape_regularity`: element areas,
   local edge lengths and the largest ratio of diameter to inscribed-ball
   diameter of a mesh;
+- `reference_edge_table`: the mesh's edge table by a row-wise unique and a
+  loop over the local edges, which `afemeig.mesh._edge_table` must
+  reproduce;
 - `element_neighbors`: the element across each local edge, and
   `diameters`: each element's longest edge, the estimator's h_T;
 - `reference_refine`: newest-vertex bisection one element at a time, with
@@ -99,6 +102,25 @@ def shape_regularity(mesh):
 def diameters(mesh):
     """(ne,) longest edge of each element."""
     return edge_lengths(mesh).max(axis=1)
+
+
+def reference_edge_table(elements):
+    """`_edge_table(elements, nv)` from ``np.unique(axis=0)`` of the sorted
+    vertex pairs, with owners filled one local edge at a time, in element
+    order."""
+    pairs = np.sort(np.asarray(elements)[:, _EDGE_VERTS].reshape(-1, 2), axis=1)
+    edges, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
+                                       return_counts=True)
+    inverse = inverse.reshape(-1)
+    if counts.max(initial=0) > 2:
+        a, b = edges[np.argmax(counts > 2)].tolist()
+        raise MeshError(f"non-conforming input: edge {(a, b)} shared by more than 2 elements")
+    owners = -np.ones((len(edges), 2), np.int64)
+    owner_local = -np.ones((len(edges), 2), np.int64)
+    for flat, e in enumerate(inverse.tolist()):
+        slot = 0 if owners[e, 0] < 0 else 1
+        owners[e, slot], owner_local[e, slot] = divmod(flat, 3)
+    return edges, inverse.reshape(-1, 3), owners, owner_local
 
 
 def validate_mesh(mesh):

@@ -6,7 +6,7 @@ import pytest
 
 import afemeig.driver
 from afemeig import (AfemConfig, ClusterIdentityError, run_afem, run_afem_first_n,
-                     run_afem_source)
+                     run_afem_source, solve_smallest)
 from afemeig.driver import (emit_plot, export_trace, fit_slope, read_trace,
                             trace_to_csv_text)
 
@@ -380,6 +380,68 @@ def test_loop_solves_after_row_0_are_warm_started(solve_calls):
     sparse = [(n, start) for n, _, start in loop[1:] if n > 260]
     assert len(sparse) >= 3
     assert all(start is not None and start.shape == (n,) for n, start in sparse)
+
+
+def _record_solves(monkeypatch):
+    """(K, M, nev, keywords, values) of every solve_smallest call of the
+    driver, and the pole of every shift-invert solve of eigsolve."""
+    from afemeig import driver, eigsolve
+    calls, poles = [], []
+    real, shift_invert = driver.solve_smallest, eigsolve._shift_invert
+
+    def spy(K, M, nev, **kw):
+        vals, vecs = real(K, M, nev, **kw)
+        calls.append((K, M, nev, kw, vals))
+        return vals, vecs
+
+    def spy_shift_invert(*args):
+        poles.append(args[-1])
+        return shift_invert(*args)
+
+    monkeypatch.setattr(driver, "solve_smallest", spy)
+    monkeypatch.setattr(eigsolve, "_shift_invert", spy_shift_invert)
+    return calls, poles
+
+
+def test_warm_pair_solves_shift_invert_below_the_pair_and_keep_both_members(monkeypatch):
+    # square P2 cluster 2: the window J = {1, 2} is the 5 pi^2 pair.  The
+    # driver's nev = k0 + n + 2 = 5 returns both members, at the pole 0 as at
+    # the pole below J.  With nev = 4, the warm solve at the pole 0 returned
+    # 2, 5, 8, 10 (x pi^2) at this run's 5,305-dof row, one BLAS thread.
+    from afemeig import driver
+    calls, poles = _record_solves(monkeypatch)
+    run_afem(AfemConfig(problem="square", degree=2, cluster_index=2, multiplicity=2,
+                        compute_gap=False, max_dof=6000))
+    warm = [c for c in calls if c[3].get("start") is not None]
+    assert [nev for _, _, nev, _, _ in calls] == [5] * len(calls)
+    assert sum(K.shape[0] > 260 for K, *_ in warm) >= 8
+    # each warm pole comes from the row before's values, and is certified:
+    # one shift-invert solve each, none at sigma = 0
+    for (*_, before), (_, _, _, kw, _) in zip(calls, calls[1:]):
+        if kw.get("start") is not None:
+            assert kw["pole"] == min(before[0] + driver._POLE_FRACTION * (before[1] - before[0]),
+                                     (before[0] + before[-1]) / 2)
+    big = [kw["pole"] for K, _, _, kw, _ in warm if K.shape[0] > 260]
+    assert poles == big
+    for K, M, nev, kw, vals in warm:
+        if K.shape[0] <= 260:
+            continue
+        # the 5th value is either member of the discrete 10 pi^2 pair
+        cold, _ = solve_smallest(K, M, nev + 1, tol=kw["tol"], seed=kw["seed"])
+        assert np.array_equal(np.round(cold / math.pi ** 2), [2, 5, 5, 8, 10, 10])
+        for got in (vals, solve_smallest(K, M, nev, **dict(kw, pole=0.0))[0]):
+            np.testing.assert_allclose(got[:4], cold[:4], rtol=1e-9)
+            assert np.min(np.abs(got[4] - cold[4:])) <= 1e-9 * cold[4]
+
+
+@pytest.mark.parametrize("kw", [dict(first_n=3), dict(cluster_index=1)])
+def test_windows_from_lambda_1_keep_the_pole_0(monkeypatch, kw):
+    calls, poles = _record_solves(monkeypatch)
+    run = run_afem_first_n if "first_n" in kw else run_afem
+    run(AfemConfig(problem="square", max_dof=2000, compute_gap=False, **kw))
+    assert sum(c[3].get("start") is not None for c in calls) >= 3
+    assert all(c[3].get("pole", 0.0) == 0.0 for c in calls)
+    assert poles and set(poles) == {0.0}
 
 
 def test_lshape_gap_column_is_reference_proxy():

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from afemeig import assemble_mass, assemble_stiffness, build_space, detect_cluster, solve_smallest
-from afemeig.eigsolve import EigenCluster, EigensolverError, m_orthonormalize, residual_norms
+from afemeig.eigsolve import (EigenCluster, EigensolverError, _factor, _negative_pivots,
+                              m_orthonormalize, residual_norms)
 from afemeig.fem import prolongate
 from afemeig.mesh import refine, uniform_refine
 
@@ -161,6 +162,9 @@ def test_solver_input_validation():
         solve_smallest(K, sp.identity(3, format="csr"), 1)
     with pytest.raises(ValueError):
         solve_smallest(K, K, 1, start=np.ones(3))
+    # a NaN pole would pass the inertia check with nothing below it
+    with pytest.raises(ValueError, match="pole must be a finite number"):
+        solve_smallest(K, K, 1, pole=float("nan"))
 
 
 def test_determinism_of_eigensolve():
@@ -246,6 +250,9 @@ def _count_applies(monkeypatch):
             counts[-1] += 1
             return self.lu.solve(b)
 
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
     def counted_splu(*args, **kwargs):
         counts.append(0)
         return Counted(splu(*args, **kwargs))
@@ -299,3 +306,72 @@ def test_sparse_path_matches_dense(problem, degree, rounds):
     dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                      subset_by_index=[0, nev - 1])
     np.testing.assert_allclose(vals, dense, rtol=1e-12)
+
+
+# small P1 and P2 meshes of each problem, 353-481 free dofs: above the dense
+# cutoff, so that solve_smallest takes the factored path
+_SMALL_SYSTEMS = [("square", 1, 9), ("square", 2, 7), ("oscillator", 1, 8),
+                  ("oscillator", 2, 6), ("lshape", 1, 7), ("lshape", 2, 5)]
+
+
+def _system(problem, degree, rounds):
+    from afemeig import get_problem
+    prob = get_problem(problem)
+    space = build_space(uniform_refine(prob.initial_mesh(), rounds), degree)
+    return assemble_stiffness(space, prob.coefficients), assemble_mass(space)
+
+
+@pytest.mark.parametrize("problem, degree, rounds", _SMALL_SYSTEMS)
+def test_negative_pivots_count_the_eigenvalues_below_the_pole(problem, degree, rounds):
+    K, M = _system(problem, degree, rounds)
+    dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    # the distinct values: the square's and the oscillator's multiplets are
+    # multiple to round-off on these symmetric meshes
+    distinct = dense[np.r_[True, np.diff(dense) > 1e-8 * dense[1:]]]
+    for sigma in (distinct[:12] + distinct[1:13]) / 2:
+        assert _negative_pivots(_factor((K - sigma * M).tocsc())) == np.count_nonzero(dense < sigma)
+
+
+@pytest.mark.parametrize("problem, degree, rounds", _SMALL_SYSTEMS)
+def test_pole_at_a_computed_eigenvalue_still_gives_the_smallest(problem, degree, rounds):
+    # K - sigma*M is singular to round-off.  Its count may fall on either side
+    # of the values at sigma, or the factor may fail; the solve returns the
+    # nev smallest either way, through the certificate or through sigma = 0.
+    # Poles 1 and 2 lie below (lambda_0 + lambda_5)/2, pole 3 above it on the
+    # square, where the values nearest it skip lambda_0.
+    K, M = _system(problem, degree, rounds)
+    nev = 6
+    dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                     subset_by_index=[0, nev - 1])
+    for pole in dense[1:4]:
+        try:
+            below = _negative_pivots(_factor((K - pole * M).tocsc()))
+        except EigensolverError:
+            below = None
+        if below is not None:
+            near = np.abs(dense - pole) <= 1e-8 * pole
+            assert np.count_nonzero(dense < pole) - np.count_nonzero(near) <= below
+            assert below <= np.count_nonzero(dense <= pole) + np.count_nonzero(near)
+        vals, _ = solve_smallest(K, M, nev, pole=pole)
+        np.testing.assert_allclose(vals, dense, rtol=1e-10)
+
+
+def test_a_pole_whose_nearest_values_skip_the_smallest_falls_back(monkeypatch):
+    K, M = _system("square", 1, 9)
+    nev = 4
+    dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                     subset_by_index=[0, nev])
+    factors = _count_applies(monkeypatch)
+    # below (lambda_0 + lambda_nev)/2 the nev values nearest the pole are the
+    # nev smallest: the count certifies them, and one factor does
+    vals, _ = solve_smallest(K, M, nev, pole=(dense[0] + dense[1]) / 2)
+    np.testing.assert_allclose(vals, dense[:nev], rtol=1e-10)
+    assert len(factors) == 1
+    # between 8 and 10 pi^2 they are 5, 5, 8 and 10 pi^2: the factor counts 3
+    # values below the pole, 2 of them came back, and the solve runs again
+    # at sigma = 0, with a second factor
+    pole = (dense[nev - 1] + dense[nev]) / 2
+    assert pole > (dense[0] + dense[nev]) / 2
+    vals, _ = solve_smallest(K, M, nev, pole=pole)
+    np.testing.assert_allclose(vals, dense[:nev], rtol=1e-10)
+    assert len(factors) == 3

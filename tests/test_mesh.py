@@ -16,8 +16,8 @@ from afemeig import (MeshError, RefineResult, build_initial, get_problem, harmon
 from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh
 
 from conftest import lshape_mesh, perturbed, square_mesh
-from oracles import (edge_lengths, element_neighbors, reference_refine, refined_set,
-                     shape_regularity, signed_areas, validate_mesh)
+from oracles import (edge_lengths, element_neighbors, reference_edge_table, reference_refine,
+                     refined_set, shape_regularity, signed_areas, validate_mesh)
 
 
 def test_build_square_diagonal_refinement_edges():
@@ -97,6 +97,42 @@ def test_edge_table_rejects_edge_with_three_owners():
     assert str(err.value) == _THREE_OWNERS
 
 
+def _assert_same_edge_table(elements, nv):
+    try:
+        want = reference_edge_table(elements)
+    except MeshError as err:
+        with pytest.raises(MeshError) as got:
+            afemeig.mesh._edge_table(elements, nv)
+        assert str(got.value) == str(err)
+        return
+    got = afemeig.mesh._edge_table(elements, nv)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+# random triples on a few vertices: edges of one, two and more owners, so
+# that the one-sort table also meets the owners in every order
+@given(st.integers(3, 8), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_edge_table_matches_rowwise_unique_on_random_triples(nv, ne, seed):
+    rng = np.random.default_rng(seed)
+    elements = np.array([rng.choice(nv, 3, replace=False) for _ in range(ne)], np.int64)
+    _assert_same_edge_table(elements, nv)
+
+
+@pytest.mark.parametrize("name", ["lshape-random", "square-uniform", "oscillator", "tied-fan",
+                                  "fin"])
+def test_edge_table_matches_rowwise_unique_on_meshes(name):
+    if name == "fin":      # the ">2 owners" message
+        elements, nv = np.array(_FIN_TRIS), len(_FIN_VERTS)
+    else:
+        mesh = {"lshape-random": lambda: _randomly_refined_lshape(1, 8),
+                "square-uniform": lambda: square_mesh(6),
+                "oscillator": lambda: refine(harmonic_oscillator().initial_mesh(), [0, 3]).mesh,
+                "tied-fan": lambda: build_initial(*_tied_fans(1))}[name]()
+        elements, nv = mesh.elements, mesh.n_vertices
+    _assert_same_edge_table(elements, nv)
+
+
 def test_build_rejects_hanging_vertex():
     # vertex 4 sits in the middle of edge (1, 2) of the left triangle
     verts = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)]
@@ -145,11 +181,11 @@ def test_build_initial_hands_its_edge_table_to_the_mesh(monkeypatch):
     # first refinement computes it again
     verts, tris = _grid(3)
     nv = []
-    def spy(pairs, n):
+    def spy(elements, n):
         nv.append(n)
-        return unique_edges(pairs, n)
-    unique_edges = afemeig.mesh._unique_edges
-    monkeypatch.setattr(afemeig.mesh, "_unique_edges", spy)
+        return edge_table(elements, n)
+    edge_table = afemeig.mesh._edge_table
+    monkeypatch.setattr(afemeig.mesh, "_edge_table", spy)
     mesh = build_initial(verts, tris)
     seeded = mesh.edge_table()
     uniform_refine(mesh)
