@@ -310,6 +310,9 @@ def _adaptive_loop(problem, config, disc, step, meta, t0):
         if stop:
             break
         refined = refine(disc.space.mesh, marked, config.bisections)
+        # free the coarse K and M before the fine ones are assembled; the
+        # step keeps the coarse space for prolongation
+        disc = None
         disc = _Discretization(problem, build_space(refined.mesh, config.degree))
         ancestor = refined.ancestor
     trace.final_mesh = disc.space.mesh

@@ -69,10 +69,12 @@ def _tri_projector(degree_poly, rule_degree):
     return proj  # (nq, nq), maps point values to projected point values
 
 
-def _interior_terms(space, coeffs, local, lams, sources, rule_degree):
+def _interior_terms(space, coeffs, local, lams, sources):
     """h_T^2 ||R_T||^2 and its oscillation per element, member by member,
-    from the element coefficients `local` (members, ne, nb)."""
+    from the element coefficients `local` (members, ne, nb), by the degree
+    2k+2 rule."""
     mesh = space.mesh
+    rule_degree = 2 * space.degree + 2
     rule = space.rule(rule_degree)
     # h_T^2, the longest edge squared, times det B, which scales the weights
     _, B, det, _ = space.geometry()
@@ -146,7 +148,7 @@ def _indicators(space, coeffs, vectors, lams=None, sources=None):
     if sources is not None and len(sources) != vectors.shape[1]:
         raise ValueError("one source field per solution vector required")
     local = vectors.T[:, space.element_dofs]       # (members, ne, nb)
-    eta_i, osc_i = _interior_terms(space, coeffs, local, lams, sources, 2 * space.degree + 2)
+    eta_i, osc_i = _interior_terms(space, coeffs, local, lams, sources)
     eta_e = _edge_terms(space, coeffs, local)
     return IndicatorField(eta2=eta_i + eta_e, osc2=osc_i)
 

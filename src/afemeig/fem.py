@@ -37,7 +37,9 @@ class Coefficients:
     A is constant on each element: ``a`` is a positive scalar (A = a*I) or a
     dict mapping region tags to symmetric positive definite 2x2 arrays.  ``c``
     is a nonnegative scalar or a callable c(points)->(m,) field.  The scalars
-    and the matrices are checked when the object is made.
+    and the matrices are checked when the object is made, and each matrix,
+    symmetric only to rounding, is stored as the float array (A + A^T)/2, so
+    that the stiffness matrix and the estimator's fluxes use one operator.
     """
 
     a: Union[float, dict] = 1.0
@@ -48,6 +50,7 @@ class Coefficients:
             raise MeshError("coefficient a must be a positive scalar or a region table "
                             "of 2x2 matrices, not a callable")
         if isinstance(self.a, dict):
+            table = {}
             for tag, mat in self.a.items():
                 m = np.asarray(mat, float)
                 if not np.all(np.isfinite(m)):
@@ -56,6 +59,8 @@ class Coefficients:
                     raise MeshError(f"region {tag}: A must be a symmetric 2x2 matrix")
                 if np.linalg.eigvalsh(m)[0] <= 0:
                     raise MeshError(f"region {tag}: A is not positive definite")
+                table[tag] = 0.5 * (m + m.T)
+            object.__setattr__(self, "a", table)
         elif not np.isfinite(self.a):
             raise MeshError("coefficient a is not finite")
         elif not self.a > 0:
@@ -177,18 +182,18 @@ class FeSpace:
         self.mesh = mesh
         self.degree = degree
         nv = mesh.n_vertices
+        edges, elem_edges, owners, _ = mesh.edge_table()
+        # the boundary edges are the single-owner edges
+        boundary = owners[:, 1] < 0
+        dirichlet = np.unique(edges[boundary])
         if degree == 1:
             self.element_dofs = mesh.elements.copy()
             self.dof_coords = mesh.vertices.copy()
-            dirichlet = np.unique(mesh.boundary_edges)
         else:
-            edges, elem_edges, owners, _ = mesh.edge_table()
             self.element_dofs = np.hstack([mesh.elements, nv + elem_edges])
             mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
             self.dof_coords = np.vstack([mesh.vertices, mids])
-            # the boundary edges are the single-owner edges
-            dirichlet = np.concatenate([np.unique(mesh.boundary_edges),
-                                        nv + np.flatnonzero(owners[:, 1] < 0)])
+            dirichlet = np.concatenate([dirichlet, nv + np.flatnonzero(boundary)])
         self.ndofs = self.dof_coords.shape[0]
         self.dirichlet_dofs = dirichlet
         free_mask = np.ones(self.ndofs, dtype=bool)

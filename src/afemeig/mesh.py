@@ -44,17 +44,6 @@ class MeshError(ValueError):
     """Invalid mesh input or an operation on a broken mesh."""
 
 
-def _unique_edges(pairs, nv):
-    """What ``np.unique(pairs, axis=0, return_inverse=True, return_counts=True)``
-    returns for (n, 2) int pairs sorted within each row, with every entry below
-    `nv`.  It sorts the 1-D keys ``a*nv + b``, whose order is the rows'
-    lexicographic order, which is far cheaper than a row-wise unique."""
-    nv = np.int64(nv)
-    keys, inverse, counts = np.unique(pairs[:, 0] * nv + pairs[:, 1],
-                                      return_inverse=True, return_counts=True)
-    return np.stack(np.divmod(keys, nv), axis=1), inverse, counts
-
-
 def _edge_table(elements, nv):
     """Unique edges plus ownership of the (ne, 3) `elements` on `nv` vertices.
 
@@ -108,17 +97,16 @@ class Mesh:
     refinement_edge : (ne,) int array with values in {0, 1, 2}
     generation : (ne,) int array, bisection depth of each element
     region : (ne,) int array, material tag for piecewise coefficients
-    boundary_edges : (nb, 2) int array of sorted vertex pairs (all Dirichlet)
+    boundary_edges : (nb, 2) int array, read-only, of sorted vertex pairs (all
+        Dirichlet): the edge table's single-owner edges
     """
 
-    def __init__(self, vertices, elements, refinement_edge, generation, region,
-                 boundary_edges):
+    def __init__(self, vertices, elements, refinement_edge, generation, region):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
         self.generation = np.ascontiguousarray(generation, dtype=np.int64)
         self.region = np.ascontiguousarray(region, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
         self._cache = {}
 
     @property
@@ -136,6 +124,11 @@ class Mesh:
         if "edge_table" not in self._cache:
             self._cache["edge_table"] = _edge_table(self.elements, self.n_vertices)
         return self._cache["edge_table"]
+
+    @property
+    def boundary_edges(self):
+        edges, _, owners, _ = self.edge_table()
+        return edges[owners[:, 1] < 0]
 
     # -- serialization -----------------------------------------------------
 
@@ -290,7 +283,7 @@ def build_initial(vertices, triangles, boundary=None, region=None):
     rank = np.empty(edges.shape[0], np.int64)
     rank[np.argsort(lengths, kind="stable")] = np.arange(edges.shape[0])
     mesh = Mesh(vertices, triangles, np.argmax(rank[elem_edges], axis=1),
-                np.zeros(len(triangles), np.int64), region, derived_boundary)
+                np.zeros(len(triangles), np.int64), region)
     mesh._cache["edge_table"] = table
     return mesh
 
@@ -419,18 +412,12 @@ def _bisect_round(mesh, targets):
     first[x], first[q[has_q & ~again]] = 2 * at_x, 2 * at_x[has_q & ~again] + 2
     keep_new[first[qa] + 1 - c1] = False
     ancestor = np.concatenate([ids[keep_old], np.repeat(root, 2)[keep_new]])
-    # the boundary: single-owner edges, each bisected one in two halves
-    bnd = owners[:, 1] < 0
-    cut = bis[bnd[bis]]
-    halves = np.stack([edges[cut].ravel(), np.repeat(mids[bnd[bis]], 2)], 1)
     vertices = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[edges[bis, 0]]
                                                      + mesh.vertices[edges[bis, 1]])])
     return Mesh(vertices, np.concatenate([elems[keep_old], children[keep_new]]),
                 np.concatenate([refe[keep_old], np.tile([2, 1], tri.shape[0])[keep_new]]),
                 np.concatenate([mesh.generation[keep_old], np.repeat(gen, 2)[keep_new]]),
-                mesh.region[ancestor],
-                _unique_edges(np.concatenate([edges[bnd & (rank < 0)], halves]),
-                              vertices.shape[0])[0]), ancestor
+                mesh.region[ancestor]), ancestor
 
 
 def _count(name, value, least):

@@ -33,7 +33,7 @@ def two_region_square(rounds):
     m = square_mesh(rounds)
     centroids = m.vertices[m.elements].mean(axis=1)
     return Mesh(m.vertices, m.elements, m.refinement_edge, m.generation,
-                (centroids[:, 0] > 0.5).astype(int), m.boundary_edges)
+                (centroids[:, 0] > 0.5).astype(int))
 
 
 def perturbed(mesh, seed=0):
@@ -50,7 +50,7 @@ def perturbed(mesh, seed=0):
     moved = v.copy()
     moved[interior] += rng.uniform(-0.15 * h, 0.15 * h, (interior.sum(), 2))
     return Mesh(moved, mesh.elements, mesh.refinement_edge, mesh.generation,
-                mesh.region, mesh.boundary_edges)
+                mesh.region)
 
 
 @pytest.fixture(scope="session")

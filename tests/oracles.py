@@ -1,11 +1,13 @@
 """Test-only oracles: independent checks that never run in the solve path.
 
 - `validate_mesh`: the conformity invariants of a mesh (finite vertices,
-  positive areas, at most two owners per edge, stored boundary equal to the
-  single-owner edges);
+  positive areas, at most two owners per edge, no vertex at the midpoint of
+  a single-owner edge, where a bisection would leave it hanging);
 - `signed_areas`, `edge_lengths` and `shape_regularity`: element areas,
   local edge lengths and the largest ratio of diameter to inscribed-ball
   diameter of a mesh;
+- `on_polygon`: which points lie on a closed polygon, the geometric
+  boundary that the Dirichlet dofs must match;
 - `reference_edge_table`: the mesh's edge table by a row-wise unique and a
   loop over the local edges, which `afemeig.mesh._edge_table` must
   reproduce;
@@ -58,7 +60,7 @@ from afemeig.estimator import _indicators
 from afemeig.fem import (ElementRule, assemble_mass, assemble_stiffness, shape_gradients,
                          shape_values)
 from afemeig.gap import GapError, _GapWorkspace
-from afemeig.mesh import _EDGE_VERTS, _ROTATE, Mesh, MeshError, RefineResult, _unique_edges
+from afemeig.mesh import _EDGE_VERTS, _ROTATE, Mesh, MeshError, RefineResult
 from afemeig.quadrature import triangle_rule
 
 
@@ -104,6 +106,18 @@ def diameters(mesh):
     return edge_lengths(mesh).max(axis=1)
 
 
+def on_polygon(points, corners, tol=1e-12):
+    """(m,) mask of the `points` (m, 2) that lie on the closed polygon with
+    the given corners, within `tol` of one of its sides."""
+    points = np.asarray(points, float)
+    a = np.asarray(corners, float)
+    d = np.roll(a, -1, axis=0) - a
+    rel = points[:, None] - a                                # (m, sides, 2)
+    t = np.clip(np.einsum("msi,si->ms", rel, d) / np.einsum("si,si->s", d, d), 0, 1)
+    gap = rel - t[..., None] * d
+    return (np.einsum("msi,msi->ms", gap, gap) <= tol * tol).any(axis=1)
+
+
 def reference_edge_table(elements):
     """`_edge_table(elements, nv)` from ``np.unique(axis=0)`` of the sorted
     vertex pairs, with owners filled one local edge at a time, in element
@@ -130,10 +144,14 @@ def validate_mesh(mesh):
     if np.any(signed_areas(mesh) <= 0):
         raise MeshError("inverted or degenerate element")
     edges, _, owners, _ = mesh.edge_table()    # raises on a third owner
-    derived = {tuple(e) for e in edges[owners[:, 1] < 0].tolist()}
-    stored = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1).tolist()}
-    if stored != derived:
-        raise MeshError("boundary edges do not match single-owner edges (open boundary?)")
+    # a bisection that skips the element across its edge leaves the midpoint
+    # hanging on that edge, which keeps a single owner
+    single = edges[owners[:, 1] < 0]
+    mids = 0.5 * (mesh.vertices[single[:, 0]] + mesh.vertices[single[:, 1]])
+    points = set(map(tuple, mesh.vertices.tolist()))
+    for (a, b), mid in zip(single.tolist(), mids.tolist()):
+        if tuple(mid) in points:
+            raise MeshError(f"hanging vertex at the midpoint of edge {(a, b)}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +245,12 @@ class _RefineWork:
             """The input mesh's rows followed by those of the appended tokens."""
             return np.concatenate([old, np.array(new, old.dtype).reshape((-1,) + old.shape[1:])])
 
-        elements = rows(mesh.elements, self.elems[ne_old:])[tokens]
-        # a split never changes which slots of a surviving element lie on the
-        # boundary, so the input mesh's neighbour array serves for old tokens
-        t, local = np.nonzero(rows(element_neighbors(mesh), self.nbr[ne_old:])[tokens] < 0)
-        pairs = np.sort(elements[t[:, None], np.array(_EDGE_VERTS)[local]], axis=1)
         ancestor = rows(np.arange(ne_old), self.root[ne_old:])[tokens]
-        new_mesh = Mesh(rows(mesh.vertices, self.verts[mesh.n_vertices:]), elements,
+        new_mesh = Mesh(rows(mesh.vertices, self.verts[mesh.n_vertices:]),
+                        rows(mesh.elements, self.elems[ne_old:])[tokens],
                         rows(mesh.refinement_edge, self.refe[ne_old:])[tokens],
                         rows(mesh.generation, self.gen[ne_old:])[tokens],
-                        mesh.region[ancestor], _unique_edges(pairs, len(self.verts))[0])
+                        mesh.region[ancestor])
         return new_mesh, ancestor
 
 

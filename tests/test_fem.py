@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,14 @@ from afemeig import (Coefficients, MeshError, assemble_mass, assemble_stiffness,
                      gap_energy, harmonic_oscillator, refine, square_laplace)
 from afemeig.eigsolve import EigenCluster
 from afemeig.estimator import _indicators
-from afemeig.fem import _matvec2, energy_error, prolongate, shape_gradients, shape_values
+from afemeig.fem import (_flux_map, _matvec2, energy_error, prolongate, shape_gradients,
+                         shape_values)
 from afemeig.mesh import build_initial
 from afemeig.quadrature import _TRI_RULES, triangle_rule
 
 from conftest import lshape_mesh, perturbed, sine_solution, square_mesh, two_region_square
 from oracles import (b_norm, energy_norm, evaluate, export_matrixmarket, galerkin_project,
-                     gauss_legendre, monomial_integral, per_point_energy_error,
+                     gauss_legendre, monomial_integral, on_polygon, per_point_energy_error,
                      quadrature_matrices, rule_gradients, rule_points,
                      triangle_rule_subdivided)
 
@@ -241,15 +243,30 @@ def test_mass_sum_equals_area(degree):
     assert assemble_mass(lspace, apply_dirichlet=False).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _locally_refined(mesh, b, rounds=3, seed=0):
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        marked = rng.choice(mesh.n_elements, size=max(1, mesh.n_elements // 5), replace=False)
+        mesh = refine(mesh, marked, b=b).mesh
+    return mesh
+
+
 def test_dirichlet_dofs_lie_on_boundary():
-    for degree in (1, 2):
-        mesh = square_mesh(3)
+    # a dof is Dirichlet if and only if its point lies on the domain's
+    # polygon, on uniform and on locally refined meshes
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    lshape = [(-1, -1), (0, -1), (0, 0), (1, 0), (1, 1), (-1, 1)]
+    meshes = []
+    for base, corners in ((square_mesh(2), square), (lshape_mesh(1), lshape)):
+        meshes += [(base, corners)] + [(_locally_refined(base, b), corners) for b in (1, 2)]
+    for (mesh, corners), degree in itertools.product(meshes, (1, 2)):
         space = build_space(mesh, degree)
         n_edges = mesh.edge_table()[0].shape[0]
         assert space.ndofs == mesh.n_vertices + (n_edges if degree == 2 else 0)
-        coords = space.dof_coords[space.dirichlet_dofs]
-        on_bnd = ((np.abs(coords) < 1e-14) | (np.abs(coords - 1) < 1e-14)).any(axis=1)
-        assert on_bnd.all()
+        dirichlet = np.zeros(space.ndofs, bool)
+        dirichlet[space.dirichlet_dofs] = True
+        assert space.dirichlet_dofs.size == dirichlet.sum()
+        np.testing.assert_array_equal(dirichlet, on_polygon(space.dof_coords, corners))
         assert space.n_free == space.ndofs - space.dirichlet_dofs.size
 
 
@@ -342,6 +359,26 @@ def test_coefficient_validation():
         Coefficients(a={0: [[1.0, 2.0], [2.0, 1.0]]}).a_matrix_for(np.zeros(1, np.int64))
     mat = Coefficients(a={0: [[2.0, 0.5], [0.5, 1.0]]}).a_matrix_for(np.zeros(3, np.int64))
     assert mat.shape == (3, 2, 2)
+
+
+def test_region_matrix_symmetric_to_rounding_is_stored_symmetrized():
+    # np.allclose admits this A; the stiffness matrix reads only the symmetric
+    # part of the metric, so the flux map of the estimator's jumps must not
+    # see A's skew part either
+    A = [[100.0, 50.0], [50.0004, 100.0]]
+    S = 0.5 * (np.array(A) + np.array(A).T)
+    near, exact = Coefficients(a={0: A}), Coefficients(a={0: S})
+    assert near.a[0].dtype == float and near.a[0].tobytes() == S.tobytes()
+    mesh = perturbed(square_mesh(2))
+    rng = np.random.default_rng(1)
+    for degree in (1, 2):
+        space = build_space(mesh, degree)
+        V = rng.standard_normal((space.ndofs, 2))
+        V[space.dirichlet_dofs] = 0.0
+        np.testing.assert_array_equal(_flux_map(space, near), _flux_map(space, exact))
+        got, want = (_indicators(space, co, V, lams=[20.0, 50.0]) for co in (near, exact))
+        np.testing.assert_array_equal(got.eta2, want.eta2)
+        np.testing.assert_array_equal(got.osc2, want.osc2)
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import afemeig.mesh
 from afemeig import (MeshError, RefineResult, build_initial, get_problem, harmonic_oscillator,
                      refine, uniform_refine)
-from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, Mesh
+from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, _ROTATE, Mesh
 
 from conftest import lshape_mesh, perturbed, square_mesh
 from oracles import (edge_lengths, element_neighbors, reference_edge_table, reference_refine,
@@ -91,7 +91,7 @@ def test_build_rejects_bad_input(bad, kind):
 
 
 def test_edge_table_rejects_edge_with_three_owners():
-    mesh = Mesh(_FIN_VERTS, _FIN_TRIS, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((0, 2)))
+    mesh = Mesh(_FIN_VERTS, _FIN_TRIS, np.zeros(3), np.zeros(3), np.zeros(3))
     with pytest.raises(MeshError) as err:
         mesh.edge_table()
     assert str(err.value) == _THREE_OWNERS
@@ -191,7 +191,7 @@ def test_build_initial_hands_its_edge_table_to_the_mesh(monkeypatch):
     uniform_refine(mesh)
     assert nv.count(mesh.n_vertices) == 1
     fresh = Mesh(mesh.vertices, mesh.elements, mesh.refinement_edge, mesh.generation,
-                 mesh.region, mesh.boundary_edges).edge_table()
+                 mesh.region).edge_table()
     for got, want in zip(seeded, fresh, strict=True):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -205,6 +205,18 @@ def test_bisect_boundary_triangle():
     assert np.allclose(signed_areas(m2), 0.25)
     with pytest.raises(MeshError, match="out of range"):
         refine(m, [99])
+
+
+def test_validate_mesh_finds_a_hanging_midpoint():
+    # the square's first element bisected on the diagonal, its neighbour not
+    m = square_mesh()
+    p, a, b = m.elements[0, list(_ROTATE[m.refinement_edge[0]])]
+    mid = 0.5 * (m.vertices[a] + m.vertices[b])
+    hanging = Mesh(np.vstack([m.vertices, mid]), [(p, a, 4), (p, 4, b), m.elements[1]],
+                   [2, 1, m.refinement_edge[1]], [1, 1, 0], [0, 0, 0])
+    validate_mesh(m)
+    with pytest.raises(MeshError, match="hanging vertex at the midpoint of edge"):
+        validate_mesh(hanging)
 
 
 def test_bisect_compatible_pair():
@@ -401,8 +413,7 @@ def test_refine_conformity_property(raw_marks, rounds):
 def _assert_same_refinement(got, want):
     """`got` and `want` agree byte for byte: every mesh array, the ancestor
     array and the refined set."""
-    for name in ("vertices", "elements", "refinement_edge", "generation", "region",
-                 "boundary_edges"):
+    for name in ("vertices", "elements", "refinement_edge", "generation", "region"):
         g, w = getattr(got.mesh, name), getattr(want.mesh, name)
         assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes(), name
     assert got.ancestor.dtype == want.ancestor.dtype
@@ -487,7 +498,6 @@ def test_vtk_export(tmp_path):
 _FAN_VERTS = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2), (-0.5, math.sqrt(3) / 2),
               (-1, 0), (-0.5, -math.sqrt(3) / 2), (0.5, -math.sqrt(3) / 2)]
 _FAN_TRIS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 6, 1)]
-_FAN_RIM = [(1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)]
 
 
 def test_incompatible_labeling_detected_and_repaired():
@@ -503,7 +513,7 @@ def test_incompatible_labeling_fails_fast():
     # next one: completion then cycles, and must stop with an error
     zeros = np.zeros(6, np.int64)
     # local edge 1 is (v2, v0), the spoke to the next triangle
-    m = Mesh(_FAN_VERTS, _FAN_TRIS, np.ones(6, np.int64), zeros, zeros, _FAN_RIM)
+    m = Mesh(_FAN_VERTS, _FAN_TRIS, np.ones(6, np.int64), zeros, zeros)
     start = time.perf_counter()
     for tok in range(m.n_elements):
         with pytest.raises(MeshError, match="does not terminate"):
@@ -518,9 +528,8 @@ def test_incompatible_labeling_fails_fast_at_scale():
     n = 2000
     verts = np.concatenate([np.array(_FAN_VERTS) + (2.5 * k, 0.0) for k in range(n)])
     tris = np.concatenate([np.array(_FAN_TRIS) + 7 * k for k in range(n)])
-    rim = np.concatenate([np.array(_FAN_RIM) + 7 * k for k in range(n)])
     zeros = np.zeros(6 * n, np.int64)
-    m = Mesh(verts, tris, np.ones(6 * n, np.int64), zeros, zeros, rim)
+    m = Mesh(verts, tris, np.ones(6 * n, np.int64), zeros, zeros)
     for b in (1, 2):
         start = time.perf_counter()
         with pytest.raises(MeshError, match="does not terminate"):
