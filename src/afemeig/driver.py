@@ -1,13 +1,14 @@
 """The adaptive loop: Solve -> Estimate -> Mark -> Refine.
 
-`_adaptive_loop` is written once.  A step function supplies what differs
-between runs: the solve and the indicator field, the tracked eigenvalues, the
-gap column and the detected cluster sizes.  The two eigenvalue modes share one
-step over a window J = {k0, ..., k0+n-1} of ascending discrete eigenvalues
+`_adaptive_loop` is written once and hands each row only its space.  A step
+`step(space, ancestor)` supplies what differs between runs: it assembles what
+its own solve needs and returns the indicator field, the tracked eigenvalues,
+the gap column and the detected cluster sizes.  The two eigenvalue modes share
+one step over a window J = {k0, ..., k0+n-1} of ascending discrete eigenvalues
 whose indicators are summed: a tracked cluster is J = {k0, ..., k0+q-1} and
-first-N mode is J = {0, ..., N-1}.  A source-problem step drives the same loop
-for the vector boundary-value problem, which is how the estimator plumbing is
-validated independently of the eigensolver.
+first-N mode is J = {0, ..., N-1}.  A source-problem step, which factors K
+alone, drives the same loop for the vector boundary-value problem, and so
+validates the estimator plumbing independently of the eigensolver.
 
 The window is locked once, on the initial mesh (position k0 and extent n),
 and never re-decided; the lock's last solve is row 0's solve whenever it asked
@@ -24,10 +25,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import plotting
-from .eigsolve import EigenCluster, detect_cluster, solve_smallest
+from .eigsolve import EigenCluster, _factor, detect_cluster, solve_smallest
 from .estimator import _indicators, eigen_indicators
 from .fem import (assemble_mass, assemble_stiffness, assemble_load, build_space,
                   energy_error, prolongate)
@@ -267,29 +267,22 @@ def fit_slope(trace, y_field, x_field="n_dofs", window=6):
 # the adaptive loop
 
 
-class _Discretization:
-    def __init__(self, problem, space):
-        self.space = space
-        self.coeffs = problem.coefficients
-        self.K = assemble_stiffness(self.space, self.coeffs)
-        self.M = assemble_mass(self.space)
-
-
 def _mark_elements(config, ind):
-    if config.marking == "uniform":
-        return np.arange(ind.eta2.size), False
-    res = dorfler_mark(ind, config.theta)
-    return res.marked, res.converged
+    """The marked elements, and whether the estimator is zero, under either rule."""
+    marked = (np.arange(ind.eta2.size) if config.marking == "uniform"
+              else dorfler_mark(ind, config.theta).marked)
+    return marked, ind.total_eta2 <= 0.0
 
 
-def _adaptive_loop(problem, config, disc, step, meta, t0):
-    """Solve -> Estimate -> Mark -> Refine from row 0's discretization `disc`
-    until the estimator is zero, the space reaches `max_dof` free dofs, or
+def _adaptive_loop(problem, config, space, step, meta, t0):
+    """Solve -> Estimate -> Mark -> Refine from row 0's `space` until the
+    estimator is zero, the space reaches `max_dof` free dofs, or
     `max_iterations` refinements were made.
 
-    `step(disc, ancestor)` returns (IndicatorField, tracked eigenvalues, gap2,
-    cluster sizes); `ancestor` maps each element to its element on the row
-    before, and is None on row 0.  Row 0's seconds count from `t0`.
+    `step(space, ancestor)` assembles and solves what its row needs on
+    `space`, and returns (IndicatorField, tracked eigenvalues, gap2, cluster
+    sizes); `ancestor` maps each element to its element on the row before,
+    and is None on row 0.  Row 0's seconds count from `t0`.
     """
     trace = AfemTrace()
     trace.meta = {"problem": problem.name, "degree": config.degree,
@@ -297,25 +290,22 @@ def _adaptive_loop(problem, config, disc, step, meta, t0):
                   "b": config.bisections, "max_dof": config.max_dof, **meta}
     ancestor = None
     for it in range(config.max_iterations + 1):
-        ind, lambdas, gap2, sizes = step(disc, ancestor)
+        ind, lambdas, gap2, sizes = step(space, ancestor)
         marked, converged = _mark_elements(config, ind)
-        at_max_dof = disc.space.n_free >= config.max_dof
+        at_max_dof = space.n_free >= config.max_dof
         stop = converged or at_max_dof or it == config.max_iterations
         now = time.perf_counter()
-        trace.rows.append((it, disc.space.mesh.n_elements, disc.space.n_free,
+        trace.rows.append((it, space.mesh.n_elements, space.n_free,
                            0 if stop else len(marked), *lambdas, ind.total_eta2,
                            ind.total_osc2, float(gap2), now - t0))
         trace.cluster_sizes.append(sizes)
         t0 = now
         if stop:
             break
-        refined = refine(disc.space.mesh, marked, config.bisections)
-        # free the coarse K and M before the fine ones are assembled; the
-        # step keeps the coarse space for prolongation
-        disc = None
-        disc = _Discretization(problem, build_space(refined.mesh, config.degree))
+        refined = refine(space.mesh, marked, config.bisections)
+        space = build_space(refined.mesh, config.degree)
         ancestor = refined.ancestor
-    trace.final_mesh = disc.space.mesh
+    trace.final_mesh = space.mesh
     trace.meta["status"] = ("converged" if converged else
                             "max_dof" if at_max_dof else "max_iterations")
     return trace
@@ -349,7 +339,7 @@ def _window_clusters(clusters, k0, n, position):
 
 
 def _lock_window(problem, config):
-    """Row 0's discretization, its solve `(vals, vecs)` and the window (k0, n).
+    """Row 0's space, its solve `(vals, vecs)` and the window (k0, n).
 
     The pre-refined mesh is refined uniformly, and solved once it has nev + 3
     free dofs, until the window rule holds, 7 meshes were solved or the mesh
@@ -363,10 +353,10 @@ def _lock_window(problem, config):
     space, solved = _pre_refined(problem, config), 0
     while True:
         if space.n_free >= nev + 3:
-            disc = _Discretization(problem, space)
+            K, M = assemble_stiffness(space, problem.coefficients), assemble_mass(space)
             wanted, seen = nev, 0
             while True:
-                vals, vecs = solve_smallest(disc.K, disc.M, min(wanted, space.n_free),
+                vals, vecs = solve_smallest(K, M, min(wanted, space.n_free),
                                             tol=config.eig_tol, seed=config.seed)
                 clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
                 if n or len(clusters) > k or len(clusters) <= seen or vals.size == space.n_free:
@@ -375,14 +365,14 @@ def _lock_window(problem, config):
             solved += 1
             k0 = 0 if n else clusters[min(k, len(clusters)) - 1][0]   # < k clusters: rule fails
             if _window_clusters(clusters, k0, n or q, None if n else k)[2]:
-                return disc, (vals, vecs), (k0, n or q)
+                return space, (vals, vecs), (k0, n or q)
         if space.n_free >= config.max_dof or solved == 7:
             break
         space = build_space(uniform_refine(space.mesh, 1), config.degree)
     if n:
         wide = [c for c in clusters if c[0] < n][-1][-1] + 1
         warnings.warn(f"first_n={n} splits a multiplet; extending to {wide}", stacklevel=4)
-        return disc, (vals, vecs), (0, wide)
+        return space, (vals, vecs), (0, wide)
     raise ClusterIdentityError(
         f"no cluster of multiplicity {q} at position {k} on {solved} meshes up to {space.n_free} "
         f"free dofs (max_dof {config.max_dof}); detected sizes {[len(c) for c in clusters]}")
@@ -403,49 +393,52 @@ def _eigen_step(problem, config, k0, n, row0, refs):
     reference value.
     """
     exact = problem.exact_clusters or []
+    coeffs = problem.coefficients
     position = None if config.first_n else config.cluster_index
     carried = None     # the row before's space, the sum of its eigenvectors, its values
 
-    def step(disc, ancestor):
+    def step(space, ancestor):
         nonlocal carried, row0
 
         def columns(idx):
-            return np.column_stack([disc.space.expand(vecs[:, i]) for i in idx])
+            return np.column_stack([space.expand(vecs[:, i]) for i in idx])
 
-        start, pole = None, 0.0
-        if carried is not None:
-            # the meshes are nested, so the coarse eigenvectors prolongate exactly
-            start = prolongate(carried[0], disc.space, ancestor,
-                               carried[1])[disc.space.free_dofs]
-            lam = carried[2]
-            carried = None     # frees the coarse space before the solve
-            if k0:
-                # below J, and at most midway between the first and the last
-                # value, so that the nev values nearest it are the nev smallest
-                pole = min(lam[k0 - 1] + _POLE_FRACTION * (lam[k0] - lam[k0 - 1]),
-                           (lam[0] + lam[-1]) / 2)
         # nev reads two values past the window, not one: a warm Lanczos start
         # holds a multiplet's further members only through its 1e-6 noise.
         # Replayed with k0 + n + 1 values at the pole 0, 5 of the 18 warm
         # solves of a square P2 cluster-2 run to 25k dofs returned 2, 5, 8, 10
         # (x pi^2), one 5 pi^2 member short.  The window rule needs the value
         # after the window too.
-        nev = min(k0 + n + 2, disc.space.n_free)
+        nev = min(k0 + n + 2, space.n_free)
         if row0 is not None and row0[0].size == nev:
             vals, vecs = row0
         else:
-            vals, vecs = solve_smallest(disc.K, disc.M, nev, tol=config.eig_tol,
+            # assembled before the start is prolongated, and dropped once solved
+            K, M = assemble_stiffness(space, coeffs), assemble_mass(space)
+            start, pole = None, 0.0
+            if carried is not None:
+                # the meshes are nested, so the coarse eigenvectors prolongate exactly
+                start = prolongate(carried[0], space, ancestor, carried[1])[space.free_dofs]
+                lam = carried[2]
+                carried = None     # frees the coarse space before the solve
+                if k0:
+                    # below J, and at most midway between the first and the last value,
+                    # so that the nev values nearest it are the nev smallest
+                    pole = min(lam[k0 - 1] + _POLE_FRACTION * (lam[k0] - lam[k0 - 1]),
+                               (lam[0] + lam[-1]) / 2)
+            vals, vecs = solve_smallest(K, M, nev, tol=config.eig_tol,
                                         seed=config.seed, start=start, pole=pole)
+            del K, M
         row0 = None
-        carried = (disc.space, disc.space.expand(vecs.sum(axis=1)), vals)
+        carried = (space, space.expand(vecs.sum(axis=1)), vals)
         clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
         upto, window, holds = _window_clusters(clusters, k0, n, position)
         if not holds:
             raise ClusterIdentityError(
-                f"tracked window {list(range(k0, k0 + n))} lost on a {disc.space.n_free}-dof "
+                f"tracked window {list(range(k0, k0 + n))} lost on a {space.n_free}-dof "
                 f"mesh; detected sizes {[len(c) for c in clusters]}")
         tracked = vals[k0:k0 + n]
-        ind = eigen_indicators(disc.space, disc.coeffs,
+        ind = eigen_indicators(space, coeffs,
                                EigenCluster(tracked, columns(range(k0, k0 + n))))
         if not config.compute_gap:
             gap2 = float("nan")
@@ -453,7 +446,7 @@ def _eigen_step(problem, config, k0, n, row0, refs):
             gaps = gap_energy([exact[ci - 1] for ci, _ in window],
                               [EigenCluster(vals[c[0]:c[-1] + 1], columns(c))
                                for _, c in window],
-                              disc.space, disc.coeffs)
+                              space, coeffs)
             gap2 = sum(g ** 2 for g in gaps)
         elif all(refs.get(ci) is not None for ci, _ in window):
             gap2 = sum(float(np.sum(np.abs(vals[c[0]:c[-1] + 1] - refs[ci])))
@@ -468,13 +461,13 @@ def _eigen_step(problem, config, k0, n, row0, refs):
 def _run_eigen(config):
     problem = get_problem(config.problem)
     t0 = time.perf_counter()
-    disc, row0, (k0, n) = _lock_window(problem, config)
+    space, row0, (k0, n) = _lock_window(problem, config)
     mode = (f"first_{config.first_n}" if config.first_n else
             f"cluster_{config.cluster_index}_q{config.multiplicity}")
     meta = {"mode": mode, "eig_tol": config.eig_tol,
             "label": f"{problem.name} P{config.degree}"}
     refs = {idx: val for idx, val, _ in problem.reference_values or []}
-    trace = _adaptive_loop(problem, config, disc,
+    trace = _adaptive_loop(problem, config, space,
                            _eigen_step(problem, config, k0, n, row0, refs), meta, t0)
     per_value = [refs.get(ci) for ci, size in enumerate(trace.cluster_sizes[-1], start=1)
                  for _ in range(size)]
@@ -517,19 +510,19 @@ def run_afem_source(config, sources, exact=None):
                          "need one closed-form solution per source")
     problem = get_problem(config.problem)
     t0 = time.perf_counter()
-    disc = _Discretization(problem, _pre_refined(problem, config))
+    coeffs = problem.coefficients
 
-    def step(disc, ancestor):
-        lu = spla.splu(disc.K.tocsc())
-        vectors = np.column_stack([
-            disc.space.expand(lu.solve(assemble_load(disc.space, f)))
-            for f in sources])
-        ind = _indicators(disc.space, disc.coeffs, vectors, sources=sources)
+    def step(space, ancestor):
+        # K is SPD, so the eigensolver's factor with diagonal pivots is stable
+        lu = _factor(assemble_stiffness(space, coeffs).tocsc())
+        vectors = np.column_stack([space.expand(lu.solve(assemble_load(space, f)))
+                                   for f in sources])
+        ind = _indicators(space, coeffs, vectors, sources=sources)
         err2 = float("nan") if exact is None else sum(
-            energy_error(disc.space, disc.coeffs, vectors[:, i], fn) ** 2
+            energy_error(space, coeffs, vectors[:, i], fn) ** 2
             for i, fn in enumerate(exact))
         return ind, (), err2, ()
 
     meta = {"mode": f"source_{len(sources)}", "lambda_refs": [],
             "label": f"{problem.name} source P{config.degree}"}
-    return _adaptive_loop(problem, config, disc, step, meta, t0)
+    return _adaptive_loop(problem, config, _pre_refined(problem, config), step, meta, t0)

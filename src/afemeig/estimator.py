@@ -55,14 +55,14 @@ class IndicatorField:
 
 
 @lru_cache(maxsize=None)
-def _tri_projector(degree_poly, rule_degree):
+def _tri_projector(degree_poly):
     """Quadrature-point L2 projector onto reference polynomials of degree
-    `degree_poly`, 0 or 1.
+    `degree_poly`, 0 or 1, at the points of the 2k+2 rule (k = degree_poly + 1).
 
     The affine Jacobian is constant per element, so projecting in reference
     coordinates equals the physical L2 projection.
     """
-    pts, wts = triangle_rule(rule_degree)
+    pts, wts = triangle_rule(2 * degree_poly + 4)
     phi = np.vstack([np.ones(len(pts)), pts.T[:2 * degree_poly]])
     gram = np.einsum("iq,jq,q->ij", phi, phi, wts)
     proj = phi.T @ np.linalg.solve(gram, phi * wts[None, :])
@@ -74,15 +74,14 @@ def _interior_terms(space, coeffs, local, lams, sources):
     from the element coefficients `local` (members, ne, nb), by the degree
     2k+2 rule."""
     mesh = space.mesh
-    rule_degree = 2 * space.degree + 2
-    rule = space.rule(rule_degree)
+    rule = space.rule(2 * space.degree + 2)
     # h_T^2, the longest edge squared, times det B, which scales the weights
     _, B, det, _ = space.geometry()
     edges = (B[..., 0], B[..., 1], B[..., 1] - B[..., 0])
     weight = np.max([np.einsum("ei,ei->e", e, e) for e in edges], axis=0) * det
     xy = rule.points_on(slice(None)) if callable(coeffs.c) or sources is not None else None
     cq = _element_major(coeffs.c_at, xy) if callable(coeffs.c) else float(coeffs.c)
-    proj = _tri_projector(space.degree - 1, rule_degree)
+    proj = _tri_projector(space.degree - 1)
     if space.degree == 2:
         # div(A grad u) = sum_b u_b (B^-1 A B^-T : Hess_ref phi_b), constant on each element
         href = shape_hessians(2)

@@ -30,7 +30,7 @@ from .mesh import MeshError
 from .quadrature import triangle_rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coefficients:
     """Operator data for a(u, v) = (A grad u, grad v) + (c u, v).
 
@@ -40,6 +40,7 @@ class Coefficients:
     and the matrices are checked when the object is made, and each matrix,
     symmetric only to rounding, is stored as the float array (A + A^T)/2, so
     that the stiffness matrix and the estimator's fluxes use one operator.
+    Two objects are equal only when they are the same object.
     """
 
     a: Union[float, dict] = 1.0

@@ -492,8 +492,10 @@ def test_uniform_marking_marks_everything(monkeypatch):
 # -- source mode -------------------------------------------------------------
 
 
-def test_zero_source_converges_immediately():
-    cfg = AfemConfig(problem="square", degree=1, max_dof=4000)
+@pytest.mark.parametrize("marking", ["dorfler", "uniform"])
+def test_zero_source_converges_immediately(marking):
+    # a zero estimator stops the loop under either marking rule
+    cfg = AfemConfig(problem="square", degree=1, max_dof=4000, marking=marking)
     tr = run_afem_source(cfg, [lambda p: np.zeros(p.shape[0])])
     assert len(tr) == 1
     assert tr.meta["status"] == "converged"
@@ -516,6 +518,39 @@ def test_source_two_components():
     assert np.all(tr.series("eta2") > 0)
 
 
+def test_each_step_assembles_what_its_solve_needs(monkeypatch):
+    from afemeig import driver
+    log = []
+
+    def spy(name, real):
+        def logged(space, *args, **kwargs):
+            log.append((name, space.n_free))
+            return real(space, *args, **kwargs)
+        return logged
+
+    def solve(K, M, nev, **kwargs):
+        log.append(("solve", K.shape[0]))
+        return real_solve(K, M, nev, **kwargs)
+
+    real_solve = driver.solve_smallest
+    monkeypatch.setattr(driver, "assemble_stiffness", spy("K", driver.assemble_stiffness))
+    monkeypatch.setattr(driver, "assemble_mass", spy("M", driver.assemble_mass))
+    monkeypatch.setattr(driver, "solve_smallest", solve)
+    # the oscillator's 2nd cluster locks on the third mesh it solves
+    tr = run_afem(AfemConfig(problem="oscillator", cluster_index=2, multiplicity=2,
+                             max_dof=300, compute_gap=False))
+    # one K and one M per solved mesh; the lock may solve a mesh more than once
+    events = [e for i, e in enumerate(log) if i == 0 or e != log[i - 1]]
+    meshes = [n for what, n in events if what == "solve"]
+    assert events == [(what, n) for n in meshes for what in ("K", "M", "solve")]
+    # row 0 reuses the lock's last solve; rows 1 and on solve their own mesh
+    assert len(meshes) > len(tr) and meshes[-len(tr):] == tr.n_dofs
+
+    log.clear()
+    tr = run_afem_source(AfemConfig(problem="square", max_dof=300), [sine_source])
+    assert log == [("K", n) for n in tr.n_dofs]
+
+
 @pytest.mark.parametrize("sources, exact, message", [
     ([sine_source], [], "exact has 0 entries for 1 sources"),
     ([sine_source], [sine_solution, sine_solution], "exact has 2 entries for 1 sources"),
@@ -527,10 +562,10 @@ def test_source_count_mismatch_rejected_before_solving(monkeypatch, sources, exa
     # one array to concatenate"
     from afemeig import driver
 
-    def no_discretization(*args):
+    def no_assembly(*args):
         raise AssertionError("assembled before the check")
 
-    monkeypatch.setattr(driver, "_Discretization", no_discretization)
+    monkeypatch.setattr(driver, "assemble_stiffness", no_assembly)
     with pytest.raises(ValueError, match=message):
         run_afem_source(AfemConfig(problem="square", max_dof=300), sources, exact=exact)
 

@@ -381,6 +381,16 @@ def test_region_matrix_symmetric_to_rounding_is_stored_symmetrized():
         np.testing.assert_array_equal(got.osc2, want.osc2)
 
 
+def test_coefficients_compare_by_identity():
+    # field-wise equality would compare the stored region arrays, and numpy
+    # raises on the truth value of an array comparison
+    table = {0: [[2.0, 0.5], [0.5, 1.0]]}
+    co = Coefficients(a=table)
+    assert (co == Coefficients(a=table)) is False
+    assert (co == co) is True
+    assert (co != Coefficients(a=table)) is True
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(a=0.0), "coefficient a is not positive"),
     (dict(a=-1.0), "coefficient a is not positive"),
