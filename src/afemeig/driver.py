@@ -2,18 +2,18 @@
 
 `_adaptive_loop` is written once and hands each row only its space.  A step
 `step(space, ancestor)` supplies what differs between runs: it assembles what
-its own solve needs and returns the indicator field, the tracked eigenvalues,
-the gap column and the detected cluster sizes.  The two eigenvalue modes share
-one step over a window J = {k0, ..., k0+n-1} of ascending discrete eigenvalues
-whose indicators are summed: a tracked cluster is J = {k0, ..., k0+q-1} and
-first-N mode is J = {0, ..., N-1}.  A source-problem step, which factors K
-alone, drives the same loop for the vector boundary-value problem, and so
-validates the estimator plumbing independently of the eigensolver.
+its own solve needs and returns the indicator field, the tracked eigenvalues
+and the gap column.  The two eigenvalue modes share one step over a window
+J = {k0, ..., k0+n-1} of ascending discrete eigenvalues whose indicators are
+summed: a tracked cluster is J = {k0, ..., k0+q-1} and first-N mode is
+J = {0, ..., N-1}.  A source-problem step, which factors K alone, drives the
+same loop for the vector boundary-value problem, and so validates the
+estimator plumbing independently of the eigensolver.
 
-The window is locked once, on the initial mesh (position k0 and extent n),
-and never re-decided; the lock's last solve is row 0's solve whenever it asked
-for the loop's number of eigenpairs.  Every row checks the window with the
-rule that locked it, and aborts rather than silently tracking something else.
+The window and its cluster sizes are locked once, on the initial mesh, and
+never re-decided; row 0 takes the lock's last solve, made with the loop's
+number of eigenpairs.  Every row checks that the window rule gives the locked
+sizes, and aborts rather than silently tracking something else.
 """
 
 import csv
@@ -130,7 +130,6 @@ class AfemTrace:
     The column attributes are read-only views of the rows."""
 
     rows: list = field(default_factory=list)
-    cluster_sizes: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     final_mesh: object = None
 
@@ -197,8 +196,7 @@ def export_trace(trace, path, fmt="csv"):
     elif fmt == "json":
         obj = {"meta": trace.meta,
                "columns": trace.columns,
-               "rows": [[None if np.isnan(v) else v for v in row] for row in trace.rows],
-               "cluster_sizes": [list(cs) for cs in trace.cluster_sizes]}
+               "rows": [[None if np.isnan(v) else v for v in row] for row in trace.rows]}
         with open(path, "w") as fh:
             json.dump(obj, fh, indent=1, allow_nan=False)
     else:
@@ -223,7 +221,7 @@ def read_trace(path):
     header, *body = rows
     n = len(_COUNTS)
     rows = [tuple(map(int, r[:n])) + tuple(map(float, r[n:])) for r in body]
-    trace = AfemTrace(rows=rows, cluster_sizes=[()] * len(rows))
+    trace = AfemTrace(rows=rows)
     if list(trace.columns) != header:
         raise ValueError(f"{path}: not a trace header: {','.join(header)}")
     return trace
@@ -280,8 +278,8 @@ def _adaptive_loop(problem, config, space, step, meta, t0):
     `max_iterations` refinements were made.
 
     `step(space, ancestor)` assembles and solves what its row needs on
-    `space`, and returns (IndicatorField, tracked eigenvalues, gap2, cluster
-    sizes); `ancestor` maps each element to its element on the row before,
+    `space`, and returns (IndicatorField, tracked eigenvalues, gap2);
+    `ancestor` maps each element to its element on the row before,
     and is None on row 0.  Row 0's seconds count from `t0`.
     """
     trace = AfemTrace()
@@ -290,7 +288,7 @@ def _adaptive_loop(problem, config, space, step, meta, t0):
                   "b": config.bisections, "max_dof": config.max_dof, **meta}
     ancestor = None
     for it in range(config.max_iterations + 1):
-        ind, lambdas, gap2, sizes = step(space, ancestor)
+        ind, lambdas, gap2 = step(space, ancestor)
         marked, converged = _mark_elements(config, ind)
         at_max_dof = space.n_free >= config.max_dof
         stop = converged or at_max_dof or it == config.max_iterations
@@ -298,7 +296,6 @@ def _adaptive_loop(problem, config, space, step, meta, t0):
         trace.rows.append((it, space.mesh.n_elements, space.n_free,
                            0 if stop else len(marked), *lambdas, ind.total_eta2,
                            ind.total_osc2, float(gap2), now - t0))
-        trace.cluster_sizes.append(sizes)
         t0 = now
         if stop:
             break
@@ -326,25 +323,24 @@ def _pre_refined(problem, config):
     return space
 
 
-def _window_clusters(clusters, k0, n, position):
-    """The window rule for {k0, ..., k0+n-1}: the clusters that start before
-    the window ends, the window's own clusters with their 1-based positions,
-    and whether the window is whole clusters with a value after it and, given
-    a `position`, the one cluster there."""
+def _window_sizes(clusters, k0, n):
+    """The window rule for J = {k0, ..., k0+n-1}: the sizes of the detected
+    clusters that start before J ends, when J is whole clusters with a value
+    after it, else None.  A cluster's 1-based position is its place in them."""
     upto = [c for c in clusters if c[0] < k0 + n]
-    window = [(ci, c) for ci, c in enumerate(upto, start=1) if c[0] >= k0]
-    whole = window and window[0][1][0] == k0 and upto[-1][-1] == k0 + n - 1
-    placed = position is None or [ci for ci, _ in window] == [position]
-    return upto, window, bool(whole and placed and len(clusters) > len(upto))
+    whole = any(c[0] == k0 for c in upto) and upto[-1][-1] == k0 + n - 1
+    return tuple(len(c) for c in upto) if whole and len(clusters) > len(upto) else None
 
 
 def _lock_window(problem, config):
-    """Row 0's space, its solve `(vals, vecs)` and the window (k0, n).
+    """Row 0's space, its solve `(vals, vecs)` and the window (k0, n, sizes).
 
     The pre-refined mesh is refined uniformly, and solved once it has nev + 3
     free dofs, until the window rule holds, 7 meshes were solved or the mesh
     has `max_dof` free dofs.  A cluster run asks for q + 2 more eigenpairs
     while each solve shows more clusters; a first-N run that fails widens N.
+    The last K and M are solved again if the loop's nev differs, so `sizes`
+    are the window rule's on the solve that row 0 takes.
     """
     n, q, k = config.first_n, config.multiplicity, config.cluster_index
     nev = n + 2 if n else k - 1 + q + 2
@@ -364,37 +360,47 @@ def _lock_window(problem, config):
                 wanted, seen = wanted + q + 2, len(clusters)
             solved += 1
             k0 = 0 if n else clusters[min(k, len(clusters)) - 1][0]   # < k clusters: rule fails
-            if _window_clusters(clusters, k0, n or q, None if n else k)[2]:
-                return space, (vals, vecs), (k0, n or q)
+            sizes = _window_sizes(clusters, k0, n or q)
+            if sizes and (n or len(sizes) == k):
+                break
         if space.n_free >= config.max_dof or solved == 7:
+            if not n:
+                raise ClusterIdentityError(
+                    f"no cluster of multiplicity {q} at position {k} on {solved} meshes up "
+                    f"to {space.n_free} free dofs (max_dof {config.max_dof}); detected "
+                    f"sizes {[len(c) for c in clusters]}")
+            n = [c for c in clusters if c[0] < n][-1][-1] + 1
+            warnings.warn(f"first_n={config.first_n} splits a multiplet; extending to {n}",
+                          stacklevel=4)
             break
         space = build_space(uniform_refine(space.mesh, 1), config.degree)
-    if n:
-        wide = [c for c in clusters if c[0] < n][-1][-1] + 1
-        warnings.warn(f"first_n={n} splits a multiplet; extending to {wide}", stacklevel=4)
-        return space, (vals, vecs), (0, wide)
-    raise ClusterIdentityError(
-        f"no cluster of multiplicity {q} at position {k} on {solved} meshes up to {space.n_free} "
-        f"free dofs (max_dof {config.max_dof}); detected sizes {[len(c) for c in clusters]}")
+    n = n or q
+    nev = min(k0 + n + 2, space.n_free)     # the loop's
+    if vals.size != nev:
+        vals, vecs = solve_smallest(K, M, nev, tol=config.eig_tol, seed=config.seed)
+        sizes = _window_sizes(detect_cluster(vals, CLUSTER_REL_GAP_TOL), k0, n)
+    # () matches no row's sizes: a rule that failed here aborts row 0
+    return space, (vals, vecs), (k0, n, sizes or ())
 
 
-def _eigen_step(problem, config, k0, n, row0, refs):
-    """Step over the window J = {k0, ..., k0+n-1}.
+def _eigen_step(problem, config, k0, n, sizes, row0, refs):
+    """Step over the window J = {k0, ..., k0+n-1}, whose detected clusters up
+    to J's end have the locked `sizes`.
 
-    The recorded cluster sizes are those of every detected cluster that starts
-    before the window ends, so a cluster's 1-based position is its place in
-    that list.  gap2 sums the squared energy gaps of the window's clusters to
-    their exact eigenspaces, all from one `gap_energy` call, or, unless every
-    window cluster has a closed-form eigenspace, their eigenvalue errors
-    against the reference values (NaN if one is missing).
-    A row aborts unless the lock's window rule `_window_clusters` holds.
-    `row0` is the lock's solve on row 0's mesh; row 0 uses it when it holds
-    the loop's number of eigenpairs.  `refs` maps a cluster's position to its
-    reference value.
+    A row aborts unless the window rule `_window_sizes` gives `sizes`.  gap2
+    sums the squared energy gaps of the window's clusters to their exact
+    eigenspaces, all from one `gap_energy` call, or, unless every window
+    cluster has a closed-form eigenspace of its size, their eigenvalue errors
+    against the reference values (NaN if one is missing).  Row 0 takes
+    `row0`, the lock's solve on its mesh.  `refs` maps a cluster's position
+    to its reference value.
     """
-    exact = problem.exact_clusters or []
     coeffs = problem.coefficients
-    position = None if config.first_n else config.cluster_index
+    exact = problem.exact_clusters or []
+    window = [(ci, range(end - size, end)) for ci, (size, end)
+              in enumerate(zip(sizes, np.cumsum(sizes)), start=1) if end > k0]
+    closed = [exact[ci - 1] for ci, c in window
+              if ci <= len(exact) and exact[ci - 1].dim == len(c)]
     carried = None     # the row before's space, the sum of its eigenvectors, its values
 
     def step(space, ancestor):
@@ -403,37 +409,32 @@ def _eigen_step(problem, config, k0, n, row0, refs):
         def columns(idx):
             return np.column_stack([space.expand(vecs[:, i]) for i in idx])
 
-        # nev reads two values past the window, not one: a warm Lanczos start
-        # holds a multiplet's further members only through its 1e-6 noise.
-        # Replayed with k0 + n + 1 values at the pole 0, 5 of the 18 warm
-        # solves of a square P2 cluster-2 run to 25k dofs returned 2, 5, 8, 10
-        # (x pi^2), one 5 pi^2 member short.  The window rule needs the value
-        # after the window too.
-        nev = min(k0 + n + 2, space.n_free)
-        if row0 is not None and row0[0].size == nev:
-            vals, vecs = row0
+        if row0 is not None:
+            (vals, vecs), row0 = row0, None
         else:
             # assembled before the start is prolongated, and dropped once solved
             K, M = assemble_stiffness(space, coeffs), assemble_mass(space)
-            start, pole = None, 0.0
-            if carried is not None:
-                # the meshes are nested, so the coarse eigenvectors prolongate exactly
-                start = prolongate(carried[0], space, ancestor, carried[1])[space.free_dofs]
-                lam = carried[2]
-                carried = None     # frees the coarse space before the solve
-                if k0:
-                    # below J, and at most midway between the first and the last value,
-                    # so that the nev values nearest it are the nev smallest
-                    pole = min(lam[k0 - 1] + _POLE_FRACTION * (lam[k0] - lam[k0 - 1]),
-                               (lam[0] + lam[-1]) / 2)
-            vals, vecs = solve_smallest(K, M, nev, tol=config.eig_tol,
-                                        seed=config.seed, start=start, pole=pole)
+            # the meshes are nested, so the coarse eigenvectors prolongate exactly
+            start = prolongate(carried[0], space, ancestor, carried[1])[space.free_dofs]
+            lam = carried[2]
+            carried = None     # frees the coarse space before the solve
+            # below J, and at most midway between the first and the last value,
+            # so that the nev values nearest it are the nev smallest
+            pole = min(lam[k0 - 1] + _POLE_FRACTION * (lam[k0] - lam[k0 - 1]),
+                       (lam[0] + lam[-1]) / 2) if k0 else 0.0
+            # nev reads two values past the window, not one: a warm Lanczos start
+            # holds a multiplet's further members only through its 1e-6 noise.
+            # Replayed with k0 + n + 1 values at the pole 0, 5 of the 18 warm
+            # solves of a square P2 cluster-2 run to 25k dofs returned 2, 5, 8, 10
+            # (x pi^2), one 5 pi^2 member short.  The window rule needs the value
+            # after the window too.
+            vals, vecs = solve_smallest(K, M, min(k0 + n + 2, space.n_free),
+                                        tol=config.eig_tol, seed=config.seed,
+                                        start=start, pole=pole)
             del K, M
-        row0 = None
         carried = (space, space.expand(vecs.sum(axis=1)), vals)
         clusters = detect_cluster(vals, CLUSTER_REL_GAP_TOL)
-        upto, window, holds = _window_clusters(clusters, k0, n, position)
-        if not holds:
+        if _window_sizes(clusters, k0, n) != sizes:
             raise ClusterIdentityError(
                 f"tracked window {list(range(k0, k0 + n))} lost on a {space.n_free}-dof "
                 f"mesh; detected sizes {[len(c) for c in clusters]}")
@@ -442,37 +443,32 @@ def _eigen_step(problem, config, k0, n, row0, refs):
                                EigenCluster(tracked, columns(range(k0, k0 + n))))
         if not config.compute_gap:
             gap2 = float("nan")
-        elif all(ci <= len(exact) for ci, _ in window):
-            gaps = gap_energy([exact[ci - 1] for ci, _ in window],
-                              [EigenCluster(vals[c[0]:c[-1] + 1], columns(c))
-                               for _, c in window],
-                              space, coeffs)
+        elif len(closed) == len(window):
+            gaps = gap_energy(closed, [EigenCluster(vals[c.start:c.stop], columns(c))
+                                       for _, c in window], space, coeffs)
             gap2 = sum(g ** 2 for g in gaps)
         elif all(refs.get(ci) is not None for ci, _ in window):
-            gap2 = sum(float(np.sum(np.abs(vals[c[0]:c[-1] + 1] - refs[ci])))
+            gap2 = sum(float(np.sum(np.abs(vals[c.start:c.stop] - refs[ci])))
                        for ci, c in window)
         else:
             gap2 = float("nan")
-        return (ind, tuple(float(v) for v in tracked), gap2,
-                tuple(len(c) for c in upto))
+        return ind, tuple(float(v) for v in tracked), gap2
     return step
 
 
 def _run_eigen(config):
     problem = get_problem(config.problem)
     t0 = time.perf_counter()
-    space, row0, (k0, n) = _lock_window(problem, config)
+    space, row0, (k0, n, sizes) = _lock_window(problem, config)
     mode = (f"first_{config.first_n}" if config.first_n else
             f"cluster_{config.cluster_index}_q{config.multiplicity}")
-    meta = {"mode": mode, "eig_tol": config.eig_tol,
-            "label": f"{problem.name} P{config.degree}"}
     refs = {idx: val for idx, val, _ in problem.reference_values or []}
-    trace = _adaptive_loop(problem, config, space,
-                           _eigen_step(problem, config, k0, n, row0, refs), meta, t0)
-    per_value = [refs.get(ci) for ci, size in enumerate(trace.cluster_sizes[-1], start=1)
-                 for _ in range(size)]
-    trace.meta["lambda_refs"] = (per_value + [None] * n)[k0:k0 + n]
-    return trace
+    meta = {"mode": mode, "eig_tol": config.eig_tol,
+            "label": f"{problem.name} P{config.degree}", "cluster_sizes": list(sizes),
+            "lambda_refs": [refs.get(ci) for ci, size in enumerate(sizes, start=1)
+                            for _ in range(size)][k0:]}
+    return _adaptive_loop(problem, config, space,
+                          _eigen_step(problem, config, k0, n, sizes, row0, refs), meta, t0)
 
 
 def run_afem(config):
@@ -521,7 +517,7 @@ def run_afem_source(config, sources, exact=None):
         err2 = float("nan") if exact is None else sum(
             energy_error(space, coeffs, vectors[:, i], fn) ** 2
             for i, fn in enumerate(exact))
-        return ind, (), err2, ()
+        return ind, (), err2
 
     meta = {"mode": f"source_{len(sources)}", "lambda_refs": [],
             "label": f"{problem.name} source P{config.degree}"}

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import afemeig.driver
-from afemeig import (AfemConfig, ClusterIdentityError, run_afem, run_afem_first_n,
-                     run_afem_source, solve_smallest)
+from afemeig import (AfemConfig, ClusterIdentityError, Coefficients, ExactEigenspace,
+                     ProblemSpec, run_afem, run_afem_first_n, run_afem_source,
+                     solve_smallest)
 from afemeig.driver import (emit_plot, export_trace, fit_slope, read_trace,
                             trace_to_csv_text)
 
@@ -297,8 +298,18 @@ def test_first_n_splitting_a_multiplet_extends_the_window(solve_calls):
     assert record[0].filename == __file__     # the warning points at the caller
     assert tr.n_lambda == 3
     # the lock's solve (N + 2 = 4) is too narrow for the widened window, so
-    # row 0 solves its pencil again with nev = 3 + 2
+    # the lock solves its pencil again with nev = 3 + 2, and row 0 takes that
     assert [nev for n, nev, _ in solve_calls if n == tr.n_dofs[0]] == [4, 5]
+
+
+def test_widened_window_that_its_wider_solve_breaks_aborts_on_row_0():
+    # the oscillator's levels from 10 up merge into one cluster, the last of
+    # the lock's 49 values, which N = 47 cuts; widened to 49, the solve for
+    # 49 + 2 values finds that cluster longer still, so no sizes are locked
+    with pytest.warns(UserWarning, match="extending to 49"), \
+            pytest.raises(ClusterIdentityError, match=r"48\] lost on a 481-dof mesh"):
+        run_afem_first_n(AfemConfig(problem="oscillator", first_n=47, max_dof=400,
+                                    compute_gap=False))
 
 
 @pytest.mark.parametrize("entry, kw", [
@@ -338,9 +349,63 @@ def test_window_wider_than_max_dof_fails_before_solving(solve_calls):
     assert solve_calls == []
 
 
-def test_first_n_rows_check_the_window(monkeypatch):
-    # from row 1 on (the rows that prolongate a warm start), positions 2 and 3
-    # are reported as one cluster, so N = 3 cuts it
+def _rectangle(width, **kw):
+    """-Laplace on (0, width) x (0, 1), whose eigenvalues are
+    `_rectangle_lambda(width, m, n)`."""
+    return ProblemSpec(name=f"rectangle {width}",
+                       vertices=np.array([(0, 0), (width, 0), (width, 1), (0, 1)], float),
+                       triangles=np.array([(0, 1, 2), (0, 2, 3)]),
+                       coefficients=Coefficients(a=1.0, c=0.0), **kw)
+
+
+def _rectangle_lambda(width, m, n):
+    return math.pi ** 2 * (m * m / width ** 2 + n * n)
+
+
+def _rectangle_mode(width, m, n):
+    """The L2-normalized sin(m pi x / width) sin(n pi y) as a closed-form
+    function: the (3, k) rows of value, d/dx and d/dy at (k, 2) points."""
+    a, b, scale = m * math.pi / width, n * math.pi, 2.0 / math.sqrt(width)
+
+    def fn(p):
+        sx, cx = np.sin(a * p[:, 0]), np.cos(a * p[:, 0])
+        sy, cy = np.sin(b * p[:, 1]), np.cos(b * p[:, 1])
+        return scale * np.stack([sx * sy, a * cx * sy, b * sx * cy])
+    return fn
+
+
+def _merge_pair_with_next(clusters):
+    at = next(i for i, c in enumerate(clusters) if 3 in c)
+    clusters[at - 1:at + 1] = [clusters[at - 1] + clusters[at]]
+
+
+def _split_pair(clusters):
+    at = next(i for i, c in enumerate(clusters) if 1 in c)
+    clusters[at:at + 1] = [[i] for i in clusters[at]]
+
+
+# the rectangle's lambda_21 and lambda_12 lie 9.8 % apart: one cluster on the
+# lock's mesh, two on the next
+_WIDE = 1.09
+_WIDE_RECTANGLE = _rectangle(_WIDE, reference_values=[
+    (1, _rectangle_lambda(_WIDE, 1, 1), "separation of variables"),
+    (2, _rectangle_lambda(_WIDE, 2, 1), "separation of variables"),
+    (3, _rectangle_lambda(_WIDE, 1, 2), "separation of variables")])
+
+
+@pytest.mark.parametrize("problem, shift, gap", [
+    # positions 2 and 3 reported as one cluster, so N = 3 cuts it
+    ("square", _merge_pair_with_next, False),
+    # the (1, 2) partition reported as (1, 1, 1): a whole window, but its
+    # pair's closed form met a one-member cluster in a GapError
+    ("oscillator", _split_pair, True),
+    # unpatched: the run used to go on, and to take lambda_21 as the reference
+    # value of lambda_12 from a last row that showed the pair as one cluster
+    (_WIDE_RECTANGLE, None, True),
+], ids=["merge", "split", "rectangle"])
+def test_first_n_rows_check_the_window(monkeypatch, problem, shift, gap):
+    # from row 1 on (the rows that prolongate a warm start) the detected
+    # partition differs from the one that the lock fixed
     from afemeig import driver
     real_detect, real_prolongate = driver.detect_cluster, driver.prolongate
     warm = []
@@ -351,16 +416,15 @@ def test_first_n_rows_check_the_window(monkeypatch):
 
     def detect(values, tol):
         clusters = real_detect(values, tol)
-        if warm:
-            at = next(i for i, c in enumerate(clusters) if 3 in c)
-            clusters[at - 1:at + 1] = [clusters[at - 1] + clusters[at]]
+        if warm and shift:
+            shift(clusters)
         return clusters
 
     monkeypatch.setattr(driver, "prolongate", prolongate)
     monkeypatch.setattr(driver, "detect_cluster", detect)
     with pytest.raises(ClusterIdentityError, match=r"window \[0, 1, 2\] lost"):
-        run_afem_first_n(AfemConfig(problem="square", first_n=3, max_dof=600,
-                                    compute_gap=False))
+        run_afem_first_n(AfemConfig(problem=problem, first_n=3, max_dof=600,
+                                    compute_gap=gap))
     assert warm
 
 
@@ -452,16 +516,29 @@ def test_lshape_gap_column_is_reference_proxy():
     assert np.allclose(tr.series("gap2"), np.abs(lam_err), rtol=1e-12)
 
 
+_SHORT = 1.2
+# closed forms [lambda_11] and [lambda_21, lambda_12], where the detected
+# clusters are lambda_11, lambda_21 and lambda_12, 19.5 % apart
+_PAIRED_WRONG = _rectangle(_SHORT, exact_clusters=[
+    ExactEigenspace(_rectangle_lambda(_SHORT, 1, 1), [_rectangle_mode(_SHORT, 1, 1)]),
+    ExactEigenspace(_rectangle_lambda(_SHORT, 2, 1),
+                    [_rectangle_mode(_SHORT, 2, 1), _rectangle_mode(_SHORT, 1, 2)])])
+
+
 @pytest.mark.parametrize("entry, kw", [
-    ("cluster", dict(cluster_index=3)),     # 8 pi^2: past the closed forms
-    ("first_n", dict(first_n=4)),           # clusters 1-3, the third without one
+    ("cluster", dict(problem="square", cluster_index=3)),   # 8 pi^2: past the closed forms
+    ("first_n", dict(problem="square", first_n=4)),         # clusters 1-3, the third without one
+    # the second closed form has 2 members, the second cluster 1: it used to
+    # meet the cluster in a GapError
+    ("first_n", dict(problem=_PAIRED_WRONG, first_n=2)),
 ])
 def test_window_past_closed_forms_records_nan_gap(entry, kw):
     # the square has exact eigenspaces and reference values for clusters 1
     # and 2 only; a window that reaches cluster 3 used to crash with
     # "list index out of range" and now takes the reference-value proxy,
-    # which is NaN where a reference is missing
-    cfg = AfemConfig(problem="square", max_dof=300, **kw)
+    # which is NaN where a reference is missing.  So is a window cluster
+    # whose closed form has another number of members.
+    cfg = AfemConfig(max_dof=300, **kw)
     tr = run_afem_first_n(cfg) if entry == "first_n" else run_afem(cfg)
     assert len(tr) >= 2
     assert np.all(np.isnan(tr.series("gap2")))
@@ -518,7 +595,15 @@ def test_source_two_components():
     assert np.all(tr.series("eta2") > 0)
 
 
-def test_each_step_assembles_what_its_solve_needs(monkeypatch):
+@pytest.mark.parametrize("kw", [
+    # the oscillator's 2nd cluster locks on the third mesh it solves
+    dict(cluster_index=2, multiplicity=2, max_dof=300),
+    # cluster 3 lies past the (1, 2) clusters, so the loop's nev = 3 + 3 + 2
+    # exceeds the lock's k - 1 + q + 2 = 7; the lock solves its own K and M
+    # again, where row 0 used to assemble the lock's last mesh a second time
+    dict(cluster_index=3, multiplicity=3, max_dof=400),
+], ids=["cluster-2", "cluster-3"])
+def test_each_step_assembles_what_its_solve_needs(monkeypatch, kw):
     from afemeig import driver
     log = []
 
@@ -536,13 +621,12 @@ def test_each_step_assembles_what_its_solve_needs(monkeypatch):
     monkeypatch.setattr(driver, "assemble_stiffness", spy("K", driver.assemble_stiffness))
     monkeypatch.setattr(driver, "assemble_mass", spy("M", driver.assemble_mass))
     monkeypatch.setattr(driver, "solve_smallest", solve)
-    # the oscillator's 2nd cluster locks on the third mesh it solves
-    tr = run_afem(AfemConfig(problem="oscillator", cluster_index=2, multiplicity=2,
-                             max_dof=300, compute_gap=False))
+    tr = run_afem(AfemConfig(problem="oscillator", compute_gap=False, **kw))
     # one K and one M per solved mesh; the lock may solve a mesh more than once
     events = [e for i, e in enumerate(log) if i == 0 or e != log[i - 1]]
     meshes = [n for what, n in events if what == "solve"]
     assert events == [(what, n) for n in meshes for what in ("K", "M", "solve")]
+    assert len(set(meshes)) == len(meshes)     # no mesh is assembled twice
     # row 0 reuses the lock's last solve; rows 1 and on solve their own mesh
     assert len(meshes) > len(tr) and meshes[-len(tr):] == tr.n_dofs
 
@@ -606,7 +690,7 @@ def test_first_n_summed_gap_rate():
     cfg = AfemConfig(problem="square", degree=1, theta=0.5, first_n=3,
                      max_dof=15000, compute_gap=True)
     tr = run_afem_first_n(cfg)
-    assert set(tr.cluster_sizes[1:]) == {(1, 2)}
+    assert tr.meta["cluster_sizes"] == [1, 2]
     slope = fit_slope(tr, "gap2", "n_dofs", window=6)
     assert slope == pytest.approx(-1.0, abs=0.15)
     assert tr.meta["lambda_refs"] == [2 * math.pi ** 2, 5 * math.pi ** 2,

@@ -29,22 +29,17 @@ import pytest
 
 import afemeig.driver
 import afemeig.gap
-from afemeig import AfemConfig, run_afem, run_afem_first_n, run_afem_source
+from afemeig import AfemConfig, run_afem, run_afem_first_n
+from afemeig.cases import CASES, run_case
 from afemeig.driver import trace_to_csv_text
 from afemeig.gap import gap_energy
 from afemeig.marking import dorfler_mark
 
-from conftest import sine_solution, sine_source
 from oracles import subdivided_gap_rule
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 INT_COLUMNS = ("iter", "n_elements", "n_dofs", "marked")
 RTOL = 1e-9   # of the float columns, relative to the stored cell
-
-
-def _manufactured_source_run():
-    cfg = AfemConfig(problem="square", degree=1, theta=0.5, max_dof=3000)
-    return run_afem_source(cfg, [sine_source], exact=[sine_solution])
 
 
 RUNS = {
@@ -53,10 +48,9 @@ RUNS = {
         max_dof=2000)),
     "square_first3_gap": lambda: run_afem_first_n(AfemConfig(
         problem="square", degree=1, first_n=3, max_dof=2000)),
-    "lshape_cluster1_proxy": lambda: run_afem(AfemConfig(
-        problem="lshape", degree=1, cluster_index=1, multiplicity=1,
-        max_dof=2000)),
-    "square_source_manufactured": _manufactured_source_run,
+    # two reproduction cases, cut to a few thousand dofs
+    "lshape_cluster1_proxy": lambda: run_case(CASES["lshape-p1-adaptive"], max_dof=2000),
+    "square_source_manufactured": lambda: run_case(CASES["square-source-p1"], max_dof=3000),
 }
 
 
