@@ -13,7 +13,7 @@ import numpy as np
 
 from . import plotting
 from .driver import (AfemConfig, emit_plot, export_trace, fit_slope, run_afem,
-                     run_afem_first_n, run_afem_source)
+                     run_afem_source)
 
 
 def sine_solution(p):
@@ -80,7 +80,7 @@ def run_case(case, max_dof=None):
     if case.source:
         f, u = case.source
         return run_afem_source(config, [f], exact=[u])
-    return run_afem_first_n(config) if config.first_n else run_afem(config)
+    return run_afem(config)
 
 
 def slope_checks(case, trace):

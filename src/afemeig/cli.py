@@ -1,49 +1,55 @@
 """Command line front end: ``afem run ...`` and ``afem reproduce ...``.
 
-Exit codes: 0 on completion, 2 when the tracked cluster's identity is lost,
-1 on any other error.  ``afem reproduce`` exits 0 when every case ran, also
-when its report reads FAIL for a slope.
+``afem run`` hands `AfemConfig` only the flags given, so a flag left out keeps
+the config's default, and the config checks every setting.  Exit codes: 0 on
+completion, 2 when the tracked cluster's identity is lost, 1 on any other
+error, usage errors included.  ``afem reproduce`` exits 0 when every case ran,
+also when its report reads FAIL for a slope.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from .cases import CASES, run_cases
-from .driver import (AfemConfig, ClusterIdentityError, emit_plot, export_trace,
-                     run_afem, run_afem_first_n)
+from .driver import AfemConfig, ClusterIdentityError, emit_plot, export_trace, run_afem
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage errors exit 1, like any invalid setting; subparsers take this class
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="afem",
         description="Adaptive finite element eigenvalue solver "
                     "(Solve -> Estimate -> Mark -> Refine).")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run the adaptive loop on a model problem")
-    run.add_argument("--problem", default="square",
-                     help="square | lshape | oscillator | file:<spec.json>")
-    run.add_argument("--degree", type=int, default=1, choices=(1, 2))
-    run.add_argument("--theta", type=float, default=0.5,
-                     help="Dörfler bulk fraction in (0, 1)")
-    group = run.add_mutually_exclusive_group()
-    group.add_argument("--cluster", type=int, default=1, metavar="K",
-                       help="1-based position of the tracked cluster")
-    group.add_argument("--first-n", type=int, default=0, metavar="N",
-                       help="track the first N eigenvalues instead")
-    run.add_argument("--multiplicity", type=int, default=1, metavar="Q",
+    run = sub.add_parser("run", help="run the adaptive loop on a model problem",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--problem", help="square | lshape | oscillator | file:<spec.json>")
+    run.add_argument("--degree", type=int, help="polynomial degree, 1 or 2")
+    run.add_argument("--theta", type=float, help="Dörfler bulk fraction in (0, 1)")
+    run.add_argument("--cluster", type=int, dest="cluster_index", metavar="K",
+                     help="1-based position of the tracked cluster")
+    run.add_argument("--multiplicity", type=int, metavar="Q",
                      help="multiplicity of the tracked cluster")
-    run.add_argument("--max-dof", type=float, default=5e4)
-    run.add_argument("--b", type=int, default=1, dest="bisections",
-                     help="bisections per marked element")
-    run.add_argument("--eig-tol", type=float, default=1e-10)
-    run.add_argument("--no-gap", action="store_true",
+    run.add_argument("--first-n", type=int, metavar="N",
+                     help="track the first N eigenvalues instead of a cluster")
+    run.add_argument("--max-dof", type=float)
+    run.add_argument("--b", type=int, dest="bisections", help="bisections per marked element")
+    run.add_argument("--eig-tol", type=float)
+    run.add_argument("--no-gap", action="store_false", dest="compute_gap",
                      help="skip eigenspace-gap computation")
-    run.add_argument("--uniform", action="store_true",
+    run.add_argument("--uniform", action="store_const", const="uniform", dest="marking",
                      help="refine uniformly instead of marking (control runs)")
-    run.add_argument("--trace", metavar="OUT.CSV", help="write the trace CSV")
-    run.add_argument("--plot", metavar="OUT.SVG", help="write a log-log SVG plot")
-    run.add_argument("--mesh-out", metavar="DIR",
+    run.add_argument("--trace", metavar="OUT.CSV", default=None, help="write the trace CSV")
+    run.add_argument("--plot", metavar="OUT.SVG", default=None, help="write a log-log SVG plot")
+    run.add_argument("--mesh-out", metavar="DIR", default=None,
                      help="write the final mesh (JSON + legacy VTK) into DIR")
     reproduce = sub.add_parser(
         "reproduce", help="run the reproduction cases and report their slopes")
@@ -62,20 +68,9 @@ def main(argv=None):
         if args.command == "reproduce":
             run_cases(args.cases, args.max_dof, args.out)
             return 0
-        config = AfemConfig(
-            problem=args.problem,
-            degree=args.degree,
-            theta=args.theta,
-            bisections=args.bisections,
-            cluster_index=args.cluster,
-            multiplicity=args.multiplicity,
-            first_n=args.first_n,
-            max_dof=args.max_dof,
-            eig_tol=args.eig_tol,
-            compute_gap=not args.no_gap,
-            marking="uniform" if args.uniform else "dorfler",
-        )
-        trace = run_afem_first_n(config) if args.first_n else run_afem(config)
+        fields = {f.name for f in dataclasses.fields(AfemConfig)}
+        config = AfemConfig(**{k: v for k, v in vars(args).items() if k in fields})
+        trace = run_afem(config)
     except ClusterIdentityError as exc:
         print(f"afem: cluster identity lost: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,13 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import afemeig.driver
 from afemeig import (AfemConfig, ClusterIdentityError, Coefficients, ExactEigenspace,
-                     ProblemSpec, run_afem, run_afem_first_n, run_afem_source,
-                     solve_smallest)
+                     ProblemSpec, run_afem, run_afem_source, solve_smallest)
 from afemeig.driver import (emit_plot, export_trace, fit_slope, read_trace,
                             trace_to_csv_text)
 
@@ -44,8 +44,7 @@ def small_cluster2_trace():
 @pytest.fixture(scope="module")
 def small_first3_trace():
     # without the gap, so its gap2 column is NaN
-    return run_afem_first_n(AfemConfig(problem="square", first_n=3, max_dof=600,
-                                       compute_gap=False))
+    return run_afem(AfemConfig(problem="square", first_n=3, max_dof=600, compute_gap=False))
 
 
 # -- fit_slope ---------------------------------------------------------------
@@ -107,10 +106,13 @@ def test_config_validation():
         AfemConfig(bisections=0)
     with pytest.raises(ValueError, match="eig_tol"):
         AfemConfig(eig_tol=-1.0)
-    with pytest.raises(ValueError):
-        run_afem(AfemConfig(first_n=2))
-    with pytest.raises(ValueError):
-        run_afem_first_n(AfemConfig())
+    # first-N mode names no cluster; a q of 2 used to be ignored silently
+    for kw in (dict(cluster_index=2), dict(multiplicity=2)):
+        with pytest.raises(ValueError, match="first_n=3 names no cluster"):
+            AfemConfig(first_n=3, **kw)
+    assert AfemConfig(first_n=3, cluster_index=1, multiplicity=1).first_n == 3
+    from afemeig.cli import main
+    assert main(["run", "--first-n", "3", "--multiplicity", "2", "--max-dof", "300"]) == 1
 
 
 @pytest.mark.parametrize("name", ["bisections", "max_dof", "max_iterations",
@@ -285,7 +287,7 @@ def test_tiny_theta_marks_the_top_tie_class():
 def test_first_n_one_matches_cluster_one(tmp_path):
     kw = dict(problem="square", degree=1, theta=0.5, max_dof=1200)
     tr_a = run_afem(AfemConfig(cluster_index=1, multiplicity=1, **kw))
-    tr_b = run_afem_first_n(AfemConfig(first_n=1, **kw))
+    tr_b = run_afem(AfemConfig(first_n=1, **kw))
     assert _strip_seconds(trace_to_csv_text(tr_a)) == \
         _strip_seconds(trace_to_csv_text(tr_b))
 
@@ -294,7 +296,7 @@ def test_first_n_splitting_a_multiplet_extends_the_window(solve_calls):
     # the square's lambda_2 = lambda_3 = 5 pi^2 stays a pair under refinement,
     # so first_n = 2 cannot cut it and is widened to 3
     with pytest.warns(UserWarning, match="splits a multiplet; extending to 3") as record:
-        tr = run_afem_first_n(AfemConfig(problem="square", first_n=2, max_dof=1500))
+        tr = run_afem(AfemConfig(problem="square", first_n=2, max_dof=1500))
     assert record[0].filename == __file__     # the warning points at the caller
     assert tr.n_lambda == 3
     # the lock's solve (N + 2 = 4) is too narrow for the widened window, so
@@ -308,16 +310,15 @@ def test_widened_window_that_its_wider_solve_breaks_aborts_on_row_0():
     # 49 + 2 values finds that cluster longer still, so no sizes are locked
     with pytest.warns(UserWarning, match="extending to 49"), \
             pytest.raises(ClusterIdentityError, match=r"48\] lost on a 481-dof mesh"):
-        run_afem_first_n(AfemConfig(problem="oscillator", first_n=47, max_dof=400,
-                                    compute_gap=False))
+        run_afem(AfemConfig(problem="oscillator", first_n=47, max_dof=400, compute_gap=False))
 
 
-@pytest.mark.parametrize("entry, kw", [
-    (run_afem, dict(problem="square", cluster_index=2, multiplicity=2)),
-    (run_afem_first_n, dict(problem="oscillator", first_n=3)),
-])
-def test_row_0_pencil_is_solved_once(solve_calls, entry, kw):
-    tr = entry(AfemConfig(max_dof=600, compute_gap=False, **kw))
+@pytest.mark.parametrize("kw", [
+    dict(problem="square", cluster_index=2, multiplicity=2),
+    dict(problem="oscillator", first_n=3),
+], ids=["cluster", "first_n"])
+def test_row_0_pencil_is_solved_once(solve_calls, kw):
+    tr = run_afem(AfemConfig(max_dof=600, compute_gap=False, **kw))
     assert [n for n, _, _ in solve_calls].count(tr.n_dofs[0]) == 1
 
 
@@ -423,8 +424,7 @@ def test_first_n_rows_check_the_window(monkeypatch, problem, shift, gap):
     monkeypatch.setattr(driver, "prolongate", prolongate)
     monkeypatch.setattr(driver, "detect_cluster", detect)
     with pytest.raises(ClusterIdentityError, match=r"window \[0, 1, 2\] lost"):
-        run_afem_first_n(AfemConfig(problem=problem, first_n=3, max_dof=600,
-                                    compute_gap=gap))
+        run_afem(AfemConfig(problem=problem, first_n=3, max_dof=600, compute_gap=gap))
     assert warm
 
 
@@ -501,8 +501,7 @@ def test_warm_pair_solves_shift_invert_below_the_pair_and_keep_both_members(monk
 @pytest.mark.parametrize("kw", [dict(first_n=3), dict(cluster_index=1)])
 def test_windows_from_lambda_1_keep_the_pole_0(monkeypatch, kw):
     calls, poles = _record_solves(monkeypatch)
-    run = run_afem_first_n if "first_n" in kw else run_afem
-    run(AfemConfig(problem="square", max_dof=2000, compute_gap=False, **kw))
+    run_afem(AfemConfig(problem="square", max_dof=2000, compute_gap=False, **kw))
     assert sum(c[3].get("start") is not None for c in calls) >= 3
     assert all(c[3].get("pole", 0.0) == 0.0 for c in calls)
     assert poles and set(poles) == {0.0}
@@ -537,12 +536,26 @@ def test_window_past_closed_forms_records_nan_gap(entry, kw):
     # and 2 only; a window that reaches cluster 3 used to crash with
     # "list index out of range" and now takes the reference-value proxy,
     # which is NaN where a reference is missing.  So is a window cluster
-    # whose closed form has another number of members.
-    cfg = AfemConfig(max_dof=300, **kw)
-    tr = run_afem_first_n(cfg) if entry == "first_n" else run_afem(cfg)
+    # whose closed form has another number of members.  One warning says so.
+    with pytest.warns(UserWarning, match="gap2 is NaN") as record:
+        tr = run_afem(AfemConfig(max_dof=300, **kw))
+    end = sum(tr.meta["cluster_sizes"])
+    assert [str(w.message) for w in record] == [
+        "gap2 is NaN: neither closed forms nor reference values cover every cluster "
+        f"of the tracked window {list(range(end - tr.n_lambda, end))}"]
+    assert record[0].filename == __file__     # the warning points at the caller
+    assert tr.meta["mode"].startswith(entry.split("_")[0])
     assert len(tr) >= 2
     assert np.all(np.isnan(tr.series("gap2")))
     assert np.all(np.isfinite(tr.series("eta2")))
+
+
+def test_window_with_closed_forms_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = run_afem(AfemConfig(problem="square", cluster_index=2, multiplicity=2,
+                                 max_dof=300))
+    assert np.all(np.isfinite(tr.series("gap2")))
 
 
 def test_uniform_marking_marks_everything(monkeypatch):
@@ -658,12 +671,10 @@ def test_source_count_mismatch_rejected_before_solving(monkeypatch, sources, exa
 
 
 def _run_entry(entry, **kw):
-    if entry == "cluster":
-        return run_afem(AfemConfig(problem="square", compute_gap=False, **kw))
-    if entry == "first_n":
-        return run_afem_first_n(AfemConfig(problem="square", first_n=3,
-                                           compute_gap=False, **kw))
-    return run_afem_source(AfemConfig(problem="square", **kw), [sine_source])
+    if entry == "source":
+        return run_afem_source(AfemConfig(problem="square", **kw), [sine_source])
+    return run_afem(AfemConfig(problem="square", first_n=3 if entry == "first_n" else 0,
+                               compute_gap=False, **kw))
 
 
 @pytest.mark.parametrize("entry", ["cluster", "first_n", "source"])
@@ -689,7 +700,7 @@ def test_status_max_dof(entry):
 def test_first_n_summed_gap_rate():
     cfg = AfemConfig(problem="square", degree=1, theta=0.5, first_n=3,
                      max_dof=15000, compute_gap=True)
-    tr = run_afem_first_n(cfg)
+    tr = run_afem(cfg)
     assert tr.meta["cluster_sizes"] == [1, 2]
     slope = fit_slope(tr, "gap2", "n_dofs", window=6)
     assert slope == pytest.approx(-1.0, abs=0.15)

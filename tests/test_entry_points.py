@@ -1,6 +1,8 @@
 """Entry points that the rest of the suite does not run: `afem reproduce`,
-the benchmark's layer tracer and the public name list."""
+`afem run`'s argument parsing, the benchmark's layer tracer and the public
+name list."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import afemeig
-from afemeig import fit_slope, read_trace
+from afemeig import AfemConfig, fit_slope, read_trace
 from afemeig.cases import CASES, run_cases
 from afemeig.cli import main
 
@@ -95,6 +97,51 @@ def test_reproduce_bad_max_dof_makes_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:     # argparse's own exits
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--degree", "3"],
+    ["run", "--theta", "x"],
+    ["run", "--cluster", "2", "--first-n", "3"],
+    ["run", "--bogus"],
+], ids=["degree-3", "theta-x", "cluster-and-first-n", "bogus"])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse exits 2 on its own, the code that afem keeps for a lost cluster
+    assert _exit_code(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_help_exits_0(capsys):
+    assert _exit_code(["run", "--help"]) == 0
+    assert "--first-n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, given", [
+    (["--max-dof", "300"], dict(max_dof=300)),
+    (["--no-gap", "--uniform", "--b", "2"],
+     dict(compute_gap=False, marking="uniform", bisections=2)),
+    (["--first-n", "3"], dict(first_n=3)),
+    (["--cluster", "2", "--multiplicity", "2", "--degree", "2"],
+     dict(cluster_index=2, multiplicity=2, degree=2)),
+], ids=["max-dof", "no-gap-uniform-b", "first-n", "cluster-multiplicity-degree"])
+def test_run_configures_only_the_flags_given(monkeypatch, flags, given):
+    # every flag left out keeps AfemConfig's own default
+    seen = []
+
+    def run_afem(config):
+        seen.append(dataclasses.asdict(config))
+        raise RuntimeError("not run")
+
+    monkeypatch.setattr("afemeig.cli.run_afem", run_afem)
+    assert main(["run", *flags]) == 1
+    assert seen == [dataclasses.asdict(AfemConfig(**given))]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -108,8 +155,8 @@ tracer = tracing.Tracer()
 tracing.install(tracer, afemeig)
 afemeig.run_afem(afemeig.AfemConfig(problem="square", cluster_index=2, multiplicity=2,
                                     max_dof=300))
-afemeig.run_afem_first_n(afemeig.AfemConfig(problem="square", first_n=2, max_dof=300,
-                                            compute_gap=False))
+afemeig.run_afem(afemeig.AfemConfig(problem="square", first_n=2, max_dof=300,
+                                    compute_gap=False))
 c = tracer.counts
 names = ("mesh.refine.calls", "fem.assemble.calls", "eigsolve.calls",
          "estimator.calls", "marking.calls", "gap.calls")
@@ -143,3 +190,5 @@ def test_public_names():
     ]
     for name in afemeig.__all__:
         assert hasattr(afemeig, name), name
+    # one entry point for every window; the old first-N name is an alias
+    assert afemeig.run_afem_first_n is afemeig.run_afem

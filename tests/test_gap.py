@@ -8,7 +8,7 @@ import afemeig.driver
 import afemeig.gap
 from afemeig import (AfemConfig, Coefficients, assemble_mass, assemble_stiffness,
                      build_initial, build_space, gap_energy, get_problem, run_afem,
-                     run_afem_first_n, solve_smallest, square_laplace, uniform_refine)
+                     run_afem, solve_smallest, square_laplace, uniform_refine)
 from afemeig.eigsolve import EigenCluster, m_orthonormalize
 from afemeig.gap import ExactEigenspace, GapError, _GapWorkspace, gap_rule
 
@@ -198,8 +198,7 @@ def test_exact_members_evaluated_twice_per_point(monkeypatch):
         return prob
 
     monkeypatch.setattr(afemeig.driver, "get_problem", problem)
-    tr = run_afem_first_n(AfemConfig(problem="oscillator", degree=1, first_n=3,
-                                     max_dof=1500))
+    tr = run_afem(AfemConfig(problem="oscillator", degree=1, first_n=3, max_dof=1500))
     assert len(tr) >= 3
     nq = gap_rule(build_space(get_problem("oscillator").initial_mesh(), 1)).wts.size
     window = {key: n for key, n in points.items() if key[0] < 2}

@@ -29,7 +29,7 @@ import pytest
 
 import afemeig.driver
 import afemeig.gap
-from afemeig import AfemConfig, run_afem, run_afem_first_n
+from afemeig import AfemConfig, run_afem
 from afemeig.cases import CASES, run_case
 from afemeig.driver import trace_to_csv_text
 from afemeig.gap import gap_energy
@@ -46,7 +46,7 @@ RUNS = {
     "oscillator_cluster2_q2_gap": lambda: run_afem(AfemConfig(
         problem="oscillator", degree=1, cluster_index=2, multiplicity=2,
         max_dof=2000)),
-    "square_first3_gap": lambda: run_afem_first_n(AfemConfig(
+    "square_first3_gap": lambda: run_afem(AfemConfig(
         problem="square", degree=1, first_n=3, max_dof=2000)),
     # two reproduction cases, cut to a few thousand dofs
     "lshape_cluster1_proxy": lambda: run_case(CASES["lshape-p1-adaptive"], max_dof=2000),
@@ -191,7 +191,7 @@ GAP_RULE_BOUNDS = {("oscillator", 1): (3.8e-2, 3.2e-5), ("square", 1): (4.6e-5, 
 GAP_RULE_RUNS = {
     "oscillator_cluster2_q2_gap": RUNS["oscillator_cluster2_q2_gap"],
     "square_first3_gap": RUNS["square_first3_gap"],
-    "oscillator_first3_short": lambda: run_afem_first_n(AfemConfig(
+    "oscillator_first3_short": lambda: run_afem(AfemConfig(
         problem="oscillator", degree=1, first_n=3, max_dof=1500)),
     "oscillator_p2_cluster2_q2": lambda: run_afem(AfemConfig(
         problem="oscillator", degree=2, cluster_index=2, multiplicity=2, max_dof=2000)),
