@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 from .cases import CASES, run_cases
 from .driver import AfemConfig, ClusterIdentityError, emit_plot, export_trace, run_afem
@@ -65,12 +66,14 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "reproduce":
-            run_cases(args.cases, args.max_dof, args.out)
-            return 0
-        fields = {f.name for f in dataclasses.fields(AfemConfig)}
-        config = AfemConfig(**{k: v for k, v in vars(args).items() if k in fields})
-        trace = run_afem(config)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"afem: warning: {msg}", file=sys.stderr)
+            if args.command == "reproduce":
+                run_cases(args.cases, args.max_dof, args.out)
+                return 0
+            fields = {f.name for f in dataclasses.fields(AfemConfig)}
+            config = AfemConfig(**{k: v for k, v in vars(args).items() if k in fields})
+            trace = run_afem(config)
     except ClusterIdentityError as exc:
         print(f"afem: cluster identity lost: {exc}", file=sys.stderr)
         return 2

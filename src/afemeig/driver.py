@@ -38,9 +38,10 @@ from .mesh import refine, uniform_refine
 from .problems import get_problem
 
 
-# discrete splitting of a multiple eigenvalue stays a few percent even on
-# the coarsest adaptive meshes, while inter-cluster gaps of the built-in
-# problems are >= 20%; 0.1 sits safely between the two scales
+# Discrete splitting of a multiple eigenvalue stays a few percent on coarse
+# meshes, but built-in clusters can lie closer than 0.1: on the square 17 pi^2,
+# 18 pi^2 and 20 pi^2 5.6 % and 10 %, the oscillator's levels q and q + 1
+# 1/(q + 1), 9.1 % at q = 10.  ROADMAP item 1 replaces this relative-gap rule.
 CLUSTER_REL_GAP_TOL = 0.1
 PRE_REFINEMENTS = 3              # uniform rounds on every initial mesh
 # A warm solve of a window J = {k0, ...} with k0 > 0 shift-inverts at a pole

@@ -31,7 +31,6 @@ the children of every round-k target; `tests/oracles.py` keeps the
 one-at-a-time bisector that the rounds reproduce.
 """
 
-import itertools
 import json
 
 import numpy as np
@@ -175,29 +174,24 @@ class RefineResult:
         self.ancestor = np.asarray(ancestor, dtype=np.int64)
 
 
-# Up to this many vertex-edge pairs, testing every pair is faster than
-# importing scipy.spatial (~0.1 s) and querying a k-d tree: in fresh
-# processes the two cost the same, 0.1-0.13 s, at 0.45-0.66 million pairs
-# (2-vCPU VM, numpy 2.4.6, scipy 1.17.1), with ~80 bytes of temporaries a pair.
-_ALL_PAIRS_MAX = 1 << 19
-
-
 def _hanging_vertex(vertices, edges):
-    """First ``(vertex, edge id)`` with the vertex strictly inside the edge, or
-    None.  Such a vertex lies within half the edge length of its midpoint, so
-    on large meshes only the vertices a k-d tree finds there are tested."""
+    """First ``(vertex, edge id)`` in (edge, vertex) order with the vertex
+    strictly inside the edge, or None.  Such a vertex lies in the edge's
+    bounding box widened by 1e-9 |E| + 1e-12, so each edge tests only the
+    vertices whose x, or y if fewer, falls in that box."""
     pa, pb = vertices[edges[:, 0]], vertices[edges[:, 1]]
     d = pb - pa
     L2 = np.einsum("ij,ij->i", d, d)
-    if edges.shape[0] * vertices.shape[0] <= _ALL_PAIRS_MAX:
-        eid, vid = np.divmod(np.arange(edges.shape[0] * vertices.shape[0]), vertices.shape[0])
-    else:
-        from scipy.spatial import cKDTree
-        near = cKDTree(vertices).query_ball_point(0.5 * (pa + pb),
-                                                  0.5 * np.sqrt(L2) * (1 + 1e-9) + 1e-12,
-                                                  return_sorted=True)
-        eid = np.repeat(np.arange(edges.shape[0]), [len(c) for c in near])
-        vid = np.fromiter(itertools.chain.from_iterable(near), np.int64, eid.size)
+    slack = (1e-9 * np.sqrt(L2) + 1e-12)[:, None]
+    lo, hi = np.minimum(pa, pb) - slack, np.maximum(pa, pb) + slack
+    order = np.argsort(vertices, axis=0, kind="stable")     # vertex ids by x, and by y
+    coords = vertices[order, (0, 1)]
+    start = np.array([coords[:, k].searchsorted(lo[:, k]) for k in (0, 1)])
+    stop = np.array([coords[:, k].searchsorted(hi[:, k], "right") for k in (0, 1)])
+    axis = (stop - start).argmin(axis=0)
+    start, stop = np.choose(axis, start), np.choose(axis, stop)
+    eid = np.repeat(np.arange(edges.shape[0]), stop - start)
+    vid = order[_ranges(start, stop), axis[eid]]
     rel = vertices[vid] - pa[eid]
     de = d[eid]
     t = np.einsum("ij,ij->i", rel, de) / L2[eid]
@@ -205,7 +199,8 @@ def _hanging_vertex(vertices, edges):
     hit = on_line & (t > 1e-10) & (t < 1 - 1e-10) & np.all(edges[eid] != vid[:, None], axis=1)
     if not hit.any():
         return None
-    k = np.argmax(hit)  # pairs run in (edge, vertex) order
+    eid, vid = eid[hit], vid[hit]
+    k = np.lexsort((vid, eid))[0]
     return int(vid[k]), int(eid[k])
 
 
@@ -220,7 +215,7 @@ def build_initial(vertices, triangles, boundary=None, region=None):
 
     `region` gives one integer material tag per triangle (default all 0).
     Overlap is not detected; without it a vertex inside an edge and that edge
-    are on single-owner edges, so the search for one looks only there.
+    are on single-owner edges, so `_hanging_vertex` searches only their boxes.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles)

@@ -11,6 +11,9 @@
 - `reference_edge_table`: the mesh's edge table by a row-wise unique and a
   loop over the local edges, which `afemeig.mesh._edge_table` must
   reproduce;
+- `reference_hanging_vertex`: the hanging-vertex search of `build_initial`
+  by testing every vertex against every edge, which
+  `afemeig.mesh._hanging_vertex` must reproduce;
 - `element_neighbors`: the element across each local edge, and
   `diameters`: each element's longest edge, the estimator's h_T;
 - `reference_refine`: newest-vertex bisection one element at a time, with
@@ -135,6 +138,25 @@ def reference_edge_table(elements):
         slot = 0 if owners[e, 0] < 0 else 1
         owners[e, slot], owner_local[e, slot] = divmod(flat, 3)
     return edges, inverse.reshape(-1, 3), owners, owner_local
+
+
+def reference_hanging_vertex(vertices, edges):
+    """`_hanging_vertex(vertices, edges)` by testing every (edge, vertex)
+    pair: the first pair in that order with the vertex strictly inside the
+    edge, as ``(vertex, edge id)``, or None."""
+    pa, pb = vertices[edges[:, 0]], vertices[edges[:, 1]]
+    d = pb - pa
+    L2 = np.einsum("ij,ij->i", d, d)
+    eid, vid = np.divmod(np.arange(edges.shape[0] * vertices.shape[0]), vertices.shape[0])
+    rel = vertices[vid] - pa[eid]
+    de = d[eid]
+    t = np.einsum("ij,ij->i", rel, de) / L2[eid]
+    on_line = np.abs(rel[:, 0] * de[:, 1] - rel[:, 1] * de[:, 0]) <= 1e-12 * np.sqrt(L2[eid])
+    hit = on_line & (t > 1e-10) & (t < 1 - 1e-10) & np.all(edges[eid] != vid[:, None], axis=1)
+    if not hit.any():
+        return None
+    k = np.argmax(hit)  # pairs run in (edge, vertex) order
+    return int(vid[k]), int(eid[k])
 
 
 def validate_mesh(mesh):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,21 @@ def test_run_fractional_vertex_index_exits_1(tmp_path, capsys):
                                          "elements": [[0, 1, 2.9], [0, 2, 3]]}}))
     assert main(["run", "--problem", f"file:{spec}", "--max-dof", "300"]) == 1
     assert "triangle vertex indices must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first_n, message", [
+    ("4", "gap2 is NaN: neither closed forms nor reference values cover every cluster "
+          "of the tracked window [0, 1, 2, 3]"),
+    ("2", "first_n=2 splits a multiplet; extending to 3"),
+], ids=["nan-gap", "widened"])
+def test_run_prints_a_warning_as_one_line(capsys, first_n, message):
+    # not as "cli.py:NN: UserWarning: ..." followed by a source line of cli.py
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert main(["run", "--problem", "square", "--first-n", first_n,
+                     "--max-dof", "300"]) == 0
+    assert not escaped
+    assert capsys.readouterr().err.splitlines() == [f"afem: warning: {message}"]
 
 
 def test_reproduce_bad_max_dof_makes_no_output_directory(tmp_path, capsys):

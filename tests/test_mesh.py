@@ -1,23 +1,30 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import afemeig.mesh
 from afemeig import (MeshError, RefineResult, build_initial, get_problem, harmonic_oscillator,
                      refine, uniform_refine)
-from afemeig.mesh import _ALL_PAIRS_MAX, _EDGE_VERTS, _ROTATE, Mesh
+from afemeig.mesh import _EDGE_VERTS, _ROTATE, Mesh, _edge_table, _hanging_vertex
 
 from conftest import lshape_mesh, perturbed, square_mesh
-from oracles import (edge_lengths, element_neighbors, reference_edge_table, reference_refine,
-                     refined_set, shape_regularity, signed_areas, validate_mesh)
+from oracles import (edge_lengths, element_neighbors, reference_edge_table,
+                     reference_hanging_vertex, reference_refine, refined_set, shape_regularity,
+                     signed_areas, validate_mesh)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_build_square_diagonal_refinement_edges():
@@ -159,12 +166,20 @@ def _grid(n):
     return verts, tris
 
 
+def _single_owner_search(verts, tris):
+    """`_hanging_vertex` and its all-pairs oracle on the single-owner edges of
+    `tris` and their end vertices, as `build_initial` searches them."""
+    edges, _, owners, _ = _edge_table(np.asarray(tris), len(verts))
+    ends, local = np.unique(edges[owners[:, 1] < 0], return_inverse=True)
+    args = np.asarray(verts, float)[ends], local.reshape(-1, 2)
+    return _hanging_vertex(*args), reference_hanging_vertex(*args)
+
+
 @pytest.mark.parametrize("n", [2, 182])
 def test_build_hanging_vertex_on_grid(n):
     verts, tris = _grid(n)
-    # the search pairs the 4n single-owner edges with their 4n end vertices:
-    # n = 2 tests every pair, n = 182 goes through the k-d tree
-    assert ((4 * n) ** 2 > _ALL_PAIRS_MAX) == (n > 2)
+    # the search pairs the 4n single-owner edges with their 4n end vertices
+    assert _single_owner_search(verts, tris) == (None, None)
     assert build_initial(verts, tris).n_elements == 2 * n * n
     # put a vertex on the diagonal (0, n + 2) of triangle n * n, off its
     # midpoint, and cut the other half of square 0 at it
@@ -172,8 +187,34 @@ def test_build_hanging_vertex_on_grid(n):
     verts = np.vstack([verts, [0.9 / n, 0.9 / n]])
     a, b, c = tris[0]
     tris = np.vstack([[(a, b, new), (b, c, new)], tris[1:]])
+    found, oracle = _single_owner_search(verts, tris)
+    assert found == oracle and found is not None
     with pytest.raises(MeshError, match=rf"hanging vertex {new} on edge \(0, {n + 2}\)"):
         build_initial(verts, tris)
+
+
+@given(st.sampled_from([1.0, 0.1]), st.booleans(), st.integers(2, 30), st.integers(1, 30),
+       st.integers(0, 2 ** 32 - 1))
+def test_hanging_vertex_matches_all_pairs_oracle(step, offset, nv, ne, seed):
+    # lattice points are exactly collinear, multiples of 0.1 only up to
+    # rounding, and an offset of 1e6 puts every coordinate on a grid of
+    # 1.2e-10, far coarser than the search's 1e-12 tolerances
+    rng = np.random.default_rng(seed)
+    verts = rng.integers(-4, 5, (nv, 2)) * step
+    if offset:
+        verts = verts + rng.choice([-1e6, 1e6], 2)
+    verts = rng.permutation(np.unique(verts, axis=0))   # ids not in coordinate order
+    assume(len(verts) >= 2)
+    edges = np.array([rng.choice(len(verts), 2, replace=False) for _ in range(ne)])
+    assert _hanging_vertex(verts, edges) == reference_hanging_vertex(verts, edges)
+
+
+def test_hanging_vertex_just_outside_the_edges_box():
+    # vertex 2 lies 5e-13 below the box of edge (0, 1), whose y spans
+    # [0, 1e-13], yet within 1e-12 of its line: the box's slack must keep it
+    verts = np.array([(0, 0), (1, 1e-13), (0.5, -5e-13), (0.5, 5)])
+    edges = np.array([(0, 1)])
+    assert _hanging_vertex(verts, edges) == reference_hanging_vertex(verts, edges) == (2, 0)
 
 
 def test_build_initial_hands_its_edge_table_to_the_mesh(monkeypatch):
@@ -569,6 +610,21 @@ def test_tied_spoke_fans_build_in_linear_time():
     start = time.perf_counter()
     build_initial(verts, tris)
     assert time.perf_counter() - start < 1.25
+
+
+def test_import_does_not_load_scipy_spatial():
+    # a fresh process, since other tests may import scipy.spatial themselves
+    script = ("import sys\n"
+              "from afemeig import build_initial\n"
+              "from test_mesh import _tied_fans\n"
+              "print('scipy.spatial' in sys.modules)\n"
+              "build_initial(*_tied_fans(2000))\n"
+              "print('scipy.spatial' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def _digest(arrays):
