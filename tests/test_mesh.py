@@ -193,7 +193,7 @@ def test_build_hanging_vertex_on_grid(n):
         build_initial(verts, tris)
 
 
-@given(st.sampled_from([1.0, 0.1]), st.booleans(), st.integers(2, 30), st.integers(1, 30),
+@given(st.sampled_from([1.0, 0.1]), st.booleans(), st.integers(2, 60), st.integers(1, 40),
        st.integers(0, 2 ** 32 - 1))
 def test_hanging_vertex_matches_all_pairs_oracle(step, offset, nv, ne, seed):
     # lattice points are exactly collinear, multiples of 0.1 only up to
@@ -210,11 +210,97 @@ def test_hanging_vertex_matches_all_pairs_oracle(step, offset, nv, ne, seed):
 
 
 def test_hanging_vertex_just_outside_the_edges_box():
-    # vertex 2 lies 5e-13 below the box of edge (0, 1), whose y spans
-    # [0, 1e-13], yet within 1e-12 of its line: the box's slack must keep it
-    verts = np.array([(0, 0), (1, 1e-13), (0.5, -5e-13), (0.5, 5)])
+    # vertex 2 lies 5e-13 below edge (0, 1), whose y spans [0, 1e-13], yet
+    # within 1e-12 of its line.  With y from -5 to 5, y = 0 is a border
+    # between quadtree cells: only the box's slack reaches vertex 2's cells
+    verts = np.array([(0, 0), (1, 1e-13), (0.5, -5e-13)]
+                     + [(x, y) for x in (0.25, 0.5, 0.75) for y in (-5, 5)])
     edges = np.array([(0, 1)])
+    assert len(verts) > afemeig.mesh._LEAF     # the root is split
     assert _hanging_vertex(verts, edges) == reference_hanging_vertex(verts, edges) == (2, 0)
+
+
+def test_hanging_vertex_in_a_cluster_finer_than_the_quadtree():
+    # five vertices within 4e-11 share one cell of the quadtree's 2^30 x 2^30
+    # grid over the unit square, so its deepest node holds more than _LEAF
+    verts = np.array([(k * 1e-11, 0) for k in range(5)] + [(1, 1)])
+    edges = np.array([(5, 0), (0, 4)])
+    assert 5 > afemeig.mesh._LEAF
+    assert _hanging_vertex(verts, edges) == reference_hanging_vertex(verts, edges) == (1, 1)
+
+
+def _star(n):
+    """A hub fan of n triangles on the unit circle and n spikes out to radius
+    10: 2n elements, whose 2n single-owner edges are the spikes' sides, about
+    9 long and slanted every way."""
+    th = 2 * np.pi * np.arange(n) / n
+    verts = np.vstack([(0, 0), np.c_[np.cos(th), np.sin(th)],
+                       10 * np.c_[np.cos(th + np.pi / n), np.sin(th + np.pi / n)]])
+    i, j = np.arange(n), (np.arange(n) + 1) % n
+    tris = np.vstack([np.c_[np.zeros(n, int), 1 + i, 1 + j], np.c_[1 + i, 1 + n + i, 1 + j]])
+    return verts, tris
+
+
+@pytest.mark.parametrize("chunk", [afemeig.mesh._CHUNK, 1])
+@pytest.mark.parametrize("t", [1e-3, 0.5, 0.999])
+def test_hanging_vertex_on_a_star_spike(t, chunk, monkeypatch):
+    # a small triangle outside spike 100 touches its side (101, 401) at the
+    # fraction t from the hub, near either end or at the middle; the search
+    # tests its candidate pairs `chunk` at a time
+    monkeypatch.setattr(afemeig.mesh, "_CHUNK", chunk)
+    n = 300
+    verts, tris = _star(n)
+    a, b = verts[101], verts[401]
+    m = a + t * (b - a)
+    along = (b - a) / np.linalg.norm(b - a) * 1e-4
+    normal = np.array([-along[1], along[0]])
+    normal *= np.sign(normal @ (a - verts[102]))     # away from the spike
+    new = len(verts)
+    verts = np.vstack([verts, m, m + normal - along, m + normal + along])
+    p, q, r = verts[new:]
+    ccw = (q - p)[0] * (r - p)[1] > (q - p)[1] * (r - p)[0]
+    tris = np.vstack([tris, (new, new + 1, new + 2) if ccw else (new, new + 2, new + 1)])
+    found, oracle = _single_owner_search(verts, tris)
+    assert found == oracle and found is not None
+    with pytest.raises(MeshError, match=rf"hanging vertex {new} on edge \(101, 401\)"):
+        build_initial(verts, tris)
+
+
+def test_star_search_work_grows_near_linearly(monkeypatch):
+    # the vertex-edge pairs and quadtree nodes the search visits, as sized by
+    # its calls of _ranges: 94,816 and 479,320, an n log n growth.  Testing
+    # the vertices in each edge's x or y range would visit 0.87 n^2 pairs,
+    # 16 times more for 4 times the spikes
+    work = []
+    ranges = afemeig.mesh._ranges
+    monkeypatch.setattr(afemeig.mesh, "_ranges",
+                        lambda lo, hi: work.append(int((hi - lo).sum())) or ranges(lo, hi))
+    counts = []
+    for n in (1000, 4000):
+        work.clear()
+        assert build_initial(*_star(n)).n_elements == 2 * n
+        counts.append(sum(work))
+    assert counts[1] < 6 * counts[0], counts
+
+
+def test_star_of_1e5_elements_imports_within_1_s_and_250_mb():
+    # a fresh process, for its peak RSS: 0.6 s and 128 MB over the arrays
+    # (2-vCPU host), where the scipy.spatial k-d tree took 7.7 s and 80 MB
+    script = ("import resource, sys, time\n"
+              "from afemeig import build_initial\n"
+              "from test_mesh import _star\n"
+              "verts, tris = _star(50000)\n"
+              "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "start = time.perf_counter()\n"
+              "build_initial(verts, tris)\n"
+              "print(time.perf_counter() - start,\n"
+              "      (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss) / 1024)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seconds, rss_mb = map(float, proc.stdout.split())
+    assert seconds < 1.0 and rss_mb < 250, (seconds, rss_mb)
 
 
 def test_build_initial_hands_its_edge_table_to_the_mesh(monkeypatch):
