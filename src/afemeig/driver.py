@@ -44,13 +44,17 @@ from .problems import get_problem
 # 1/(q + 1), 9.1 % at q = 10.  ROADMAP item 1 replaces this relative-gap rule.
 CLUSTER_REL_GAP_TOL = 0.1
 PRE_REFINEMENTS = 3              # uniform rounds on every initial mesh
-# A warm solve of a window J = {k0, ...} with k0 > 0 shift-inverts at a pole
-# this fraction of the way across the gap below J, on the row before's values.
-# The nearer the pole to J, the faster Lanczos separates J from the values
-# above it: over a square P2 cluster-2 run to 25k dofs, the operator applies
-# fell from 558 at the pole 0 to 389, 303, 286 and 269 at the fractions 0.5,
-# 0.8, 0.9 and 0.95.  0.9 leaves the pole a tenth of the gap below J, room
-# for the values that the refinement lowers.
+# A warm solve shift-inverts at a pole this fraction of the way across the gap
+# that ends at the first cluster boundary at or after the window's start, on
+# the row before's values: below J = {k0, ...} when k0 > 0, above lambda_1 and
+# below the second cluster when J starts at lambda_1.  The nearer the pole to
+# the values it returns, the faster Lanczos separates them from the rest: over
+# a square P2 cluster-2 run to 25k dofs, the operator applies fell from 558 at
+# the pole 0 to 389, 303, 286 and 269 at the fractions 0.5, 0.8, 0.9 and 0.95,
+# and over seed-1 benchmark runs from 310 to 198 on the L-shape and from 440
+# to 254 on the oscillator first-3, where a pole at 0.9 lambda_1 gave 254 and
+# 373.  0.9 leaves the pole a tenth of the gap below the boundary, room for
+# the values that the refinement lowers.
 _POLE_FRACTION = 0.9
 
 
@@ -429,10 +433,13 @@ def _eigen_step(problem, config, k0, n, sizes, row0, refs):
             start = prolongate(carried[0], space, ancestor, carried[1])[space.free_dofs]
             lam = carried[2]
             carried = None     # frees the coarse space before the solve
-            # below J, and at most midway between the first and the last value,
-            # so that the nev values nearest it are the nev smallest
-            pole = min(lam[k0 - 1] + _POLE_FRACTION * (lam[k0] - lam[k0 - 1]),
-                       (lam[0] + lam[-1]) / 2) if k0 else 0.0
+            # in the gap that ends at the first cluster boundary j at or after
+            # the window's start, above lambda_1 for a window from it, and at
+            # most midway between the first and the last value, so that the
+            # nev values nearest it are the nev smallest
+            j = k0 or sizes[0]
+            pole = min(lam[j - 1] + _POLE_FRACTION * (lam[j] - lam[j - 1]),
+                       (lam[0] + lam[-1]) / 2)
             # nev reads two values past the window, not one: a warm Lanczos start
             # holds a multiplet's further members only through its 1e-6 noise.
             # Replayed with k0 + n + 1 values at the pole 0, 5 of the 18 warm
@@ -513,8 +520,9 @@ def run_afem_source(config, sources, exact=None):
     coeffs = problem.coefficients
 
     def step(space, ancestor):
-        # K is SPD, so the eigensolver's factor with diagonal pivots is stable
-        lu = _factor(assemble_stiffness(space, coeffs).tocsc())
+        # K is SPD, so the eigensolver's factor with diagonal pivots is stable;
+        # K is symmetric, so its CSR arrays read as CSC are K
+        lu = _factor(assemble_stiffness(space, coeffs).T)
         vectors = np.column_stack([space.expand(lu.solve(assemble_load(space, f)))
                                    for f in sources])
         ind = _indicators(space, coeffs, vectors, sources=sources)

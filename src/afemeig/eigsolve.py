@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _DENSE_CUTOFF = 260
@@ -100,11 +101,27 @@ def _negative_pivots(lu):
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
+def _shifted(K, M, sigma):
+    """K - sigma*M as a CSR matrix.
+
+    The assembly gives K and M one CSR pattern, explicit zeros kept, so the
+    difference is one data array on K's pattern, with no sparse subtraction.
+    """
+    K = K.tocsr()
+    if sigma == 0.0:
+        return K
+    M = M.tocsr()
+    if np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices):
+        return sp.csr_matrix((K.data - sigma * M.data, K.indices, K.indptr), shape=K.shape)
+    return K - sigma * M
+
+
 def _shift_invert(K, M, nev, tol, v0, ncv, sigma):
     """ARPACK on (K - sigma*M)^-1 M: the nev eigenpairs nearest sigma, and,
     at sigma != 0, the factor's count of eigenvalues below sigma."""
-    # converted here, so that K - sigma*M is freed before the factor grows
-    lu = _factor((K if sigma == 0.0 else K - sigma * M).tocsc())
+    # built here, so that K - sigma*M is freed before the factor grows; a
+    # symmetric CSR matrix's arrays, read as CSC, are the matrix itself
+    lu = _factor(_shifted(K, M, sigma).T)
     op_inv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
     try:
         vals, vecs = spla.eigsh(K, k=nev, M=M, sigma=sigma, which="LM",

@@ -248,6 +248,16 @@ def _hanging_vertex(vertices, edges):
     margin = 1 / scale + 2.0 ** -50 * np.abs(vertices).max()
     (px, py), (dx, dy) = (pa - origin).T.copy(), d.T.copy()
     reach, slack_len, half_L2 = np.abs(d).sum(axis=1), slack * np.sqrt(L2), L2 / 2
+
+    def descend(eid, node, child, cx, cy, half):  # the pairs' children that meet the segment
+        eid = np.repeat(eid, child[node + 1] - child[node])
+        node = _ranges(child[node], child[node + 1])
+        ux, uy, ex, ey = cx[node] - px[eid], cy[node] - py[eid], dx[eid], dy[eid]
+        r = (half + margin) * reach[eid] + slack_len[eid]
+        h = half_L2[eid]
+        near = (np.abs(ux * ey - uy * ex) <= r) & (np.abs(ux * ex + uy * ey - h) <= h + r)
+        return eid[near], node[near]
+
     # node k of a level holds the vertices order[first[k]:first[k + 1]], whose
     # keys start with code[k], and has its centre at origin + (cx, cy)[k]
     first, code = np.array([0, key.size]), np.zeros(1, np.int64)
@@ -275,15 +285,12 @@ def _hanging_vertex(vertices, edges):
         half = width * 2.0 ** -(level + 2)
         cx = cx[parent] + half * (2 * (code & 1) - 1)
         cy = cy[parent] + half * (2 * (code >> 1 & 1) - 1)
-        # the edges go down into the children that meet their widened segment
-        node = node[~leaf]
-        eid = np.repeat(eid[~leaf], child[node + 1] - child[node])
-        node = _ranges(child[node], child[node + 1])
-        ux, uy, ex, ey = cx[node] - px[eid], cy[node] - py[eid], dx[eid], dy[eid]
-        r = (half + margin) * reach[eid] + slack_len[eid]
-        h = half_L2[eid]
-        near = (np.abs(ux * ey - uy * ex) <= r) & (np.abs(ux * ex + uy * ey - h) <= h + r)
-        eid, node = eid[near], node[near]
+        # the edges go down into the children that meet their widened segment,
+        # _CHUNK (edge, node) pairs at a time
+        eid, node = eid[~leaf], node[~leaf]
+        down = [descend(eid[s:s + _CHUNK], node[s:s + _CHUNK], child, cx, cy, half)
+                for s in range(0, eid.size, _CHUNK)]
+        eid, node = map(np.concatenate, zip((eid[:0], node[:0]), *down))
 
     eid, vid = (np.concatenate(c) for c in zip(*found))
     if not eid.size:

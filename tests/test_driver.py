@@ -498,13 +498,34 @@ def test_warm_pair_solves_shift_invert_below_the_pair_and_keep_both_members(monk
             assert np.min(np.abs(got[4] - cold[4:])) <= 1e-9 * cold[4]
 
 
-@pytest.mark.parametrize("kw", [dict(first_n=3), dict(cluster_index=1)])
-def test_windows_from_lambda_1_keep_the_pole_0(monkeypatch, kw):
+@pytest.mark.parametrize("problem, window", [("square", dict(first_n=3)),
+                                             ("square", dict(cluster_index=1)),
+                                             ("oscillator", dict(first_n=3))])
+def test_windows_from_lambda_1_shift_invert_above_lambda_1(monkeypatch, problem, window):
+    # k0 = 0: the pole lies in the gap after the first cluster, above lambda_1
+    from afemeig import driver
+    from afemeig.eigsolve import detect_cluster
     calls, poles = _record_solves(monkeypatch)
-    run_afem(AfemConfig(problem="square", max_dof=2000, compute_gap=False, **kw))
-    assert sum(c[3].get("start") is not None for c in calls) >= 3
-    assert all(c[3].get("pole", 0.0) == 0.0 for c in calls)
-    assert poles and set(poles) == {0.0}
+    run_afem(AfemConfig(problem=problem, max_dof=2000, compute_gap=False, **window))
+    warm = [c for c in calls if c[3].get("start") is not None]
+    assert sum(K.shape[0] > 260 for K, *_ in warm) >= 3
+    for (*_, before), (_, _, _, kw, _) in zip(calls, calls[1:]):
+        if kw.get("start") is not None:
+            j = len(detect_cluster(before, driver.CLUSTER_REL_GAP_TOL)[0])
+            below, above = before[j - 1], before[j]
+            assert kw["pole"] == min(below + driver._POLE_FRACTION * (above - below),
+                                     (before[0] + before[-1]) / 2)
+            assert kw["pole"] > before[0]
+    # one shift-invert solve per sparse solve, at its pole: none again at sigma = 0
+    assert poles == [kw.get("pole", 0.0) for K, _, _, kw, _ in calls if K.shape[0] > 260]
+    for K, M, nev, kw, vals in warm:
+        if K.shape[0] <= 260:
+            continue
+        cold, _ = solve_smallest(K, M, nev + 2, tol=kw["tol"], seed=kw["seed"])
+        np.testing.assert_allclose(vals[:-1], cold[:nev - 1], rtol=1e-9)
+        # the last value is either member of a multiplet that nev cuts
+        cut = next(c for c in detect_cluster(cold, driver.CLUSTER_REL_GAP_TOL) if nev - 1 in c)
+        assert np.min(np.abs(vals[-1] - cold[cut])) <= 1e-9 * cold[nev - 1]
 
 
 def test_lshape_gap_column_is_reference_proxy():

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from afemeig import assemble_mass, assemble_stiffness, build_space, detect_cluster, solve_smallest
-from afemeig.eigsolve import (EigenCluster, EigensolverError, _factor, _negative_pivots,
+from afemeig.eigsolve import (EigenCluster, EigensolverError, _factor, _negative_pivots, _shifted,
                               m_orthonormalize, residual_norms)
 from afemeig.fem import prolongate
 from afemeig.mesh import refine, uniform_refine
@@ -322,6 +322,20 @@ def _system(problem, degree, rounds):
 
 
 @pytest.mark.parametrize("problem, degree, rounds", _SMALL_SYSTEMS)
+def test_shifted_matrix_is_the_sparse_difference(problem, degree, rounds):
+    # on the assembly's one pattern the difference is K's data minus sigma
+    # times M's; a mass matrix of another pattern takes the sparse difference
+    K, M = _system(problem, degree, rounds)
+    lumped = sp.diags(np.asarray(M.sum(axis=1)).ravel()).tocsr()
+    for mass in (M, lumped):
+        for sigma in (0.0, 7.5):
+            got, want = _shifted(K, mass, sigma), (K - sigma * mass).tocsr()
+            assert got.format == "csr"
+            np.testing.assert_array_equal(got.toarray(), want.toarray())
+    assert _shifted(K, M, 0.0) is K
+
+
+@pytest.mark.parametrize("problem, degree, rounds", _SMALL_SYSTEMS)
 def test_negative_pivots_count_the_eigenvalues_below_the_pole(problem, degree, rounds):
     K, M = _system(problem, degree, rounds)
     dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
@@ -329,7 +343,7 @@ def test_negative_pivots_count_the_eigenvalues_below_the_pole(problem, degree, r
     # multiple to round-off on these symmetric meshes
     distinct = dense[np.r_[True, np.diff(dense) > 1e-8 * dense[1:]]]
     for sigma in (distinct[:12] + distinct[1:13]) / 2:
-        assert _negative_pivots(_factor((K - sigma * M).tocsc())) == np.count_nonzero(dense < sigma)
+        assert _negative_pivots(_factor(_shifted(K, M, sigma).T)) == np.count_nonzero(dense < sigma)
 
 
 @pytest.mark.parametrize("problem, degree, rounds", _SMALL_SYSTEMS)
@@ -345,7 +359,7 @@ def test_pole_at_a_computed_eigenvalue_still_gives_the_smallest(problem, degree,
                      subset_by_index=[0, nev - 1])
     for pole in dense[1:4]:
         try:
-            below = _negative_pivots(_factor((K - pole * M).tocsc()))
+            below = _negative_pivots(_factor(_shifted(K, M, pole).T))
         except EigensolverError:
             below = None
         if below is not None:

@@ -460,6 +460,25 @@ def test_variable_c_mass_term_matches_the_einsum(degree, case, apply_dirichlet, 
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("apply_dirichlet", [True, False], ids=["free", "all"])
+@pytest.mark.parametrize("case", ["scalar", "A-table", "oscillator"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_stiffness_and_mass_share_one_symmetric_csr_pattern(degree, case, apply_dirichlet):
+    # the shift-invert solve builds K - sigma*M from the two data arrays on
+    # K's pattern and hands the CSR arrays to SuperLU as CSC: both need one
+    # pattern, explicit zeros kept, and matrices symmetric to the bit
+    space = build_space(_locally_refined(two_region_square(3), b=1), degree)
+    K = assemble_stiffness(space, _ASSEMBLY_COEFFS[case], apply_dirichlet)
+    M = assemble_mass(space, apply_dirichlet)
+    np.testing.assert_array_equal(K.indptr, M.indptr)
+    np.testing.assert_array_equal(K.indices, M.indices)
+    for A in (K, M):
+        assert A.has_canonical_format
+        C = A.tocsc()
+        np.testing.assert_array_equal(C.indices, A.indices)
+        np.testing.assert_array_equal(C.data, A.data)
+
+
 def test_matrixmarket_export(tmp_path, laplace_coeffs):
     space = build_space(square_mesh(2), 1)
     K = assemble_stiffness(space, laplace_coeffs)

@@ -284,8 +284,9 @@ def test_star_search_work_grows_near_linearly(monkeypatch):
 
 
 def test_star_of_1e5_elements_imports_within_1_s_and_250_mb():
-    # a fresh process, for its peak RSS: 0.6 s and 128 MB over the arrays
-    # (2-vCPU host), where the scipy.spatial k-d tree took 7.7 s and 80 MB
+    # a fresh process, for its peak RSS: 0.5-0.8 s and 82 MB over the arrays
+    # (2-vCPU host), where the scipy.spatial k-d tree took 7.7 s and 80 MB and
+    # a descent that held a whole level's (edge, child) pairs 128 MB
     script = ("import resource, sys, time\n"
               "from afemeig import build_initial\n"
               "from test_mesh import _star\n"
