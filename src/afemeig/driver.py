@@ -520,9 +520,8 @@ def run_afem_source(config, sources, exact=None):
     coeffs = problem.coefficients
 
     def step(space, ancestor):
-        # K is SPD, so the eigensolver's factor with diagonal pivots is stable;
-        # K is symmetric, so its CSR arrays read as CSC are K
-        lu = _factor(assemble_stiffness(space, coeffs).T)
+        # K is SPD, so the eigensolver's factor with diagonal pivots is stable
+        lu = _factor(assemble_stiffness(space, coeffs))
         vectors = np.column_stack([space.expand(lu.solve(assemble_load(space, f)))
                                    for f in sources])
         ind = _indicators(space, coeffs, vectors, sources=sources)

@@ -68,7 +68,10 @@ def m_orthonormalize(vectors, M):
 
 
 def _factor(A):
-    """SuperLU factor of the symmetric CSC matrix A with diagonal pivots.
+    """SuperLU factor of the symmetric sparse matrix A with diagonal pivots.
+
+    A symmetric matrix's CSR arrays, read as CSC, are the matrix itself, so a
+    CSR matrix reaches SuperLU with no conversion.
 
     A minimum-degree ordering of A + A^T with diagonal pivots fills 30-60 %
     of what the default unsymmetric LU does on K.  relax=1 turns off
@@ -79,7 +82,7 @@ def _factor(A):
     from 0.46 to 0.42 s (median of 7).
     """
     try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+        return spla.splu(A.tocsr().T, permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, relax=1, panel_size=10,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
@@ -102,15 +105,14 @@ def _negative_pivots(lu):
 
 
 def _shifted(K, M, sigma):
-    """K - sigma*M as a CSR matrix.
+    """K - sigma*M, as a CSR matrix at sigma != 0.
 
     The assembly gives K and M one CSR pattern, explicit zeros kept, so the
     difference is one data array on K's pattern, with no sparse subtraction.
     """
-    K = K.tocsr()
     if sigma == 0.0:
         return K
-    M = M.tocsr()
+    K, M = K.tocsr(), M.tocsr()
     if np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices):
         return sp.csr_matrix((K.data - sigma * M.data, K.indices, K.indptr), shape=K.shape)
     return K - sigma * M
@@ -119,9 +121,8 @@ def _shifted(K, M, sigma):
 def _shift_invert(K, M, nev, tol, v0, ncv, sigma):
     """ARPACK on (K - sigma*M)^-1 M: the nev eigenpairs nearest sigma, and,
     at sigma != 0, the factor's count of eigenvalues below sigma."""
-    # built here, so that K - sigma*M is freed before the factor grows; a
-    # symmetric CSR matrix's arrays, read as CSC, are the matrix itself
-    lu = _factor(_shifted(K, M, sigma).T)
+    # built here, so that K - sigma*M is freed before the factor grows
+    lu = _factor(_shifted(K, M, sigma))
     op_inv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
     try:
         vals, vecs = spla.eigsh(K, k=nev, M=M, sigma=sigma, which="LM",
