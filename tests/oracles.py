@@ -17,9 +17,10 @@
 - `element_neighbors`: the element across each local edge, and
   `diameters`: each element's longest edge, the estimator's h_T;
 - `reference_refine`: newest-vertex bisection one element at a time, with
-  stack-based completion, the reference numbering `refine` must reproduce,
-  and `refined_set`: the input elements a refinement split, from its
-  ancestor array;
+  stack-based completion, the reference triangles `refine` must reproduce
+  (with their orientation, refinement edge, generation, region and
+  ancestor, in any numbering), and `refined_set`: the input elements a
+  refinement split, from its ancestor array;
 - `monomial_integral`: exact reference-triangle integrals for the quadrature
   tests, and `gauss_legendre`: a Gauss-Legendre rule on [0, 1] for edge
   integrals;
@@ -63,8 +64,10 @@ from afemeig.estimator import _indicators
 from afemeig.fem import (ElementRule, assemble_mass, assemble_stiffness, shape_gradients,
                          shape_values)
 from afemeig.gap import GapError, _GapWorkspace
-from afemeig.mesh import _EDGE_VERTS, _ROTATE, Mesh, MeshError, RefineResult
+from afemeig.mesh import _EDGE_VERTS, Mesh, MeshError, RefineResult
 from afemeig.quadrature import triangle_rule
+
+_ROTATE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # local vertices i, i + 1, i + 2 (mod 3)
 
 
 def element_neighbors(mesh):
